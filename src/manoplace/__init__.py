@@ -18,146 +18,50 @@ from .errors import (
     NoFeasiblePlan,
     SolutionFormatError,
 )
-from .harness import (
-    CSV_HEADER,
-    ExperimentConfig,
-    RunRecord,
-    load_experiment_config,
-    run_experiment,
-    write_csv,
-)
-from .lp_export import LpSummary, build_lp_model, check_lp_file, export_lp, write_lp_model
-from .model import (
-    DomainPlan,
-    Solution,
-    Violation,
-    ViolationReport,
-    VnfmAssignment,
-    check_feasibility,
-    load_solution,
-    objective_value,
-    parse_solution,
-    save_solution,
-    solution_to_data,
-)
-from .oracle import (
-    OracleBudget,
-    OracleResult,
-    OracleStatus,
-    min_feasible_nfvo_count,
-    solve_exact,
-)
-from .tabu import (
-    Move,
-    Score,
-    SearchResult,
-    TabuParams,
-    capacity_overload,
-    initial_plan,
-    penalty,
-    place_nfvos,
-    plan_score,
-    propose_moves,
-    search,
-)
+from .harness import load_experiment_config, run_experiment
+from .lp_export import check_lp_file, export_lp
+from .model import Solution, check_feasibility, load_solution, save_solution
+from .oracle import OracleBudget, OracleStatus, solve_exact
+from .tabu import TabuParams
 from .topology import (
-    DelayMatrix,
     GeneratorConfig,
-    ManoParameters,
-    PoP,
     ProblemInstance,
-    ValidationReport,
-    VnfInstance,
-    bundled_instance_path,
     generate_instance,
     load_instance_ref,
     load_problem,
-    parse_problem,
-    problem_to_data,
     resolve_instance_path,
     save_problem,
-    validate_instance,
-    with_uniform_vnfs,
 )
-from .vnfm import (
-    DomainView,
-    TwoStepResult,
-    domains_of,
-    eligible_hosts,
-    place_domain,
-    two_step_place,
-    two_step_place_detailed,
-)
+from .vnfm import two_step_place, two_step_place_detailed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSV_HEADER",
-    "DelayMatrix",
-    "DomainPlan",
-    "DomainView",
-    "ExperimentConfig",
     "GeneratorConfig",
     "InfeasibleDomain",
     "InstanceFormatError",
     "InstanceValidationError",
-    "LpSummary",
-    "ManoParameters",
     "ManoPlaceError",
-    "Move",
     "NoFeasiblePlan",
     "OracleBudget",
-    "OracleResult",
     "OracleStatus",
-    "PoP",
     "ProblemInstance",
-    "RunRecord",
-    "Score",
-    "SearchResult",
     "Solution",
     "SolutionFormatError",
     "TabuParams",
-    "TwoStepResult",
-    "ValidationReport",
-    "Violation",
-    "ViolationReport",
-    "VnfInstance",
-    "VnfmAssignment",
-    "build_lp_model",
-    "bundled_instance_path",
-    "capacity_overload",
     "check_feasibility",
     "check_lp_file",
-    "domains_of",
-    "eligible_hosts",
     "export_lp",
     "generate_instance",
-    "initial_plan",
     "load_experiment_config",
     "load_instance_ref",
     "load_problem",
     "load_solution",
-    "min_feasible_nfvo_count",
-    "objective_value",
-    "parse_problem",
-    "parse_solution",
-    "penalty",
-    "place_domain",
-    "place_nfvos",
-    "plan_score",
-    "problem_to_data",
-    "propose_moves",
     "resolve_instance_path",
     "run_experiment",
     "save_problem",
     "save_solution",
-    "search",
-    "solution_to_data",
     "solve_exact",
     "two_step_place",
     "two_step_place_detailed",
-    "validate_instance",
-    "with_uniform_vnfs",
-    "write_csv",
-    "write_lp_model",
 ]

@@ -10,9 +10,10 @@ Subcommands:
 * ``export-lp``   write the ILP model in LP format
 * ``experiment``  run a sweep from a configuration file
 
-Exit codes: 0 on success, 1 for usage errors and unreadable input files,
-2 when the input is valid but the request cannot be satisfied (validation
-findings, infeasible instances, failed checks), 3 for internal errors.
+Exit codes: 0 on success, 1 for usage errors and unreadable or malformed
+input files, 2 when the input is valid but the request cannot be satisfied
+(validation findings, infeasible instances, failed checks), 3 for internal
+errors.
 
 Instance arguments accept plain paths or ``bundled:<name>`` references to
 the topologies shipped with the package (``bundled:pop8``, ``bundled:pop16``).
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import (
     InfeasibleDomain,
@@ -40,11 +40,12 @@ from .tabu import TabuParams
 from .topology import (
     GeneratorConfig,
     generate_instance,
+    load_instance_ref,
     load_problem,
-    parse_problem,
+    parse_generator_config,
+    read_json,
     resolve_instance_path,
     save_problem,
-    validate_instance,
 )
 from .vnfm import two_step_place_detailed
 
@@ -114,27 +115,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_instance(ref: str):
-    return load_problem(resolve_instance_path(ref))
-
-
 def _cmd_gen(args) -> int:
     if args.config is not None:
-        import json
-
-        data = json.loads(Path(args.config).read_text())
-        if not isinstance(data, dict):
-            raise InstanceFormatError(f"{args.config}: expected an object")
-        config = GeneratorConfig(**data)
+        config = parse_generator_config(read_json(args.config), args.config)
         if args.seed != 0:
             config = replace(config, seed=args.seed)
     else:
         if args.pops is None or args.vnfs is None:
             raise _UsageError("gen requires --pops and --vnfs (or --config)")
-        config = GeneratorConfig(pop_count=args.pops, vnf_count=args.vnfs,
-                                 seed=args.seed, area_side_km=args.area_km,
-                                 delay_per_km=args.delay_per_km,
-                                 delay_jitter_fraction=args.jitter)
+        config = parse_generator_config(
+            {"pop_count": args.pops, "vnf_count": args.vnfs, "seed": args.seed,
+             "area_side_km": args.area_km, "delay_per_km": args.delay_per_km,
+             "delay_jitter_fraction": args.jitter}, "gen")
     instance = generate_instance(config)
     save_problem(instance, args.output)
     print(f"wrote {args.output}: {instance.pop_count} pops, "
@@ -143,24 +135,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    import json
-
-    path = resolve_instance_path(args.instance)
     try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
-    instance = parse_problem(data)
-    report = validate_instance(instance)
-    if report.ok:
-        print(f"{args.instance}: ok ({instance.pop_count} pops, "
-              f"{instance.vnf_count} vnfs)")
-        return EXIT_OK
-    for entry in report.entries:
-        print(entry)
-    return EXIT_INFEASIBLE
+        instance = load_instance_ref(args.instance)
+    except InstanceValidationError as exc:
+        for entry in exc.entries:
+            print(entry)
+        return EXIT_INFEASIBLE
+    print(f"{args.instance}: ok ({instance.pop_count} pops, "
+          f"{instance.vnf_count} vnfs)")
+    return EXIT_OK
 
 
 def _print_solution(solution) -> None:
@@ -173,7 +156,7 @@ def _print_solution(solution) -> None:
 
 
 def _cmd_solve_tsp(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = load_instance_ref(args.instance)
     params = TabuParams(stop_patience=args.patience, tabu_tenure=args.tenure,
                         neighborhood_samples=args.samples, seed=args.seed)
     result = two_step_place_detailed(instance, params)
@@ -186,7 +169,7 @@ def _cmd_solve_tsp(args) -> int:
 
 
 def _cmd_solve_exact(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = load_instance_ref(args.instance)
     budget = OracleBudget(max_nodes=args.max_nodes, time_limit_s=args.time_limit)
     result = solve_exact(instance, budget)
     print(f"status={result.status.value} nodes_explored={result.nodes_explored}")
@@ -202,7 +185,7 @@ def _cmd_solve_exact(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = load_instance_ref(args.instance)
     solution = load_solution(args.solution)
     report = check_feasibility(instance, solution)
     if report.ok:

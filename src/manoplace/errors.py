@@ -18,9 +18,12 @@ class SolutionFormatError(ManoPlaceError):
 class InstanceValidationError(ManoPlaceError):
     """A parsed instance breaks one of the documented invariants.
 
-    The message names the first violated invariant; run the validator to get
-    the full list.
+    The message names the first violated invariant; ``entries`` holds them all.
     """
+
+    def __init__(self, *entries: str):
+        self.entries = entries
+        super().__init__(entries[0])
 
 
 class NoFeasiblePlan(ManoPlaceError):

@@ -17,9 +17,8 @@ seed), every solver is seeded, and ``runtime_ms`` stays at zero unless
 from __future__ import annotations
 
 import csv
-import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InfeasibleDomain, InstanceFormatError, NoFeasiblePlan
@@ -33,6 +32,9 @@ from .topology import (
     ProblemInstance,
     generate_instance,
     load_problem,
+    parse_config,
+    parse_generator_config,
+    read_json,
     resolve_instance_path,
     with_uniform_vnfs,
 )
@@ -78,6 +80,17 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {alg!r} (expected 'tsp' or 'exact')")
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be >= 1")
+        # The solvers' own parameter types check the knobs, at load time.
+        self.tabu_params(self.base_seed)
+        self.oracle_budget()
+
+    def tabu_params(self, seed: int) -> TabuParams:
+        return TabuParams(stop_patience=self.stop_patience, tabu_tenure=self.tabu_tenure,
+                          neighborhood_samples=self.neighborhood_samples, seed=seed)
+
+    def oracle_budget(self) -> OracleBudget:
+        return OracleBudget(max_nodes=self.oracle_max_nodes,
+                            time_limit_s=self.oracle_time_limit_s)
 
 
 @dataclass(frozen=True)
@@ -99,40 +112,17 @@ class RunRecord:
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read a sweep configuration file (JSON, strict keys)."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InstanceFormatError(f"{path}: expected a configuration object")
-
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise InstanceFormatError(f"{path}: unknown key(s) {sorted(unknown)}")
-
     kwargs = dict(data)
-    if "generator" in kwargs and kwargs["generator"] is not None:
-        gen = kwargs["generator"]
-        if not isinstance(gen, dict):
-            raise InstanceFormatError(f"{path}: generator must be an object")
-        gen_known = {f.name for f in fields(GeneratorConfig)}
-        gen_unknown = set(gen) - gen_known
-        if gen_unknown:
-            raise InstanceFormatError(
-                f"{path}: generator: unknown key(s) {sorted(gen_unknown)}")
-        try:
-            kwargs["generator"] = GeneratorConfig(**gen)
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"{path}: generator: {exc}") from exc
+    if kwargs.get("generator") is not None:
+        kwargs["generator"] = parse_generator_config(kwargs["generator"],
+                                                     f"{path}: generator")
     for key in ("vnf_counts", "algorithms"):
-        if key in kwargs and isinstance(kwargs[key], list):
+        if isinstance(kwargs.get(key), list):
             kwargs[key] = tuple(kwargs[key])
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from exc
+    return parse_config(ExperimentConfig, kwargs, str(path))
 
 
 def _base_instance(config: ExperimentConfig) -> tuple[ProblemInstance, str]:
@@ -148,13 +138,9 @@ def _run_tsp(config: ExperimentConfig, instance: ProblemInstance,
              instance_id: str, seed: int) -> tuple[RunRecord, Solution | None]:
     from .vnfm import two_step_place_detailed
 
-    params = TabuParams(stop_patience=config.stop_patience,
-                        tabu_tenure=config.tabu_tenure,
-                        neighborhood_samples=config.neighborhood_samples,
-                        seed=seed)
     start = time.perf_counter()
     try:
-        result = two_step_place_detailed(instance, params)
+        result = two_step_place_detailed(instance, config.tabu_params(seed))
     except (NoFeasiblePlan, InfeasibleDomain) as exc:
         runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
         status = ("no_feasible_plan" if isinstance(exc, NoFeasiblePlan)
@@ -171,10 +157,8 @@ def _run_tsp(config: ExperimentConfig, instance: ProblemInstance,
 
 def _run_exact(config: ExperimentConfig, instance: ProblemInstance,
                instance_id: str, seed: int) -> tuple[RunRecord, Solution | None]:
-    budget = OracleBudget(max_nodes=config.oracle_max_nodes,
-                          time_limit_s=config.oracle_time_limit_s)
     start = time.perf_counter()
-    result = solve_exact(instance, budget)
+    result = solve_exact(instance, config.oracle_budget())
     runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
     if result.status is OracleStatus.OPTIMAL:
         sol = result.solution

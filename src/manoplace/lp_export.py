@@ -78,7 +78,7 @@ def build_lp_model(instance: ProblemInstance) -> LpModel:
     V = instance.vnf_count
     M = V  # one potential manager slot per VNF is always enough
     params = instance.params
-    d = instance.delays.values
+    d = instance.delays
     cap_nfvo = float(params.nfvo_capacity)
     cap_vnfm = float(params.vnfm_capacity)
     gso = params.gso_location

@@ -93,16 +93,12 @@ class Solution:
 
     @property
     def objective(self) -> int:
+        """Number of orchestrators plus number of open managers."""
         return self.plan.nfvo_count + len(self.vnfms)
 
     @property
     def vnfm_count(self) -> int:
         return len(self.vnfms)
-
-
-def objective_value(solution: Solution) -> int:
-    """Number of orchestrators plus number of open managers."""
-    return solution.objective
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ def check_feasibility(instance: ProblemInstance, solution: Solution) -> Violatio
     """
     vnf_by_id = _check_indices(instance, solution)
     plan = solution.plan
-    d = instance.delays.values
+    d = instance.delays
     params = instance.params
     gso = params.gso_location
     out: list[Violation] = []

@@ -25,6 +25,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .model import DomainPlan, Solution, VnfmAssignment
+from .tabu import unreachable_vnf_groups
 from .topology import ProblemInstance
 from .vnfm import domains_of, place_domain
 
@@ -71,25 +72,12 @@ class _Ticker:
             raise _BudgetHit
 
 
-def _groups_reachable(instance: ProblemInstance, head_of) -> bool:
-    """Every VNF's domain must offer a PoP within both manager bounds."""
-    d = instance.delays.values
-    n = instance.pop_count
-    for loc, w, big_w, _cnt in instance.vnf_groups:
-        head = head_of[loc]
-        drow = d[loc]
-        if not any(head_of[pp] == head and drow[pp] <= w and d[pp][head] <= big_w
-                   for pp in range(n)):
-            return False
-    return True
-
-
 def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
                           tick=None) -> Iterator[tuple[int, ...]]:
     """Yield complete head assignments for this orchestrator subset, in
     lexicographic order, honouring the VIM delay bound and domain capacity."""
     n = instance.pop_count
-    d = instance.delays.values
+    d = instance.delays
     big_psi = instance.params.nfvo_vim_delay_bound
     cap = instance.params.nfvo_capacity
 
@@ -115,7 +103,7 @@ def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
         if i == len(nonheads):
             if tick is not None:
                 tick()
-            if _groups_reachable(instance, head_of):
+            if not any(unreachable_vnf_groups(instance, head_of)):
                 yield tuple(head_of)
             return
         q = nonheads[i]
@@ -154,7 +142,7 @@ def solve_exact(instance: ProblemInstance,
     budget = budget or OracleBudget()
     ticker = _Ticker(budget)
     params = instance.params
-    d = instance.delays.values
+    d = instance.delays
     gso = params.gso_location
     n = instance.pop_count
     head_candidates = [p for p in range(n)
@@ -201,7 +189,7 @@ def min_feasible_nfvo_count(instance: ProblemInstance) -> int | None:
     means no plan is feasible at any cardinality.
     """
     params = instance.params
-    d = instance.delays.values
+    d = instance.delays
     n = instance.pop_count
     head_candidates = [p for p in range(n)
                        if d[params.gso_location][p] <= params.gso_nfvo_delay_bound]

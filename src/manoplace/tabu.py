@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import NoFeasiblePlan
 from .model import DomainPlan
 from .topology import ProblemInstance
 
@@ -61,29 +61,6 @@ class TabuParams:
         return patience, tenure, samples
 
 
-@dataclass(frozen=True)
-class Move:
-    """A neighbourhood move; ``attribute`` is what the tabu list remembers."""
-
-    kind: str  # "toggle" or "reassign"
-    pop: int
-    new_head: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("toggle", "reassign"):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.kind == "reassign" and self.new_head is None:
-            raise ValueError("reassign moves need a new_head")
-        if self.kind == "toggle" and self.new_head is not None:
-            raise ValueError("toggle moves take no new_head")
-
-    @property
-    def attribute(self) -> tuple:
-        if self.kind == "toggle":
-            return ("toggle", self.pop)
-        return ("reassign", self.pop, self.new_head)
-
-
 @dataclass(frozen=True, order=True)
 class Score:
     """Lexicographic search score: penalty first, then orchestrator count."""
@@ -92,14 +69,23 @@ class Score:
     nfvo_count: int
 
 
-def initial_plan(instance: ProblemInstance) -> DomainPlan:
-    """The all-on starting point: every PoP hosts an orchestrator and heads itself."""
+def unreachable_vnf_groups(instance: ProblemInstance, head_of) -> Iterator[int]:
+    """Yield the VNF count of every VNF group whose domain offers no PoP within
+    both manager delay bounds: no later step can give those VNFs a manager."""
+    d = instance.delays
     n = instance.pop_count
-    return DomainPlan(tuple([True] * n), tuple(range(n)))
+    for loc, w, big_w, cnt in instance.vnf_groups:
+        head = head_of[loc]
+        drow = d[loc]
+        for pp in range(n):
+            if head_of[pp] == head and drow[pp] <= w and d[pp][head] <= big_w:
+                break
+        else:
+            yield cnt
 
 
 def _relaxed_penalty(instance: ProblemInstance, nfvo_at, head_of) -> int:
-    d = instance.delays.values
+    d = instance.delays
     params = instance.params
     n = instance.pop_count
     pen = 0
@@ -118,22 +104,11 @@ def _relaxed_penalty(instance: ProblemInstance, nfvo_at, head_of) -> int:
     for q in range(n):
         if d[head_of[q]][q] > big_psi:
             pen += 1
-    # Look-ahead: a VNF whose domain has no PoP within both manager bounds
-    # can never be given a manager later.
-    for loc, w, big_w, cnt in instance.vnf_groups:
-        head = head_of[loc]
-        drow = d[loc]
-        ok = False
-        for pp in range(n):
-            if head_of[pp] == head and drow[pp] <= w and d[pp][head] <= big_w:
-                ok = True
-                break
-        if not ok:
-            pen += cnt
-    return pen
+    return pen + sum(unreachable_vnf_groups(instance, head_of))
 
 
 def _capacity_overload(instance: ProblemInstance, head_of) -> int:
+    """Number of domains holding more VNFs than the orchestrator capacity."""
     cap = instance.params.nfvo_capacity
     counts = [0] * instance.pop_count
     for loc in instance.vnf_locations:
@@ -141,86 +116,35 @@ def _capacity_overload(instance: ProblemInstance, head_of) -> int:
     return sum(1 for c in counts if c > cap)
 
 
-def penalty(instance: ProblemInstance, plan: DomainPlan) -> int:
-    """Unit-weight count of broken relaxed rules (domain structure, GSO and
-    VIM delay bounds, and the per-VNF manager-reachability look-ahead)."""
-    return _relaxed_penalty(instance, plan.nfvo_at, plan.head_of)
-
-
-def capacity_overload(instance: ProblemInstance, plan: DomainPlan) -> int:
-    """Number of domains holding more VNFs than the orchestrator capacity."""
-    return _capacity_overload(instance, plan.head_of)
-
-
-def plan_score(instance: ProblemInstance, plan: DomainPlan) -> Score:
-    """Search score: penalty (reachability rules plus overfull domains), then size."""
-    pen = (_relaxed_penalty(instance, plan.nfvo_at, plan.head_of)
-           + _capacity_overload(instance, plan.head_of))
-    return Score(pen, plan.nfvo_count)
-
-
-@dataclass
-class TabuState:
-    """Mutable search state shared between the loop and move proposal."""
-
-    instance: ProblemInstance
-    stop_patience: int
-    tabu_tenure: int
-    neighborhood_samples: int
-    current_nfvo: list[bool] = field(default_factory=list)
-    current_head: list[int] = field(default_factory=list)
-    current_score: Score | None = None
-    best_nfvo: tuple[bool, ...] = ()
-    best_head: tuple[int, ...] = ()
-    best_score: Score | None = None
-    tabu: dict[tuple, int] = field(default_factory=dict)
-    iteration: int = 0
-    no_improvement: int = 0
-
-    @classmethod
-    def start(cls, instance: ProblemInstance, params: TabuParams) -> "TabuState":
-        patience, tenure, samples = params.resolved(instance.pop_count)
-        state = cls(instance, patience, tenure, samples)
-        plan = initial_plan(instance)
-        state.current_nfvo = list(plan.nfvo_at)
-        state.current_head = list(plan.head_of)
-        state.current_score = plan_score(instance, plan)
-        state.best_nfvo = plan.nfvo_at
-        state.best_head = plan.head_of
-        state.best_score = state.current_score
-        return state
-
-    @property
-    def current(self) -> DomainPlan:
-        return DomainPlan(tuple(self.current_nfvo), tuple(self.current_head))
-
-    @property
-    def best_plan(self) -> DomainPlan:
-        return DomainPlan(self.best_nfvo, self.best_head)
-
-    @property
-    def best_feasible_plan(self) -> DomainPlan | None:
-        """Best plan seen with zero penalty; None while none has been reached."""
-        if self.best_score is not None and self.best_score.penalty == 0:
-            return self.best_plan
-        return None
-
-    def is_tabu(self, attribute: tuple) -> bool:
-        return self.tabu.get(attribute, -1) >= self.iteration
-
-
 @dataclass(frozen=True)
 class _Candidate:
-    move: Move
+    """A plan the search can stand on; ``attribute`` is what the tabu list
+    remembers of the move that produced it: ``("toggle", pop)`` or
+    ``("reassign", pop, new_head)``."""
+
+    attribute: tuple
     nfvo_at: tuple[bool, ...]
     head_of: tuple[int, ...]
     score: Score
 
 
+def _candidate(instance: ProblemInstance, attribute: tuple, nfvo_at, head_of) -> _Candidate:
+    """Score a plan: penalty (reachability rules plus overfull domains), then size."""
+    pen = (_relaxed_penalty(instance, nfvo_at, head_of)
+           + _capacity_overload(instance, head_of))
+    return _Candidate(attribute, tuple(nfvo_at), tuple(head_of), Score(pen, sum(nfvo_at)))
+
+
+def _start(instance: ProblemInstance) -> _Candidate:
+    """The all-on starting point: every PoP hosts an orchestrator and heads itself."""
+    n = instance.pop_count
+    return _candidate(instance, (), [True] * n, list(range(n)))
+
+
 def _apply_toggle(instance: ProblemInstance, nfvo_at, head_of, pop):
     """Result of toggling ``pop``; None when it would remove the last orchestrator."""
     n = instance.pop_count
-    d = instance.delays.values
+    d = instance.delays
     new_nfvo = list(nfvo_at)
     new_head = list(head_of)
     if nfvo_at[pop]:
@@ -244,16 +168,22 @@ def _apply_toggle(instance: ProblemInstance, nfvo_at, head_of, pop):
     return new_nfvo, new_head
 
 
-def _propose_candidates(state: TabuState, rng: random.Random) -> list[_Candidate]:
-    instance = state.instance
+def _propose_candidates(instance: ProblemInstance, current: _Candidate, samples: int,
+                        tabu: dict[tuple, int], iteration: int, best_score: Score,
+                        rng: random.Random) -> list[_Candidate]:
+    """Sample the tabu-filtered neighbourhood of ``current``.
+
+    A move stays tabu while its attribute's entry in ``tabu`` is at least
+    ``iteration``, unless its result would beat ``best_score`` (aspiration).
+    """
     n = instance.pop_count
-    nfvo_at = state.current_nfvo
-    head_of = state.current_head
+    nfvo_at = current.nfvo_at
+    head_of = current.head_of
     out: list[_Candidate] = []
-    for _ in range(state.neighborhood_samples):
+    for _ in range(samples):
         if rng.random() < 0.5:
             pop = rng.randrange(n)
-            move = Move("toggle", pop)
+            attribute = ("toggle", pop)
             applied = _apply_toggle(instance, nfvo_at, head_of, pop)
             if applied is None:
                 continue
@@ -264,24 +194,15 @@ def _propose_candidates(state: TabuState, rng: random.Random) -> list[_Candidate
             if not targets:
                 continue
             target = targets[rng.randrange(len(targets))]
-            move = Move("reassign", pop, target)
-            new_nfvo = list(nfvo_at)
+            attribute = ("reassign", pop, target)
+            new_nfvo = nfvo_at
             new_head = list(head_of)
             new_head[pop] = target
-        pen = (_relaxed_penalty(instance, new_nfvo, new_head)
-               + _capacity_overload(instance, new_head))
-        cand = _Candidate(move, tuple(new_nfvo), tuple(new_head),
-                          Score(pen, sum(new_nfvo)))
-        if state.is_tabu(move.attribute) and not cand.score < state.best_score:
+        cand = _candidate(instance, attribute, new_nfvo, new_head)
+        if tabu.get(attribute, -1) >= iteration and not cand.score < best_score:
             continue  # tabu, and not good enough for aspiration
         out.append(cand)
     return out
-
-
-def propose_moves(state: TabuState, rng: random.Random) -> list[tuple[Move, DomainPlan]]:
-    """Sample the tabu-filtered neighbourhood of the current plan."""
-    return [(c.move, DomainPlan(c.nfvo_at, c.head_of))
-            for c in _propose_candidates(state, rng)]
 
 
 @dataclass(frozen=True)
@@ -306,48 +227,37 @@ class SearchResult:
 def search(instance: ProblemInstance, params: TabuParams | None = None) -> SearchResult:
     """Run the tabu search to completion and report the best plan found."""
     params = params or TabuParams()
+    patience, tenure, samples = params.resolved(instance.pop_count)
     rng = random.Random(params.seed)
-    state = TabuState.start(instance, params)
-    last_improvement = 0
+    current = best = _start(instance)
+    tabu: dict[tuple, int] = {}
+    iteration = no_improvement = last_improvement = 0
 
-    while state.no_improvement < state.stop_patience:
-        state.iteration += 1
-        candidates = _propose_candidates(state, rng)
+    while no_improvement < patience:
+        iteration += 1
+        candidates = _propose_candidates(instance, current, samples, tabu, iteration,
+                                         best.score, rng)
         if not candidates:
-            state.no_improvement += 1
+            no_improvement += 1
             continue
 
         best_score = min(c.score for c in candidates)
-        if best_score < state.best_score:
+        if best_score < best.score:
             tied = [c for c in candidates if c.score == best_score]
         else:
             # No sampled neighbour improves on the best found: take the one
             # with the fewest orchestrators, feasible or not, and keep moving.
             min_nfvo = min(c.score.nfvo_count for c in candidates)
             tied = [c for c in candidates if c.score.nfvo_count == min_nfvo]
-        chosen = tied[rng.randrange(len(tied))]
+        current = tied[rng.randrange(len(tied))]
+        tabu[current.attribute] = iteration + tenure
 
-        state.tabu[chosen.move.attribute] = state.iteration + state.tabu_tenure
-        state.current_nfvo = list(chosen.nfvo_at)
-        state.current_head = list(chosen.head_of)
-        state.current_score = chosen.score
-
-        if chosen.score < state.best_score:
-            state.best_nfvo = chosen.nfvo_at
-            state.best_head = chosen.head_of
-            state.best_score = chosen.score
-            state.no_improvement = 0
-            last_improvement = state.iteration
+        if current.score < best.score:
+            best = current
+            no_improvement = 0
+            last_improvement = iteration
         else:
-            state.no_improvement += 1
+            no_improvement += 1
 
-    return SearchResult(state.best_plan, state.best_score, state.iteration,
-                        last_improvement, state.stop_patience)
-
-
-def place_nfvos(instance: ProblemInstance, params: TabuParams | None = None) -> DomainPlan:
-    """Best zero-penalty plan found; raises :class:`NoFeasiblePlan` if none was."""
-    result = search(instance, params)
-    if result.plan is None:
-        raise NoFeasiblePlan(result.best_score.penalty)
-    return result.plan
+    return SearchResult(DomainPlan(best.nfvo_at, best.head_of), best.score, iteration,
+                        last_improvement, patience)

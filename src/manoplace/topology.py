@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -52,37 +52,6 @@ class PoP:
     id: int
     label: str = ""
     coordinates: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
-class DelayMatrix:
-    """Symmetric pairwise delay matrix in milliseconds.
-
-    Stored as nested tuples so instances stay hashable and comparable;
-    ``array`` exposes a read-only ndarray view for vectorised work.
-    """
-
-    values: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def from_array(cls, arr) -> "DelayMatrix":
-        a = np.asarray(arr, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"delay matrix must be square, got shape {a.shape}")
-        return cls(tuple(tuple(float(x) for x in row) for row in a))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        a = np.array(self.values, dtype=float)
-        a.flags.writeable = False
-        return a
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-    def delay(self, p: int, q: int) -> float:
-        return self.values[p][q]
 
 
 @dataclass(frozen=True)
@@ -113,8 +82,14 @@ class ManoParameters:
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """A full instance; ``delays[p][q]`` is the delay between PoPs p and q in ms.
+
+    Delays are nested tuples so instances stay hashable and comparable, and
+    so the search's inner loops index plain Python floats.
+    """
+
     pops: tuple[PoP, ...]
-    delays: DelayMatrix
+    delays: tuple[tuple[float, ...], ...]
     vnfs: tuple[VnfInstance, ...]
     params: ManoParameters
 
@@ -125,9 +100,6 @@ class ProblemInstance:
     @property
     def vnf_count(self) -> int:
         return len(self.vnfs)
-
-    def delay(self, p: int, q: int) -> float:
-        return self.delays.values[p][q]
 
     @cached_property
     def vnf_locations(self) -> tuple[int, ...]:
@@ -214,7 +186,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     if sorted(ids) != list(range(n)):
         entries.append(f"pops: ids are not dense and unique (expected 0..{n - 1})")
 
-    rows = instance.delays.values
+    rows = instance.delays
     m = len(rows)
     square = all(len(r) == m for r in rows)
     if not square:
@@ -323,7 +295,7 @@ def parse_problem(data) -> ProblemInstance:
     if len(rows) and (widths != {len(rows)}):
         raise InstanceValidationError(
             f"delays: matrix is not square ({len(rows)} rows, widths {sorted(widths)})")
-    delays = DelayMatrix(tuple(rows))
+    delays = tuple(rows)
 
     if not isinstance(data["vnfs"], list):
         raise InstanceFormatError("vnfs: expected a list")
@@ -350,22 +322,26 @@ def parse_problem(data) -> ProblemInstance:
     return ProblemInstance(tuple(pops), delays, tuple(vnfs), params)
 
 
+def read_json(path: str | Path):
+    """Decode a JSON input file; malformed JSON raises :class:`InstanceFormatError`."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_problem(path: str | Path) -> ProblemInstance:
     """Load and validate an instance file.
 
     Raises :class:`InstanceFormatError` for files that do not match the
-    schema and :class:`InstanceValidationError` (naming the first broken
+    schema and :class:`InstanceValidationError` (carrying every broken
     invariant) for well-formed files describing an invalid instance.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
-    instance = parse_problem(data)
+    instance = parse_problem(read_json(path))
     report = validate_instance(instance)
     if not report.ok:
-        raise InstanceValidationError(report.entries[0])
+        raise InstanceValidationError(*report.entries)
     return instance
 
 
@@ -378,7 +354,7 @@ def problem_to_data(instance: ProblemInstance) -> dict:
         pops.append(entry)
     return {
         "pops": pops,
-        "delays": [[float(x) for x in row] for row in instance.delays.values],
+        "delays": [[float(x) for x in row] for row in instance.delays],
         "vnfs": [
             {"id": int(v.id), "location": int(v.location),
              "omega_ms": float(v.vnfm_delay_bound),
@@ -436,7 +412,7 @@ def generate_instance(config: GeneratorConfig) -> ProblemInstance:
         nfvo_vim_delay_bound=config.nfvo_vim_delay_bound,
         gso_location=gso,
     )
-    return ProblemInstance(pops, DelayMatrix.from_array(d), vnfs, params)
+    return ProblemInstance(pops, tuple(map(tuple, d.tolist())), vnfs, params)
 
 
 def with_uniform_vnfs(instance: ProblemInstance, count: int, seed: int,
@@ -481,4 +457,29 @@ def resolve_instance_path(ref: str | Path) -> Path:
 
 
 def load_instance_ref(ref: str | Path) -> ProblemInstance:
+    """:func:`load_problem` on a plain path or a ``bundled:<name>`` reference."""
     return load_problem(resolve_instance_path(ref))
+
+
+# ---------------------------------------------------------------------------
+# Configuration files
+
+
+def parse_config(cls, data: dict, where: str):
+    """Build dataclass ``cls`` from a decoded JSON object, strictly: unknown
+    keys and values its constructor rejects raise :class:`InstanceFormatError`."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InstanceFormatError(f"{where}: unknown key(s) {sorted(unknown)}")
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{where}: {exc}") from exc
+
+
+def parse_generator_config(data, where: str) -> GeneratorConfig:
+    """The one reader of generator settings (``gen`` flags, ``gen --config``
+    files and a sweep's ``generator`` object)."""
+    if not isinstance(data, dict):
+        raise InstanceFormatError(f"{where} must be an object")
+    return parse_config(GeneratorConfig, data, where)

@@ -45,7 +45,7 @@ def domains_of(instance: ProblemInstance, plan: DomainPlan) -> tuple[DomainView,
 
 
 def eligible_hosts(instance: ProblemInstance, domain: DomainView,
-                   vnf: VnfInstance | int) -> frozenset[int]:
+                   vnf: VnfInstance) -> frozenset[int]:
     """Member PoPs that can host the VNF's manager.
 
     A PoP qualifies when it is within the VNF's own delay bound of the VNF's
@@ -53,9 +53,7 @@ def eligible_hosts(instance: ProblemInstance, domain: DomainView,
     VNF's own PoP qualifies whenever the head is close enough, since the
     self-delay is zero.
     """
-    if isinstance(vnf, int):
-        vnf = next(v for v in instance.vnfs if v.id == vnf)
-    d = instance.delays.values
+    d = instance.delays
     return frozenset(
         p for p in domain.member_pops
         if d[vnf.location][p] <= vnf.vnfm_delay_bound
@@ -65,7 +63,7 @@ def eligible_hosts(instance: ProblemInstance, domain: DomainView,
 
 def _host_order(instance: ProblemInstance, head: int, hosts, coverage) -> list[int]:
     """Decreasing coverage; ties go to the host nearest the head, then lowest id."""
-    d = instance.delays.values
+    d = instance.delays
     return sorted(hosts, key=lambda h: (-coverage[h], d[h][head], h))
 
 

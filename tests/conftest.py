@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from manoplace import (
-    DelayMatrix,
-    ManoParameters,
-    PoP,
-    ProblemInstance,
-    VnfInstance,
-)
+from manoplace.topology import ManoParameters, PoP, ProblemInstance, VnfInstance
 
 
 def make_instance(delays, vnf_locs=(), *, gso=0, nfvo_capacity=20,
@@ -24,7 +18,7 @@ def make_instance(delays, vnf_locs=(), *, gso=0, nfvo_capacity=20,
     """
     n = len(delays)
     pops = tuple(PoP(i) for i in range(n))
-    matrix = DelayMatrix.from_array(np.asarray(delays, dtype=float))
+    matrix = tuple(map(tuple, np.asarray(delays, dtype=float).tolist()))
     vnfs = []
     for i, loc in enumerate(vnf_locs):
         if vnf_bounds is not None:

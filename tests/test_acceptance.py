@@ -24,11 +24,9 @@ from types import SimpleNamespace
 import pytest
 
 from manoplace import (
-    ExperimentConfig,
     GeneratorConfig,
     OracleStatus,
     TabuParams,
-    build_lp_model,
     check_feasibility,
     check_lp_file,
     export_lp,
@@ -38,6 +36,8 @@ from manoplace import (
     two_step_place,
     two_step_place_detailed,
 )
+from manoplace.harness import ExperimentConfig
+from manoplace.lp_export import build_lp_model
 
 from conftest import cluster_instance, make_instance
 from test_oracle import brute_force
@@ -159,7 +159,7 @@ def hand_feasible(instance, a):
     """Direct arithmetic over the quadratic formulation; ignores z values."""
     P, V = instance.pop_count, instance.vnf_count
     M = V
-    d = instance.delays.values
+    d = instance.delays
     params = instance.params
     locs = [v.location for v in instance.vnfs]
 
@@ -370,11 +370,16 @@ def test_criterion_07_stop_rule_accounting_is_exact(report):
            f"their last improvement")
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(args, cwd):
     exe = shutil.which("manoplace")
     cmd = [exe] if exe else [sys.executable, "-m", "manoplace"]
+    # The child runs in ``cwd``, where a relative PYTHONPATH would not resolve.
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(cmd + list(args), capture_output=True, text=True,
-                          cwd=cwd)
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, (args, proc.stderr)
     return proc
 

@@ -51,6 +51,28 @@ class TestParsing:
         assert "gen requires" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("files, argv, fragment", [
+    ({"gen.json": '{"pop_count": 4, "vnf_count": 3, "popz": 1}'},
+     ["gen", "--config", "gen.json", "--output", "i.json"], "unknown key"),
+    ({"gen.json": "{not json"},
+     ["gen", "--config", "gen.json", "--output", "i.json"], "not valid JSON"),
+    ({}, ["gen", "--pops", "0", "--vnfs", "3", "--output", "i.json"],
+     "pop_count must be >= 1"),
+    ({"sweep.json": json.dumps({"generator": {"pop_count": 4, "vnf_count": 4},
+                                "stop_patience": 0, "output": "r.csv"})},
+     ["experiment", "--config", "sweep.json"], "stop_patience must be >= 1"),
+], ids=["gen-unknown-key", "gen-bad-json", "gen-zero-pops", "sweep-zero-patience"])
+def test_bad_inputs_are_usage_errors(capsys, tmp_path, files, argv, fragment):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("manoplace: error:") and err.count("\n") == 1, err
+    assert fragment in err
+    assert not (tmp_path / "i.json").exists() and not (tmp_path / "r.csv").exists()
+
+
 class TestGen:
     def test_writes_a_valid_instance(self, capsys, tmp_path):
         out = tmp_path / "i.json"

@@ -8,8 +8,6 @@ import json
 import pytest
 
 from manoplace import (
-    CSV_HEADER,
-    ExperimentConfig,
     GeneratorConfig,
     InstanceFormatError,
     TabuParams,
@@ -21,8 +19,9 @@ from manoplace import (
     save_problem,
     solve_exact,
     two_step_place,
-    with_uniform_vnfs,
 )
+from manoplace.harness import CSV_HEADER, ExperimentConfig
+from manoplace.topology import with_uniform_vnfs
 
 from conftest import make_instance
 

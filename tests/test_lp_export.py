@@ -15,12 +15,12 @@ from manoplace import (
     GeneratorConfig,
     OracleBudget,
     OracleStatus,
-    build_lp_model,
     check_lp_file,
     export_lp,
     generate_instance,
     solve_exact,
 )
+from manoplace.lp_export import build_lp_model
 
 from conftest import make_instance
 

@@ -19,16 +19,16 @@ from manoplace import (
     OracleStatus,
     check_feasibility,
     generate_instance,
-    min_feasible_nfvo_count,
     solve_exact,
 )
+from manoplace.oracle import min_feasible_nfvo_count
 
 from conftest import make_instance
 
 
 def min_managers_enumerated(instance, head, members):
     """Fewest managers for one domain, by trying every host assignment."""
-    d = instance.delays.values
+    d = instance.delays
     cap = instance.params.vnfm_capacity
     vnfs = [v for v in instance.vnfs if v.location in members]
     if not vnfs:
@@ -53,7 +53,7 @@ def min_managers_enumerated(instance, head, members):
 def brute_force(instance):
     """(objective, nfvo_count) of the best plan, or None when infeasible."""
     params = instance.params
-    d = instance.delays.values
+    d = instance.delays
     n = instance.pop_count
     gso = params.gso_location
     vnfs_at = [0] * n
@@ -95,7 +95,7 @@ def brute_force(instance):
 def brute_min_k(instance):
     """Smallest head count with any plan passing every placement gate."""
     params = instance.params
-    d = instance.delays.values
+    d = instance.delays
     n = instance.pop_count
     vnfs_at = [0] * n
     for v in instance.vnfs:

@@ -7,29 +7,44 @@ import random
 import pytest
 
 from manoplace import (
-    DomainPlan,
     GeneratorConfig,
-    Move,
     NoFeasiblePlan,
-    Score,
     TabuParams,
-    capacity_overload,
     generate_instance,
-    initial_plan,
-    penalty,
-    place_nfvos,
-    plan_score,
-    propose_moves,
+    two_step_place_detailed,
+)
+from manoplace.model import DomainPlan
+from manoplace.tabu import (
+    Score,
+    _apply_toggle,
+    _candidate,
+    _capacity_overload,
+    _propose_candidates,
+    _relaxed_penalty,
+    _start,
     search,
 )
-from manoplace.tabu import TabuState, _apply_toggle, _propose_candidates
 
 from conftest import make_instance
 
 
+def naive_look_ahead(instance, head_of):
+    """VNFs whose domain offers no PoP within both manager bounds, one VNF at a time."""
+    d = instance.delays
+    pen = 0
+    for v in instance.vnfs:
+        head = head_of[v.location]
+        if not any(head_of[p] == head
+                   and d[v.location][p] <= v.vnfm_delay_bound
+                   and d[p][head] <= v.nfvo_vnfm_delay_bound
+                   for p in range(instance.pop_count)):
+            pen += 1
+    return pen
+
+
 def naive_penalty(instance, plan):
     """Straight-line re-statement of the penalty rules, per VNF, no grouping."""
-    d = instance.delays.values
+    d = instance.delays
     par = instance.params
     n = instance.pop_count
     pen = 0
@@ -45,19 +60,23 @@ def naive_penalty(instance, plan):
     for q in range(n):
         if d[plan.head_of[q]][q] > par.nfvo_vim_delay_bound:
             pen += 1
-    for v in instance.vnfs:
-        head = plan.head_of[v.location]
-        if not any(plan.head_of[p] == head
-                   and d[v.location][p] <= v.vnfm_delay_bound
-                   and d[p][head] <= v.nfvo_vnfm_delay_bound
-                   for p in range(n)):
-            pen += 1
-    return pen
+    return pen + naive_look_ahead(instance, plan.head_of)
 
 
 def random_plan(rng, n):
     return DomainPlan.make([rng.random() < 0.5 for _ in range(n)],
                            [rng.randrange(n) for _ in range(n)])
+
+
+def penalty(instance, plan):
+    return _relaxed_penalty(instance, plan.nfvo_at, plan.head_of)
+
+
+def propose(instance, samples, rng, tabu=None, iteration=0, best_score=None):
+    """Neighbourhood of the all-on start, as the search's first iteration sees it."""
+    start = _start(instance)
+    return _propose_candidates(instance, start, samples, tabu or {}, iteration,
+                               best_score or start.score, rng)
 
 
 class TestParams:
@@ -83,23 +102,13 @@ class TestScoreAndMove:
         assert Score(1, 2) < Score(1, 3)
         assert not Score(1, 2) < Score(1, 2)
 
-    def test_move_validation(self):
-        assert Move("toggle", 3).attribute == ("toggle", 3)
-        assert Move("reassign", 3, 1).attribute == ("reassign", 3, 1)
-        with pytest.raises(ValueError):
-            Move("reassign", 3)
-        with pytest.raises(ValueError):
-            Move("toggle", 3, new_head=1)
-        with pytest.raises(ValueError):
-            Move("swap", 3)
-
 
 class TestPenalty:
     def test_initial_plan_is_all_on(self, line3):
-        plan = initial_plan(line3)
-        assert plan.nfvo_at == (True, True, True)
-        assert plan.head_of == (0, 1, 2)
-        assert penalty(line3, plan) == 0
+        start = _start(line3)
+        assert start.nfvo_at == (True, True, True)
+        assert start.head_of == (0, 1, 2)
+        assert start.score == Score(0, 3)
 
     def test_matches_naive_recount_on_random_plans(self):
         rng = random.Random(20240817)
@@ -114,10 +123,11 @@ class TestPenalty:
         inst = make_instance([[0, 10, 20], [10, 0, 10], [20, 10, 0]],
                              vnf_locs=(0, 0, 0, 0, 0), nfvo_capacity=2)
         one_domain = DomainPlan.make([True, False, False], [0, 0, 0])
-        assert capacity_overload(inst, one_domain) == 1
+        assert _capacity_overload(inst, one_domain.head_of) == 1
         spread = DomainPlan.make([True, False, True], [0, 0, 2])
-        assert capacity_overload(inst, spread) == 1  # all five still at PoP 0
-        assert plan_score(inst, one_domain) == Score(1, 1)
+        assert _capacity_overload(inst, spread.head_of) == 1  # all five still at PoP 0
+        scored = _candidate(inst, (), one_domain.nfvo_at, one_domain.head_of)
+        assert scored.score == Score(1, 1)
 
     def test_look_ahead_counts_unmanageable_vnfs(self):
         # One isolated PoP 80 ms away: its VNF cannot reach a manager PoP
@@ -135,8 +145,8 @@ class TestPenalty:
 
 class TestMoves:
     def test_toggle_off_rehomes_members_to_nearest_survivor(self, line3):
-        plan = initial_plan(line3)
-        applied = _apply_toggle(line3, list(plan.nfvo_at), list(plan.head_of), 1)
+        start = _start(line3)
+        applied = _apply_toggle(line3, start.nfvo_at, start.head_of, 1)
         assert applied is not None
         nfvo_at, head_of = applied
         assert nfvo_at == [True, False, True]
@@ -153,43 +163,40 @@ class TestMoves:
         assert _apply_toggle(line3, [False, True, False], [1, 1, 1], 1) is None
 
     def test_kind_frequencies_are_balanced(self, two_clusters):
-        params = TabuParams(neighborhood_samples=10_000)
-        state = TabuState.start(two_clusters, params)
-        rng = random.Random(99)
-        cands = _propose_candidates(state, rng)
+        cands = propose(two_clusters, 10_000, random.Random(99))
         assert len(cands) == 10_000  # nothing discarded from the all-on plan
-        toggles = sum(1 for c in cands if c.move.kind == "toggle")
+        toggles = sum(1 for c in cands if c.attribute[0] == "toggle")
         assert abs(toggles / len(cands) - 0.5) < 0.02
 
     def test_reassign_targets_are_active_and_different(self, two_clusters):
-        state = TabuState.start(two_clusters, TabuParams(neighborhood_samples=500))
-        rng = random.Random(7)
-        for move, plan in propose_moves(state, rng):
-            if move.kind == "reassign":
-                assert state.current_head[move.pop] != move.new_head
-                assert state.current_nfvo[move.new_head]
-                assert plan.head_of[move.pop] == move.new_head
+        start = _start(two_clusters)
+        for c in propose(two_clusters, 500, random.Random(7)):
+            if c.attribute[0] == "reassign":
+                _, pop, new_head = c.attribute
+                assert start.head_of[pop] != new_head
+                assert start.nfvo_at[new_head]
+                assert c.head_of[pop] == new_head
 
     def test_tabu_filter_and_aspiration(self, line3):
-        state = TabuState.start(line3, TabuParams(neighborhood_samples=2000))
-        state.iteration = 1
-        state.tabu[("toggle", 0)] = 10  # tabu until iteration 10
-        state.best_score = Score(0, 1)  # unbeatable: no aspiration possible
-        rng = random.Random(0)
-        kinds = {c.move.attribute for c in _propose_candidates(state, rng)}
+        tabu = {("toggle", 0): 10}  # tabu until iteration 10
+        # Score(0, 1) is unbeatable: no aspiration possible.
+        kinds = {c.attribute for c in propose(line3, 2000, random.Random(0), tabu, 1,
+                                               Score(0, 1))}
         assert ("toggle", 0) not in kinds
 
-        state.best_score = Score(99, 99)  # now anything aspires past the list
-        kinds = {c.move.attribute for c in _propose_candidates(state, random.Random(0))}
+        # Now anything aspires past the list.
+        kinds = {c.attribute for c in propose(line3, 2000, random.Random(0), tabu, 1,
+                                               Score(99, 99))}
         assert ("toggle", 0) in kinds
 
     def test_is_tabu_expiry(self, line3):
-        state = TabuState.start(line3, TabuParams())
-        state.tabu[("toggle", 2)] = 5
-        state.iteration = 5
-        assert state.is_tabu(("toggle", 2))
-        state.iteration = 6
-        assert not state.is_tabu(("toggle", 2))
+        tabu = {("toggle", 2): 5}
+
+        def kinds(iteration):
+            return {c.attribute for c in propose(line3, 500, random.Random(3), tabu,
+                                                 iteration, Score(0, 1))}
+        assert ("toggle", 2) not in kinds(5)
+        assert ("toggle", 2) in kinds(6)
 
 
 class TestSearch:
@@ -217,11 +224,11 @@ class TestSearch:
             assert result.stop_patience == 28
             assert result.iterations - result.last_improvement == 28
 
-    def test_place_nfvos_returns_plan_or_raises(self, line3):
-        plan = place_nfvos(line3, TabuParams(seed=0))
-        assert penalty(line3, plan) == 0
+    def test_two_step_returns_plan_or_raises_no_feasible_plan(self, line3):
+        result = two_step_place_detailed(line3, TabuParams(seed=0))
+        assert penalty(line3, result.solution.plan) == 0
 
         hopeless = make_instance([[0, 200], [200, 0]], vnf_locs=(1,))
         with pytest.raises(NoFeasiblePlan) as err:
-            place_nfvos(hopeless, TabuParams(seed=0))
+            two_step_place_detailed(hopeless, TabuParams(seed=0))
         assert err.value.best_penalty >= 1

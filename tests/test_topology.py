@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from manoplace import (
-    DelayMatrix,
     GeneratorConfig,
     InstanceFormatError,
     InstanceValidationError,
     generate_instance,
     load_instance_ref,
     load_problem,
+    save_problem,
+)
+from manoplace.topology import (
     parse_problem,
     problem_to_data,
-    save_problem,
     validate_instance,
     with_uniform_vnfs,
 )
@@ -35,17 +36,15 @@ def good_data():
     }
 
 
-class TestDelayMatrix:
-    def test_from_array_and_lookup(self):
-        m = DelayMatrix.from_array(np.array([[0.0, 3.0], [3.0, 0.0]]))
-        assert m.size == 2
-        assert m.delay(0, 1) == 3.0
-        assert m.values[1][0] == 3.0
-
-    def test_array_view_is_read_only(self):
-        m = DelayMatrix.from_array(np.array([[0.0, 3.0], [3.0, 0.0]]))
-        with pytest.raises(ValueError):
-            m.array[0][1] = 99.0
+class TestDelays:
+    def test_delays_are_nested_float_tuples(self):
+        parsed = parse_problem(good_data()).delays
+        generated = generate_instance(GeneratorConfig(pop_count=3, vnf_count=1)).delays
+        for delays in (parsed, generated):
+            assert type(delays) is tuple
+            assert all(type(row) is tuple for row in delays)
+            assert all(type(x) is float for row in delays for x in row)
+        assert parsed[1][0] == parsed[0][1] == 10.0
 
 
 class TestParsing:
@@ -99,8 +98,13 @@ class TestParsing:
         data["delays"] = [[0.0, -5.0], [-5.0, 0.0]]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(InstanceValidationError):
+        with pytest.raises(InstanceValidationError) as err:
             load_problem(path)
+        # The error carries the validator's whole report, first entry as message.
+        entries = validate_instance(parse_problem(data)).entries
+        assert err.value.entries == entries
+        assert len(entries) == 2
+        assert str(err.value) == entries[0]
 
     def test_problem_to_data_matches_schema(self):
         inst = parse_problem(good_data())
@@ -150,7 +154,7 @@ class TestGenerator:
 
     def test_matrix_properties(self):
         inst = generate_instance(GeneratorConfig(pop_count=10, vnf_count=5, seed=3))
-        d = inst.delays.array
+        d = np.array(inst.delays)
         assert np.allclose(d, d.T)
         assert np.all(np.diag(d) == 0.0)
         off = d[~np.eye(10, dtype=bool)]
@@ -159,7 +163,7 @@ class TestGenerator:
 
     def test_gso_is_a_one_center(self):
         inst = generate_instance(GeneratorConfig(pop_count=12, vnf_count=5, seed=7))
-        d = inst.delays.array
+        d = np.array(inst.delays)
         ecc = d.max(axis=1)
         gso = inst.params.gso_location
         assert ecc[gso] == ecc.min()

@@ -14,21 +14,18 @@ import networkx as nx
 import pytest
 
 from manoplace import (
-    DomainPlan,
     GeneratorConfig,
     InfeasibleDomain,
     TabuParams,
     check_feasibility,
-    domains_of,
-    eligible_hosts,
     generate_instance,
     load_instance_ref,
-    place_domain,
     two_step_place,
     two_step_place_detailed,
-    with_uniform_vnfs,
 )
-from manoplace.vnfm import DomainView
+from manoplace.model import DomainPlan
+from manoplace.topology import with_uniform_vnfs
+from manoplace.vnfm import DomainView, domains_of, eligible_hosts, place_domain
 
 from conftest import make_instance
 
@@ -91,14 +88,13 @@ class TestDomainViews:
             inst = generate_instance(GeneratorConfig(pop_count=5, vnf_count=8,
                                                      seed=seed))
             domain = single_domain(inst)
-            d = inst.delays.values
+            d = inst.delays
             for v in inst.vnfs:
                 expected = frozenset(
                     p for p in domain.member_pops
                     if d[v.location][p] <= v.vnfm_delay_bound
                     and d[p][domain.head] <= v.nfvo_vnfm_delay_bound)
                 assert eligible_hosts(inst, domain, v) == expected
-                assert eligible_hosts(inst, domain, v.id) == expected
 
 
 class TestPlaceDomain:
