@@ -59,6 +59,14 @@ class _UsageError(Exception):
     pass
 
 
+def _from_flags(cls, **flags):
+    """Build a settings dataclass from flags; values it rejects are usage errors."""
+    try:
+        return cls(**flags)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad flags; we reserve 2 for infeasibility."""
 
@@ -157,8 +165,8 @@ def _print_solution(solution) -> None:
 
 def _cmd_solve_tsp(args) -> int:
     instance = load_instance_ref(args.instance)
-    params = TabuParams(stop_patience=args.patience, tabu_tenure=args.tenure,
-                        neighborhood_samples=args.samples, seed=args.seed)
+    params = _from_flags(TabuParams, stop_patience=args.patience, tabu_tenure=args.tenure,
+                         neighborhood_samples=args.samples, seed=args.seed)
     result = two_step_place_detailed(instance, params)
     _print_solution(result.solution)
     print(f"iterations={result.search.iterations}")
@@ -170,7 +178,7 @@ def _cmd_solve_tsp(args) -> int:
 
 def _cmd_solve_exact(args) -> int:
     instance = load_instance_ref(args.instance)
-    budget = OracleBudget(max_nodes=args.max_nodes, time_limit_s=args.time_limit)
+    budget = _from_flags(OracleBudget, max_nodes=args.max_nodes, time_limit_s=args.time_limit)
     result = solve_exact(instance, budget)
     print(f"status={result.status.value} nodes_explored={result.nodes_explored}")
     if result.solution is None:

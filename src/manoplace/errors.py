@@ -27,13 +27,18 @@ class InstanceValidationError(ManoPlaceError):
 
 
 class NoFeasiblePlan(ManoPlaceError):
-    """The orchestrator search finished without ever reaching a zero-penalty plan."""
+    """The orchestrator search finished without ever reaching a zero-penalty plan.
 
-    def __init__(self, best_penalty: int, message: str | None = None):
+    ``parts`` splits the best plan's penalty by the rules that make it up.
+    """
+
+    def __init__(self, best_penalty: int, parts: dict[str, int] | None = None):
         self.best_penalty = best_penalty
+        self.parts = dict(parts or {})
+        split = " + ".join(f"{name} {count}" for name, count in self.parts.items())
         super().__init__(
-            message
-            or f"no feasible orchestrator plan found (best penalty reached: {best_penalty})"
+            f"no feasible orchestrator plan found (best penalty reached: {best_penalty}"
+            f"{' = ' + split if split else ''})"
         )
 
 

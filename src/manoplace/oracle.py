@@ -81,9 +81,7 @@ def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
     big_psi = instance.params.nfvo_vim_delay_bound
     cap = instance.params.nfvo_capacity
 
-    vnfs_at = [0] * n
-    for loc in instance.vnf_locations:
-        vnfs_at[loc] += 1
+    vnfs_at = [m.bit_count() for m in instance.vnfs_at]
 
     head_set = set(heads)
     counts = {p: vnfs_at[p] for p in heads}

@@ -20,6 +20,13 @@ otherwise the sampled neighbour with the fewest orchestrators, letting the
 walk oscillate across the feasibility boundary instead of stalling. The
 search stops after ``stop_patience`` consecutive iterations without
 improving the best-found score.
+
+The penalty is a sum of per-PoP terms and per-domain terms, so a neighbour
+is scored from the few PoPs and domains its move changes. Bitmask tables
+built once per instance (``ProblemInstance.manager_hosts``, ``vnfs_at`` and
+``vnfs_served``) make a domain's term a handful of big-int operations: each
+domain keeps the VNFs its members can manage once and twice over, so
+removing or adding a member needs no rescan of the others.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .model import DomainPlan
 from .topology import ProblemInstance
@@ -61,8 +68,7 @@ class TabuParams:
         return patience, tenure, samples
 
 
-@dataclass(frozen=True, order=True)
-class Score:
+class Score(NamedTuple):
     """Lexicographic search score: penalty first, then orchestrator count."""
 
     penalty: int
@@ -72,54 +78,52 @@ class Score:
 def unreachable_vnf_groups(instance: ProblemInstance, head_of) -> Iterator[int]:
     """Yield the VNF count of every VNF group whose domain offers no PoP within
     both manager delay bounds: no later step can give those VNFs a manager."""
-    d = instance.delays
-    n = instance.pop_count
-    for loc, w, big_w, cnt in instance.vnf_groups:
+    members = _members(instance.pop_count, head_of)
+    for (loc, _, _, count), hosts in zip(instance.vnf_groups, instance.manager_hosts):
         head = head_of[loc]
-        drow = d[loc]
-        for pp in range(n):
-            if head_of[pp] == head and drow[pp] <= w and d[pp][head] <= big_w:
-                break
-        else:
-            yield cnt
+        if not hosts[head] & members[head]:
+            yield count
 
 
-def _relaxed_penalty(instance: ProblemInstance, nfvo_at, head_of) -> int:
+def _members(pop_count: int, head_of) -> list[int]:
+    """Per head, the mask of the PoPs in its domain (bit q stands for PoP q)."""
+    members = [0] * pop_count
+    for q, h in enumerate(head_of):
+        members[h] |= 1 << q
+    return members
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pop_term(instance: ProblemInstance, nfvo_at, head_of, q: int) -> int:
+    """Rules broken at PoP ``q``: its head is not an active orchestrator,
+    activation vs self-heading mismatch, an orchestrator out of the GSO's
+    reach, and ``q`` out of its head's reach."""
     d = instance.delays
     params = instance.params
-    n = instance.pop_count
-    pen = 0
-    for q in range(n):
-        if not nfvo_at[head_of[q]]:  # head is not an active orchestrator
-            pen += 1
-    for p in range(n):
-        if (head_of[p] == p) != nfvo_at[p]:  # activation vs self-heading mismatch
-            pen += 1
-    gso_row = d[params.gso_location]
-    psi = params.gso_nfvo_delay_bound
-    for p in range(n):
-        if nfvo_at[p] and gso_row[p] > psi:
-            pen += 1
-    big_psi = params.nfvo_vim_delay_bound
-    for q in range(n):
-        if d[head_of[q]][q] > big_psi:
-            pen += 1
-    return pen + sum(unreachable_vnf_groups(instance, head_of))
+    h = head_of[q]
+    return ((not nfvo_at[h]) + ((h == q) != nfvo_at[q])
+            + (nfvo_at[q] and d[params.gso_location][q] > params.gso_nfvo_delay_bound)
+            + (d[h][q] > params.nfvo_vim_delay_bound))
 
 
-def _capacity_overload(instance: ProblemInstance, head_of) -> int:
-    """Number of domains holding more VNFs than the orchestrator capacity."""
-    cap = instance.params.nfvo_capacity
-    counts = [0] * instance.pop_count
-    for loc in instance.vnf_locations:
-        counts[head_of[loc]] += 1
-    return sum(1 for c in counts if c > cap)
+def _domain_term(instance: ProblemInstance, located: int, served: int) -> int:
+    """Rules broken by a domain whose member PoPs hold the VNFs ``located``
+    and can manage the VNFs ``served``: the look-ahead count, plus one if the
+    domain holds more VNFs than the orchestrator capacity."""
+    return ((located & ~served).bit_count()
+            + (located.bit_count() > instance.params.nfvo_capacity))
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """A plan the search can stand on; ``attribute`` is what the tabu list
-    remembers of the move that produced it: ``("toggle", pop)`` or
+class _Candidate(NamedTuple):
+    """A scored neighbour; ``attribute`` is what the tabu list remembers of
+    the move that produced it: ``("toggle", pop)`` or
     ``("reassign", pop, new_head)``."""
 
     attribute: tuple
@@ -128,78 +132,167 @@ class _Candidate:
     score: Score
 
 
-def _candidate(instance: ProblemInstance, attribute: tuple, nfvo_at, head_of) -> _Candidate:
-    """Score a plan: penalty (reachability rules plus overfull domains), then size."""
-    pen = (_relaxed_penalty(instance, nfvo_at, head_of)
-           + _capacity_overload(instance, head_of))
-    return _Candidate(attribute, tuple(nfvo_at), tuple(head_of), Score(pen, sum(nfvo_at)))
+class _Position:
+    """A plan with the tables that score its neighbours incrementally.
+
+    Per PoP it keeps the PoP's term; per head ``h`` the domain's masks
+    ``(members, located, once, twice)`` and its term. ``once`` holds the VNFs
+    that at least one member can manage under ``h``, ``twice`` those that at
+    least two can, so removing a member needs no rescan of the others.
+    """
+
+    def __init__(self, instance: ProblemInstance, nfvo_at, head_of):
+        n = instance.pop_count
+        self.instance = instance
+        self.nfvo_at = tuple(nfvo_at)
+        self.head_of = tuple(head_of)
+        self.pop_terms = [_pop_term(instance, self.nfvo_at, self.head_of, q)
+                          for q in range(n)]
+        self.domains = [self._domain(h, m)
+                        for h, m in enumerate(_members(n, self.head_of))]
+        self.domain_terms = [_domain_term(instance, located, once)
+                             for _, located, once, _ in self.domains]
+        self.active = [p for p in range(n) if self.nfvo_at[p]]
+        self.score = Score(sum(self.pop_terms) + sum(self.domain_terms), len(self.active))
+
+    def _domain(self, h: int, members: int) -> tuple[int, int, int, int]:
+        at = self.instance.vnfs_at
+        serves = self.instance.vnfs_served[h]
+        located = once = twice = 0
+        for q in _bits(members):
+            located |= at[q]
+            twice |= once & serves[q]
+            once |= serves[q]
+        return members, located, once, twice
+
+    def _leave(self, h: int, q: int) -> int:
+        """Change of domain ``h``'s term when member ``q`` leaves it."""
+        _, located, once, twice = self.domains[h]
+        once &= ~(self.instance.vnfs_served[h][q] & ~twice)
+        return (_domain_term(self.instance, located & ~self.instance.vnfs_at[q], once)
+                - self.domain_terms[h])
+
+    def _join(self, h: int, pops) -> int:
+        """Change of domain ``h``'s term when ``pops`` join it."""
+        _, located, once, _ = self.domains[h]
+        at = self.instance.vnfs_at
+        serves = self.instance.vnfs_served[h]
+        for q in pops:
+            located |= at[q]
+            once |= serves[q]
+        return _domain_term(self.instance, located, once) - self.domain_terms[h]
+
+    def _rescored(self, nfvo_at, head_of, pops) -> int:
+        """Change of the PoP terms of ``pops`` in the plan ``nfvo_at``/``head_of``."""
+        return sum(_pop_term(self.instance, nfvo_at, head_of, q) - self.pop_terms[q]
+                   for q in pops)
+
+    def reassigned(self, pop: int, target: int) -> _Candidate:
+        """Neighbour that moves ``pop`` into the domain headed by ``target``."""
+        head_of = list(self.head_of)
+        old = head_of[pop]
+        head_of[pop] = target
+        penalty = (self.score.penalty + self._rescored(self.nfvo_at, head_of, (pop,))
+                   + self._leave(old, pop) + self._join(target, (pop,)))
+        return _Candidate(("reassign", pop, target), self.nfvo_at, tuple(head_of),
+                          Score(penalty, self.score.nfvo_count))
+
+    def toggled(self, pop: int) -> _Candidate | None:
+        """Neighbour that toggles ``pop``'s orchestrator; None when that would
+        remove the last one. Switching one off re-homes its members to their
+        nearest surviving orchestrator (ties on the lowest PoP id); switching
+        one on makes it head itself."""
+        nfvo_at = list(self.nfvo_at)
+        head_of = list(self.head_of)
+        members = self.domains[pop][0]
+        penalty = self.score.penalty
+        if nfvo_at[pop]:
+            remaining = [c for c in self.active if c != pop]
+            if not remaining:
+                return None
+            nfvo_at[pop] = False
+            d = self.instance.delays
+            joining: dict[int, list[int]] = {}
+            for q in _bits(members):
+                head_of[q] = min(remaining, key=d[q].__getitem__)
+                joining.setdefault(head_of[q], []).append(q)
+            penalty -= self.domain_terms[pop]
+            for h, pops in joining.items():
+                penalty += self._join(h, pops)
+            count = self.score.nfvo_count - 1
+        else:
+            nfvo_at[pop] = True
+            old = head_of[pop]
+            head_of[pop] = pop
+            if old != pop:
+                penalty += self._leave(old, pop) + self._join(pop, (pop,))
+            count = self.score.nfvo_count + 1
+        penalty += self._rescored(nfvo_at, head_of, _bits(members | 1 << pop))
+        return _Candidate(("toggle", pop), tuple(nfvo_at), tuple(head_of),
+                          Score(penalty, count))
+
+    def move_to(self, cand: _Candidate) -> None:
+        """Make ``cand`` the position, rebuilding only what its move touched."""
+        n = self.instance.pop_count
+        old_nfvo, old_head = self.nfvo_at, self.head_of
+        self.nfvo_at, self.head_of = cand.nfvo_at, cand.head_of
+        moved = [q for q in range(n) if cand.head_of[q] != old_head[q]]
+        members = [dom[0] for dom in self.domains]
+        touched = set()
+        for q in moved:
+            members[old_head[q]] &= ~(1 << q)
+            members[cand.head_of[q]] |= 1 << q
+            touched.update((old_head[q], cand.head_of[q]))
+        for h in touched:
+            self.domains[h] = self._domain(h, members[h])
+            self.domain_terms[h] = _domain_term(self.instance, *self.domains[h][1:3])
+        rescore = set(moved)
+        for p in range(n):
+            if cand.nfvo_at[p] != old_nfvo[p]:
+                rescore.update(_bits(members[p] | 1 << p))
+        self.active = [p for p in range(n) if self.nfvo_at[p]]
+        for q in rescore:
+            self.pop_terms[q] = _pop_term(self.instance, self.nfvo_at, self.head_of, q)
+        self.score = cand.score
 
 
-def _start(instance: ProblemInstance) -> _Candidate:
+def penalty_parts(instance: ProblemInstance, plan: DomainPlan) -> dict[str, int]:
+    """A plan's penalty split into per-PoP rules, look-ahead and capacity."""
+    position = _Position(instance, plan.nfvo_at, plan.head_of)
+    look_ahead = sum(unreachable_vnf_groups(instance, plan.head_of))
+    return {"per-PoP rules": sum(position.pop_terms), "look-ahead": look_ahead,
+            "capacity": sum(position.domain_terms) - look_ahead}
+
+
+def _start(instance: ProblemInstance) -> _Position:
     """The all-on starting point: every PoP hosts an orchestrator and heads itself."""
     n = instance.pop_count
-    return _candidate(instance, (), [True] * n, list(range(n)))
+    return _Position(instance, [True] * n, range(n))
 
 
-def _apply_toggle(instance: ProblemInstance, nfvo_at, head_of, pop):
-    """Result of toggling ``pop``; None when it would remove the last orchestrator."""
-    n = instance.pop_count
-    d = instance.delays
-    new_nfvo = list(nfvo_at)
-    new_head = list(head_of)
-    if nfvo_at[pop]:
-        remaining = [c for c in range(n) if nfvo_at[c] and c != pop]
-        if not remaining:
-            return None
-        new_nfvo[pop] = False
-        for q in range(n):
-            if head_of[q] == pop:
-                # Re-home orphaned members to the nearest surviving
-                # orchestrator (ties on the lowest PoP id).
-                best = remaining[0]
-                best_d = d[q][best]
-                for c in remaining[1:]:
-                    if d[q][c] < best_d:
-                        best, best_d = c, d[q][c]
-                new_head[q] = best
-    else:
-        new_nfvo[pop] = True
-        new_head[pop] = pop
-    return new_nfvo, new_head
-
-
-def _propose_candidates(instance: ProblemInstance, current: _Candidate, samples: int,
-                        tabu: dict[tuple, int], iteration: int, best_score: Score,
+def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int],
+                        iteration: int, best_score: Score,
                         rng: random.Random) -> list[_Candidate]:
-    """Sample the tabu-filtered neighbourhood of ``current``.
+    """Sample the tabu-filtered neighbourhood of ``position``.
 
     A move stays tabu while its attribute's entry in ``tabu`` is at least
     ``iteration``, unless its result would beat ``best_score`` (aspiration).
     """
-    n = instance.pop_count
-    nfvo_at = current.nfvo_at
-    head_of = current.head_of
+    n = position.instance.pop_count
+    head_of = position.head_of
     out: list[_Candidate] = []
     for _ in range(samples):
         if rng.random() < 0.5:
-            pop = rng.randrange(n)
-            attribute = ("toggle", pop)
-            applied = _apply_toggle(instance, nfvo_at, head_of, pop)
-            if applied is None:
+            cand = position.toggled(rng.randrange(n))
+            if cand is None:
                 continue
-            new_nfvo, new_head = applied
         else:
             pop = rng.randrange(n)
-            targets = [c for c in range(n) if nfvo_at[c] and c != head_of[pop]]
+            targets = [c for c in position.active if c != head_of[pop]]
             if not targets:
                 continue
-            target = targets[rng.randrange(len(targets))]
-            attribute = ("reassign", pop, target)
-            new_nfvo = nfvo_at
-            new_head = list(head_of)
-            new_head[pop] = target
-        cand = _candidate(instance, attribute, new_nfvo, new_head)
-        if tabu.get(attribute, -1) >= iteration and not cand.score < best_score:
+            cand = position.reassigned(pop, targets[rng.randrange(len(targets))])
+        if tabu.get(cand.attribute, -1) >= iteration and not cand.score < best_score:
             continue  # tabu, and not good enough for aspiration
         out.append(cand)
     return out
@@ -229,35 +322,37 @@ def search(instance: ProblemInstance, params: TabuParams | None = None) -> Searc
     params = params or TabuParams()
     patience, tenure, samples = params.resolved(instance.pop_count)
     rng = random.Random(params.seed)
-    current = best = _start(instance)
+    position = _start(instance)
+    best = DomainPlan(position.nfvo_at, position.head_of)
+    best_score = position.score
     tabu: dict[tuple, int] = {}
     iteration = no_improvement = last_improvement = 0
 
     while no_improvement < patience:
         iteration += 1
-        candidates = _propose_candidates(instance, current, samples, tabu, iteration,
-                                         best.score, rng)
+        candidates = _propose_candidates(position, samples, tabu, iteration, best_score, rng)
         if not candidates:
             no_improvement += 1
             continue
 
-        best_score = min(c.score for c in candidates)
-        if best_score < best.score:
-            tied = [c for c in candidates if c.score == best_score]
+        lowest = min(c.score for c in candidates)
+        if lowest < best_score:
+            tied = [c for c in candidates if c.score == lowest]
         else:
             # No sampled neighbour improves on the best found: take the one
             # with the fewest orchestrators, feasible or not, and keep moving.
             min_nfvo = min(c.score.nfvo_count for c in candidates)
             tied = [c for c in candidates if c.score.nfvo_count == min_nfvo]
-        current = tied[rng.randrange(len(tied))]
-        tabu[current.attribute] = iteration + tenure
+        chosen = tied[rng.randrange(len(tied))]
+        position.move_to(chosen)
+        tabu[chosen.attribute] = iteration + tenure
 
-        if current.score < best.score:
-            best = current
+        if chosen.score < best_score:
+            best = DomainPlan(chosen.nfvo_at, chosen.head_of)
+            best_score = chosen.score
             no_improvement = 0
             last_improvement = iteration
         else:
             no_improvement += 1
 
-    return SearchResult(DomainPlan(best.nfvo_at, best.head_of), best.score, iteration,
-                        last_improvement, patience)
+    return SearchResult(best, best_score, iteration, last_improvement, patience)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -102,10 +103,6 @@ class ProblemInstance:
         return len(self.vnfs)
 
     @cached_property
-    def vnf_locations(self) -> tuple[int, ...]:
-        return tuple(v.location for v in self.vnfs)
-
-    @cached_property
     def vnf_groups(self) -> tuple[tuple[int, float, float, int], ...]:
         """VNFs grouped by (location, vnfm bound, nfvo-vnfm bound) with counts.
 
@@ -117,6 +114,48 @@ class ProblemInstance:
             key = (v.location, v.vnfm_delay_bound, v.nfvo_vnfm_delay_bound)
             counts[key] = counts.get(key, 0) + 1
         return tuple((loc, w, big_w, n) for (loc, w, big_w), n in sorted(counts.items()))
+
+    # The tables below are bitmasks: bit pp of a PoP mask stands for PoP pp,
+    # bit i of a VNF mask for the i-th VNF in ``vnf_groups`` order.
+
+    def _can_host(self, groups) -> Iterator[np.ndarray]:
+        """Per head h, the boolean array ``[pp, i]``: PoP pp can host a manager
+        in h's domain for the VNFs of ``groups[i]`` (``delays[loc][pp] <= ω``
+        and ``delays[pp][h] <= Ω``). One head at a time keeps arrays small."""
+        d = np.asarray(self.delays)
+        rows = np.array(groups, dtype=float).reshape(-1, 4)
+        near = np.ascontiguousarray((d[rows[:, 0].astype(int)] <= rows[:, 1:2]).T)
+        for h in range(self.pop_count):
+            yield near & (d[:, h:h + 1] <= rows[:, 2])
+
+    @cached_property
+    def manager_hosts(self) -> tuple[tuple[int, ...], ...]:
+        """``manager_hosts[g][h]``: the PoPs that can host a manager for VNF
+        group g in the domain headed by h."""
+        return tuple(zip(*(_bitmasks(block.T) for block in self._can_host(self.vnf_groups))))
+
+    @cached_property
+    def vnfs_served(self) -> tuple[tuple[int, ...], ...]:
+        """``vnfs_served[h][pp]``: the VNFs that a manager at PoP pp could run
+        in the domain headed by h."""
+        per_vnf = [g for g in self.vnf_groups for _ in range(g[3])]
+        return tuple(_bitmasks(block) for block in self._can_host(per_vnf))
+
+    @cached_property
+    def vnfs_at(self) -> tuple[int, ...]:
+        """Per PoP, the VNFs located there."""
+        masks = [0] * self.pop_count
+        offset = 0
+        for loc, _, _, count in self.vnf_groups:
+            masks[loc] |= ((1 << count) - 1) << offset
+            offset += count
+        return tuple(masks)
+
+
+def _bitmasks(block: np.ndarray) -> tuple[int, ...]:
+    """Read the rows of a 2-d boolean array as ints (entry i is bit i)."""
+    return tuple(int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(block, axis=1, bitorder="little"))
 
 
 @dataclass(frozen=True)
@@ -156,6 +195,10 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("pop_count", "vnf_count", "nfvo_capacity", "vnfm_capacity", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.pop_count < 1:
             raise ValueError("pop_count must be >= 1")
         if self.vnf_count < 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleDomain, NoFeasiblePlan
 from .model import DomainPlan, Solution, VnfmAssignment
-from .tabu import SearchResult, TabuParams, search
+from .tabu import SearchResult, TabuParams, penalty_parts, search
 from .topology import ProblemInstance, VnfInstance
 
 EXACT_THRESHOLD = 20
@@ -192,7 +192,8 @@ def two_step_place_detailed(instance: ProblemInstance,
     """Like :func:`two_step_place` but keeps the search accounting."""
     result = search(instance, params)
     if result.plan is None:
-        raise NoFeasiblePlan(result.best_score.penalty)
+        raise NoFeasiblePlan(result.best_score.penalty,
+                             penalty_parts(instance, result.best_plan))
     plan = result.plan
     vnfms: list[VnfmAssignment] = []
     for domain in domains_of(instance, plan):

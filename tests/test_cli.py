@@ -61,7 +61,18 @@ class TestParsing:
     ({"sweep.json": json.dumps({"generator": {"pop_count": 4, "vnf_count": 4},
                                 "stop_patience": 0, "output": "r.csv"})},
      ["experiment", "--config", "sweep.json"], "stop_patience must be >= 1"),
-], ids=["gen-unknown-key", "gen-bad-json", "gen-zero-pops", "sweep-zero-patience"])
+    ({}, ["solve-tsp", "bundled:pop8", "--patience", "0"], "stop_patience must be >= 1"),
+    ({}, ["solve-tsp", "bundled:pop8", "--tenure", "0"], "tabu_tenure must be >= 1"),
+    ({}, ["solve-tsp", "bundled:pop8", "--samples", "0"], "neighborhood_samples must be >= 1"),
+    ({}, ["solve-exact", "bundled:pop8", "--max-nodes", "0"], "max_nodes must be >= 1"),
+    ({}, ["solve-exact", "bundled:pop8", "--time-limit", "0"], "time_limit_s must be > 0"),
+    ({"gen.json": '{"pop_count": 4.5, "vnf_count": 3}'},
+     ["gen", "--config", "gen.json", "--output", "i.json"], "pop_count must be an integer"),
+    ({"gen.json": '{"pop_count": true, "vnf_count": 3}'},
+     ["gen", "--config", "gen.json", "--output", "i.json"], "pop_count must be an integer"),
+], ids=["gen-unknown-key", "gen-bad-json", "gen-zero-pops", "sweep-zero-patience",
+        "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
+        "exact-zero-time", "gen-float-pops", "gen-bool-pops"])
 def test_bad_inputs_are_usage_errors(capsys, tmp_path, files, argv, fragment):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -146,7 +157,10 @@ class TestSolve:
 
     def test_tsp_reports_infeasibility(self, capsys, split_file):
         assert cli_main(["solve-tsp", split_file]) == 2
-        assert "no feasible plan" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no feasible plan" in err and err.count("\n") == 1
+        # PoP 1 is out of reach of the GSO and of PoP 0: one per-PoP rule is left.
+        assert "best penalty reached: 1 = per-PoP rules 1 + look-ahead 0 + capacity 0" in err
 
     def test_exact_solves_and_reports_status(self, capsys, line3_file):
         assert cli_main(["solve-exact", line3_file]) == 0

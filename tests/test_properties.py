@@ -1,12 +1,16 @@
-"""Property tests on generated instances (up to 6 PoPs and 12 VNFs).
+"""Property tests on generated instances (up to 8 PoPs and 12 VNFs).
 
 The heuristic's solutions must check clean and never beat the exact
-optimum, and the reachability look-ahead shared by the search and the exact
-solver must agree with a per-VNF recount on arbitrary head assignments.
-Examples are derandomized, so every run checks the same instances.
+optimum, the reachability look-ahead shared by the search and the exact
+solver must agree with a per-VNF recount on arbitrary head assignments, and
+along random walks of search moves every incrementally scored neighbour
+must equal a full rescore. Examples are derandomized, so every run checks
+the same instances.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,21 +25,36 @@ from manoplace import (
     solve_exact,
     two_step_place,
 )
-from manoplace.tabu import unreachable_vnf_groups
+from manoplace.tabu import _Position, _start, unreachable_vnf_groups
 
-from test_tabu import naive_look_ahead
+from test_tabu import check_neighbour, naive_look_ahead, tables
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
-instances = st.builds(
-    GeneratorConfig,
-    pop_count=st.integers(2, 6),
-    vnf_count=st.integers(1, 12),
-    area_side_km=st.sampled_from([1500.0, 3000.0, 4500.0]),
-    nfvo_capacity=st.integers(2, 20),
-    vnfm_capacity=st.integers(1, 10),
-    seed=st.integers(0, 2**32 - 1),
-).map(generate_instance)
+
+def generated(max_pops):
+    return st.builds(
+        GeneratorConfig,
+        pop_count=st.integers(2, max_pops),
+        vnf_count=st.integers(1, 12),
+        area_side_km=st.sampled_from([1500.0, 3000.0, 4500.0]),
+        nfvo_capacity=st.integers(2, 20),
+        vnfm_capacity=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    ).map(generate_instance)
+
+
+instances = generated(6)
+
+
+@st.composite
+def mixed_bounds(draw, max_pops):
+    """A generated instance whose VNFs draw their two manager bounds each."""
+    instance = draw(generated(max_pops))
+    bound = st.sampled_from([15.0, 30.0, 45.0])
+    vnfs = tuple(replace(v, vnfm_delay_bound=draw(bound), nfvo_vnfm_delay_bound=draw(bound))
+                 for v in instance.vnfs)
+    return replace(instance, vnfs=vnfs)
 
 
 @SMALL
@@ -53,9 +72,32 @@ def test_tabu_solutions_check_clean_and_never_beat_the_optimum(instance, seed):
 
 
 @SMALL
-@given(instances, st.data())
+@given(mixed_bounds(6), st.data())
 def test_look_ahead_matches_the_per_vnf_recount(instance, data):
     n = instance.pop_count
     head_of = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     count = sum(unreachable_vnf_groups(instance, head_of))
     assert count == naive_look_ahead(instance, head_of)
+
+
+@SMALL
+@given(mixed_bounds(8), st.lists(st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 7)),
+                              min_size=1, max_size=12))
+def test_incremental_scores_match_a_full_rescore(instance, walk):
+    n = instance.pop_count
+    position = _start(instance)
+    for toggle, pop, pick in walk:
+        pop %= n
+        neighbours = [position.toggled(p) for p in range(n)]
+        neighbours += [position.reassigned(pop, t) for t in position.active
+                       if t != position.head_of[pop]]
+        for cand in neighbours:
+            if cand is not None:
+                check_neighbour(instance, cand)
+        moves = [c for c in neighbours if c is not None
+                 and (c.attribute[0] == "toggle") == toggle]
+        if not moves:
+            continue
+        chosen = moves[pick % len(moves)]
+        position.move_to(chosen)
+        assert tables(position) == tables(_Position(instance, chosen.nfvo_at, chosen.head_of))

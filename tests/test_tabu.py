@@ -1,4 +1,5 @@
-"""Tabu search: penalty accounting, move mechanics, and the search loop."""
+"""Tabu search: penalty accounting, incremental scoring, move mechanics, and
+the search loop, including a golden corpus of search results."""
 
 from __future__ import annotations
 
@@ -16,16 +17,14 @@ from manoplace import (
 from manoplace.model import DomainPlan
 from manoplace.tabu import (
     Score,
-    _apply_toggle,
-    _candidate,
-    _capacity_overload,
+    _Position,
     _propose_candidates,
-    _relaxed_penalty,
     _start,
+    penalty_parts,
     search,
 )
 
-from conftest import make_instance
+from conftest import make_instance, symmetric
 
 
 def naive_look_ahead(instance, head_of):
@@ -63,19 +62,43 @@ def naive_penalty(instance, plan):
     return pen + naive_look_ahead(instance, plan.head_of)
 
 
+def naive_capacity(instance, head_of):
+    """Domains holding more VNFs than the orchestrator capacity, one VNF at a time."""
+    counts = {}
+    for v in instance.vnfs:
+        counts[head_of[v.location]] = counts.get(head_of[v.location], 0) + 1
+    return sum(1 for c in counts.values() if c > instance.params.nfvo_capacity)
+
+
+def check_neighbour(instance, cand):
+    """An incrementally scored neighbour must equal a full rescore of its plan,
+    and the full rescore must equal the per-VNF restatement of the rules."""
+    full = _Position(instance, cand.nfvo_at, cand.head_of).score
+    assert cand.score == full, cand.attribute
+    plan = DomainPlan(cand.nfvo_at, cand.head_of)
+    assert full == Score(naive_penalty(instance, plan) + naive_capacity(instance, plan.head_of),
+                         sum(plan.nfvo_at))
+
+
+def tables(position):
+    """Everything a position keeps, for comparison with a fresh build."""
+    return (position.nfvo_at, position.head_of, position.pop_terms, position.domains,
+            position.domain_terms, position.active, position.score)
+
+
 def random_plan(rng, n):
     return DomainPlan.make([rng.random() < 0.5 for _ in range(n)],
                            [rng.randrange(n) for _ in range(n)])
 
 
 def penalty(instance, plan):
-    return _relaxed_penalty(instance, plan.nfvo_at, plan.head_of)
+    return _Position(instance, plan.nfvo_at, plan.head_of).score.penalty
 
 
 def propose(instance, samples, rng, tabu=None, iteration=0, best_score=None):
     """Neighbourhood of the all-on start, as the search's first iteration sees it."""
     start = _start(instance)
-    return _propose_candidates(instance, start, samples, tabu or {}, iteration,
+    return _propose_candidates(start, samples, tabu or {}, iteration,
                                best_score or start.score, rng)
 
 
@@ -117,16 +140,17 @@ class TestPenalty:
                                                      seed=seed))
             for _ in range(20):
                 plan = random_plan(rng, 6)
-                assert penalty(inst, plan) == naive_penalty(inst, plan), plan
+                assert penalty(inst, plan) == (naive_penalty(inst, plan)
+                                               + naive_capacity(inst, plan.head_of)), plan
 
     def test_capacity_overload_counts_overfull_domains(self):
         inst = make_instance([[0, 10, 20], [10, 0, 10], [20, 10, 0]],
                              vnf_locs=(0, 0, 0, 0, 0), nfvo_capacity=2)
         one_domain = DomainPlan.make([True, False, False], [0, 0, 0])
-        assert _capacity_overload(inst, one_domain.head_of) == 1
+        assert penalty_parts(inst, one_domain)["capacity"] == 1
         spread = DomainPlan.make([True, False, True], [0, 0, 2])
-        assert _capacity_overload(inst, spread.head_of) == 1  # all five still at PoP 0
-        scored = _candidate(inst, (), one_domain.nfvo_at, one_domain.head_of)
+        assert penalty_parts(inst, spread)["capacity"] == 1  # all five still at PoP 0
+        scored = _Position(inst, one_domain.nfvo_at, one_domain.head_of)
         assert scored.score == Score(1, 1)
 
     def test_look_ahead_counts_unmanageable_vnfs(self):
@@ -141,26 +165,64 @@ class TestPenalty:
         base = DomainPlan.make([True, False, True], [0, 0, 2])
         assert penalty(inst, base) == 0
         assert penalty(inst, merged) >= 2
+        look_ahead = penalty_parts(inst, merged)["look-ahead"]
+        assert look_ahead == naive_look_ahead(inst, merged.head_of) == 2
+
+
+class TestIncrementalScore:
+    def test_deactivating_a_shared_domain_matches_full_rescore(self):
+        # PoP 0 heads {0, 1, 2}; switching it off sends 1 and 2 to PoP 3 and
+        # PoP 0 to PoP 4, so one domain empties and two others grow.
+        inst = make_instance(symmetric(5, {(0, 3): 30, (0, 4): 20, (1, 4): 40,
+                                           (2, 4): 40, (3, 4): 40}),
+                             vnf_locs=(0, 1, 1, 2, 3, 4))
+        position = _Position(inst, [True, False, False, True, True], [0, 0, 0, 3, 4])
+        cand = position.toggled(0)
+        assert cand.head_of == (4, 3, 3, 3, 4)
+        check_neighbour(inst, cand)
+        position.move_to(cand)
+        assert tables(position) == tables(_Position(inst, cand.nfvo_at, cand.head_of))
+
+    def test_reassigning_the_only_server_of_a_group(self):
+        # The VNFs at PoP 1 can be managed in head 0's domain from PoP 2 only:
+        # PoP 0 is 50 ms from them and PoP 1 is 50 ms from the head (> 45).
+        inst = make_instance(symmetric(4, {(0, 1): 50, (0, 2): 10, (0, 3): 70,
+                                           (1, 2): 20, (1, 3): 70, (2, 3): 40}),
+                             vnf_locs=(1, 1, 2))
+        position = _Position(inst, [True, False, False, True], [0, 0, 0, 3])
+        assert position.score == Score(0, 2)
+        cand = position.reassigned(2, 3)
+        assert cand.score == Score(2, 2)  # both VNFs at PoP 1 lose their manager host
+        check_neighbour(inst, cand)
+        position.move_to(cand)
+        assert tables(position) == tables(_Position(inst, cand.nfvo_at, cand.head_of))
+
+
+    def test_switching_on_a_head_that_already_has_members(self, line3):
+        # The search keeps every head active, but a position can be built on
+        # any plan: switching PoP 1 on clears the inactive-head rule at all three.
+        position = _Position(line3, [True, False, False], [1, 1, 1])
+        cand = position.toggled(1)
+        check_neighbour(line3, cand)
+        position.move_to(cand)
+        assert tables(position) == tables(_Position(line3, cand.nfvo_at, cand.head_of))
 
 
 class TestMoves:
     def test_toggle_off_rehomes_members_to_nearest_survivor(self, line3):
-        start = _start(line3)
-        applied = _apply_toggle(line3, start.nfvo_at, start.head_of, 1)
-        assert applied is not None
-        nfvo_at, head_of = applied
-        assert nfvo_at == [True, False, True]
+        cand = _start(line3).toggled(1)
+        assert cand is not None
+        assert cand.nfvo_at == (True, False, True)
         # PoP 1 is 10 ms from both survivors; the tie goes to the lower id.
-        assert head_of == [0, 0, 2]
+        assert cand.head_of == (0, 0, 2)
 
     def test_toggle_on_self_assigns(self, line3):
-        applied = _apply_toggle(line3, [True, False, True], [0, 0, 2], 1)
-        nfvo_at, head_of = applied
-        assert nfvo_at == [True, True, True]
-        assert head_of == [0, 1, 2]
+        cand = _Position(line3, [True, False, True], [0, 0, 2]).toggled(1)
+        assert cand.nfvo_at == (True, True, True)
+        assert cand.head_of == (0, 1, 2)
 
     def test_last_orchestrator_cannot_be_toggled_off(self, line3):
-        assert _apply_toggle(line3, [False, True, False], [1, 1, 1], 1) is None
+        assert _Position(line3, [False, True, False], [1, 1, 1]).toggled(1) is None
 
     def test_kind_frequencies_are_balanced(self, two_clusters):
         cands = propose(two_clusters, 10_000, random.Random(99))
@@ -232,3 +294,48 @@ class TestSearch:
         with pytest.raises(NoFeasiblePlan) as err:
             two_step_place_detailed(hopeless, TabuParams(seed=0))
         assert err.value.best_penalty >= 1
+        assert sum(err.value.parts.values()) == err.value.best_penalty
+
+
+# Search results recorded before scoring became incremental, on generated
+# instances (V = 3.75 P): (pops, vnfs, instance seed, search seed, active
+# PoPs as 0/1, head map, best score, iterations, last improvement).
+GOLDEN = [
+    (8, 30, 1, 0, "00000110", (6, 6, 6, 5, 5, 5, 6, 6), (0, 2), 38, 6),
+    (8, 30, 1, 1, "01000001", (1, 1, 7, 7, 7, 7, 1, 7), (0, 2), 38, 6),
+    (8, 30, 2, 0, "00000110", (5, 5, 6, 5, 6, 5, 6, 6), (0, 2), 38, 6),
+    (8, 30, 2, 1, "01000001", (1, 1, 7, 7, 7, 1, 1, 7), (0, 2), 40, 8),
+    (16, 60, 1, 0, "1001000110000000",
+     (0, 0, 7, 3, 3, 3, 0, 7, 8, 8, 3, 0, 3, 7, 0, 7), (0, 4), 76, 12),
+    (16, 60, 1, 1, "0001100100010000",
+     (11, 11, 7, 3, 4, 3, 11, 7, 7, 7, 3, 11, 3, 4, 11, 4), (0, 4), 76, 12),
+    (16, 60, 2, 0, "1001001110000010",
+     (0, 0, 6, 3, 7, 0, 6, 7, 8, 0, 7, 8, 6, 6, 14, 6), (0, 6), 74, 10),
+    (16, 60, 2, 1, "0100100110100000",
+     (10, 1, 7, 10, 4, 1, 7, 7, 8, 10, 10, 8, 4, 7, 10, 4), (0, 5), 75, 11),
+    (32, 120, 1, 0, "01011010100100010000000100000000",
+     (11, 1, 4, 3, 4, 3, 6, 8, 8, 8, 3, 11, 3, 15, 1, 15,
+      23, 11, 8, 15, 23, 15, 3, 23, 1, 23, 6, 8, 23, 3, 4, 23), (0, 8), 153, 25),
+    (32, 120, 1, 1, "00001001100000000001000011101111",
+     (25, 24, 7, 29, 4, 29, 26, 7, 8, 8, 29, 25, 28, 19, 26, 19,
+      25, 25, 8, 19, 25, 19, 29, 31, 24, 25, 26, 30, 28, 29, 30, 31), (0, 11), 149, 21),
+    (32, 120, 2, 0, "01011000000100010101000100001001",
+     (3, 1, 28, 3, 4, 31, 4, 4, 11, 23, 4, 11, 15, 17, 3, 15,
+      28, 17, 28, 19, 11, 19, 17, 23, 3, 17, 11, 15, 28, 23, 3, 31), (0, 10), 151, 23),
+    (32, 120, 2, 1, "00001000100010000010000110001100",
+     (29, 23, 28, 24, 4, 23, 18, 18, 8, 29, 4, 28, 12, 18, 24, 12,
+      28, 23, 18, 8, 8, 8, 23, 23, 24, 18, 8, 12, 28, 29, 24, 23), (0, 8), 153, 25),
+]
+
+
+@pytest.mark.parametrize("pops, vnfs, instance_seed, seed, active, head_of, score, "
+                         "iterations, last_improvement", GOLDEN,
+                         ids=[f"p{g[0]}-i{g[2]}-s{g[3]}" for g in GOLDEN])
+def test_golden_search_results(pops, vnfs, instance_seed, seed, active, head_of, score,
+                               iterations, last_improvement):
+    inst = generate_instance(GeneratorConfig(pop_count=pops, vnf_count=vnfs,
+                                             seed=instance_seed))
+    result = search(inst, TabuParams(seed=seed))
+    assert result.best_plan == DomainPlan(tuple(c == "1" for c in active), head_of)
+    assert result.best_score == Score(*score)
+    assert (result.iterations, result.last_improvement) == (iterations, last_improvement)

@@ -180,7 +180,7 @@ class TestGenerator:
         # quantile of chi2 with 4 degrees of freedom is 18.467; a correct
         # uniform sampler stays under it for this fixed seed.
         inst = generate_instance(GeneratorConfig(pop_count=5, vnf_count=2000, seed=11))
-        counts = np.bincount(inst.vnf_locations, minlength=5)
+        counts = np.bincount([v.location for v in inst.vnfs], minlength=5)
         expected = 2000 / 5
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < 18.467, (stat, counts.tolist())
