@@ -59,12 +59,17 @@ class _UsageError(Exception):
     pass
 
 
-def _from_flags(cls, **flags):
-    """Build a settings dataclass from flags; values it rejects are usage errors."""
+def _from_flags(cls, flags: dict[str, tuple[str, object]], **fixed):
+    """Build a settings dataclass from ``{flag: (field, value)}`` and ``fixed``
+    fields; a value it rejects is a usage error that names the flag typed."""
     try:
-        return cls(**flags)
+        return cls(**fixed, **dict(flags.values()))
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        message = str(exc)  # the settings classes name the field first
+        for flag, (name, _value) in flags.items():
+            if message.startswith(f"{name} "):
+                message = flag + message[len(name):]
+        raise _UsageError(message) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,8 +170,10 @@ def _print_solution(solution) -> None:
 
 def _cmd_solve_tsp(args) -> int:
     instance = load_instance_ref(args.instance)
-    params = _from_flags(TabuParams, stop_patience=args.patience, tabu_tenure=args.tenure,
-                         neighborhood_samples=args.samples, seed=args.seed)
+    params = _from_flags(TabuParams, {"--patience": ("stop_patience", args.patience),
+                                      "--tenure": ("tabu_tenure", args.tenure),
+                                      "--samples": ("neighborhood_samples", args.samples)},
+                         seed=args.seed)
     result = two_step_place_detailed(instance, params)
     _print_solution(result.solution)
     print(f"iterations={result.search.iterations}")
@@ -178,7 +185,8 @@ def _cmd_solve_tsp(args) -> int:
 
 def _cmd_solve_exact(args) -> int:
     instance = load_instance_ref(args.instance)
-    budget = _from_flags(OracleBudget, max_nodes=args.max_nodes, time_limit_s=args.time_limit)
+    budget = _from_flags(OracleBudget, {"--max-nodes": ("max_nodes", args.max_nodes),
+                                        "--time-limit": ("time_limit_s", args.time_limit)})
     result = solve_exact(instance, budget)
     print(f"status={result.status.value} nodes_explored={result.nodes_explored}")
     if result.solution is None:

@@ -26,6 +26,10 @@ comment lines start with a backslash; sections are ``Minimize``,
 ``Subject To``, ``Binary``, ``End`` in that order; each constraint row is
 ``name: [sign] [coef] var {+|- [coef] var} (<=|>=|=) number``. All
 variables are declared in the Binary section.
+
+Neither direction holds the model in memory: ``write_lp_model`` writes each
+row as ``LpModel.rows`` generates it, and ``check_lp_file`` reads the file a
+line at a time.
 """
 
 from __future__ import annotations
@@ -33,14 +37,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .topology import ProblemInstance
 
 _Term = tuple[float, str]
 
 
-@dataclass(frozen=True)
-class LpRow:
+class LpRow(NamedTuple):
     name: str
     terms: tuple[_Term, ...]
     sense: str  # "<=", ">=", "="
@@ -49,17 +53,109 @@ class LpRow:
 
 @dataclass(frozen=True)
 class LpModel:
-    variables: tuple[str, ...]
-    objective: tuple[_Term, ...]
-    rows: tuple[LpRow, ...]
+    """The instance's integer program, generated on demand.
 
-    @property
-    def family_rows(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            fam = row.name.split("_", 1)[0]
-            counts[fam] = counts.get(fam, 0) + 1
-        return counts
+    Nothing but the instance is stored: variables, objective terms and rows
+    are yielded in file order, so a writer needs memory O(1) in rows.
+    Managers are provisioned one slot per VNF, which is always enough.
+    """
+
+    instance: ProblemInstance
+
+    def variables(self) -> Iterator[str]:
+        P = self.instance.pop_count
+        V = M = self.instance.vnf_count
+        yield from (f"h_{p}" for p in range(P))
+        yield from (f"r_{q}_{p}" for q in range(P) for p in range(P))
+        yield from (f"x_{m}_{p}" for m in range(M) for p in range(P))
+        yield from (f"y_{v}_{m}_{p}" for v in range(V) for m in range(M) for p in range(P))
+        yield from (f"z_{v}_{m}_{q}_{p}" for v in range(V) for m in range(M)
+                    for q in range(P) for p in range(P))
+
+    def objective(self) -> Iterator[_Term]:
+        P = self.instance.pop_count
+        M = self.instance.vnf_count
+        yield from ((1.0, f"h_{p}") for p in range(P))
+        yield from ((1.0, f"x_{m}_{p}") for m in range(M) for p in range(P))
+
+    def rows(self) -> Iterator[LpRow]:
+        # One generator expression per family: besides reading well, a
+        # small code object keeps tracemalloc's per-allocation line lookup
+        # cheap, which a single function holding every loop does not.
+        instance = self.instance
+        P = instance.pop_count
+        V = M = instance.vnf_count
+        params = instance.params
+        d = instance.delays
+        cap_nfvo = float(params.nfvo_capacity)
+        cap_vnfm = float(params.vnfm_capacity)
+        gso = params.gso_location
+        loc = [v.location for v in instance.vnfs]
+
+        # c2: each PoP in exactly one domain.
+        yield from (LpRow(f"c2_{q}", tuple((1.0, f"r_{q}_{p}") for p in range(P)), "=", 1.0)
+                    for q in range(P))
+        # c3: domains only around open orchestrators.
+        yield from (LpRow(f"c3_{q}_{p}", ((1.0, f"r_{q}_{p}"), (-1.0, f"h_{p}")), "<=", 0.0)
+                    for q in range(P) for p in range(P))
+        # c4: an open orchestrator heads its own PoP, and only then.
+        yield from (LpRow(f"c4_{p}", ((1.0, f"r_{p}_{p}"), (-1.0, f"h_{p}")), "=", 0.0)
+                    for p in range(P))
+        # c5: a manager slot sits on at most one PoP.
+        yield from (LpRow(f"c5_{m}", tuple((1.0, f"x_{m}_{p}") for p in range(P)), "<=", 1.0)
+                    for m in range(M))
+        # c6: every VNF run by exactly one manager slot.
+        yield from (LpRow(f"c6_{v}", tuple((1.0, f"y_{v}_{m}_{p}")
+                                           for m in range(M) for p in range(P)), "=", 1.0)
+                    for v in range(V))
+        # c7: assignment only to an open slot at that PoP.
+        yield from (LpRow(f"c7_{v}_{m}_{p}", ((1.0, f"y_{v}_{m}_{p}"), (-1.0, f"x_{m}_{p}")),
+                          "<=", 0.0)
+                    for v in range(V) for m in range(M) for p in range(P))
+        # c10/c11: slot load within [1, manager capacity].
+        yield from (LpRow(f"c10_{m}_{p}", tuple((1.0, f"y_{v}_{m}_{p}") for v in range(V))
+                          + ((-cap_vnfm, f"x_{m}_{p}"),), "<=", 0.0)
+                    for m in range(M) for p in range(P))
+        yield from (LpRow(f"c11_{m}_{p}", ((1.0, f"x_{m}_{p}"),)
+                          + tuple((-1.0, f"y_{v}_{m}_{p}") for v in range(V)), "<=", 0.0)
+                    for m in range(M) for p in range(P))
+        # c12: orchestrators within reach of the GSO (GSO position substituted).
+        yield from (LpRow(f"c12_{q}", ((d[gso][q], f"h_{q}"),), "<=",
+                          params.gso_nfvo_delay_bound)
+                    for q in range(P) if q != gso)
+        # c13: member PoPs within reach of their head.
+        yield from (LpRow(f"c13_{p}_{q}", ((d[p][q], f"r_{q}_{p}"),), "<=",
+                          params.nfvo_vim_delay_bound)
+                    for p in range(P) for q in range(P) if p != q)
+        # c14: manager within the VNF's own delay bound (VNF location substituted).
+        yield from (LpRow(f"c14_{v}_{m}_{q}", ((d[loc[v]][q], f"y_{v}_{m}_{q}"),), "<=",
+                          instance.vnfs[v].vnfm_delay_bound)
+                    for v in range(V) for m in range(M) for q in range(P) if q != loc[v])
+        # c16: the VNF's location lies in the same domain as its manager.
+        yield from (LpRow(f"c16_{v}_{m}_{q}_{p}",
+                          ((1.0, f"z_{v}_{m}_{q}_{p}"), (-1.0, f"r_{loc[v]}_{p}")), "<=", 0.0)
+                    for v in range(V) for m in range(M) for q in range(P) for p in range(P))
+        # c17: per-domain VNF count within orchestrator capacity.
+        yield from (LpRow(f"c17_{p}", tuple((1.0, f"z_{v}_{m}_{q}_{p}") for v in range(V)
+                                            for m in range(M) for q in range(P))
+                          + ((-cap_nfvo, f"h_{p}"),), "<=", 0.0)
+                    for p in range(P))
+        # c18: manager within the VNF's orchestrator delay bound of the head.
+        yield from (LpRow(f"c18_{v}_{m}_{q}_{p}", ((d[p][q], f"z_{v}_{m}_{q}_{p}"),), "<=",
+                          instance.vnfs[v].nfvo_vnfm_delay_bound)
+                    for v in range(V) for m in range(M) for p in range(P) for q in range(P)
+                    if p != q)
+        # c19/c20/c21: pin z to the product of y and r (diagonal included).
+        yield from (LpRow(f"c19_{v}_{m}_{q}_{p}",
+                          ((1.0, f"z_{v}_{m}_{q}_{p}"), (-1.0, f"y_{v}_{m}_{q}")), "<=", 0.0)
+                    for v in range(V) for m in range(M) for q in range(P) for p in range(P))
+        yield from (LpRow(f"c20_{v}_{m}_{q}_{p}",
+                          ((1.0, f"z_{v}_{m}_{q}_{p}"), (-1.0, f"r_{q}_{p}")), "<=", 0.0)
+                    for v in range(V) for m in range(M) for q in range(P) for p in range(P))
+        yield from (LpRow(f"c21_{v}_{m}_{q}_{p}",
+                          ((1.0, f"y_{v}_{m}_{q}"), (1.0, f"r_{q}_{p}"),
+                           (-1.0, f"z_{v}_{m}_{q}_{p}")), "<=", 1.0)
+                    for v in range(V) for m in range(M) for q in range(P) for p in range(P))
 
 
 @dataclass(frozen=True)
@@ -73,138 +169,8 @@ class LpSummary:
 
 
 def build_lp_model(instance: ProblemInstance) -> LpModel:
-    """Assemble the full model; managers are provisioned one slot per VNF."""
-    P = instance.pop_count
-    V = instance.vnf_count
-    M = V  # one potential manager slot per VNF is always enough
-    params = instance.params
-    d = instance.delays
-    cap_nfvo = float(params.nfvo_capacity)
-    cap_vnfm = float(params.vnfm_capacity)
-    gso = params.gso_location
-    loc = [v.location for v in instance.vnfs]
-
-    h = [f"h_{p}" for p in range(P)]
-    r = [[f"r_{q}_{p}" for p in range(P)] for q in range(P)]
-    x = [[f"x_{m}_{p}" for p in range(P)] for m in range(M)]
-    y = [[[f"y_{v}_{m}_{p}" for p in range(P)] for m in range(M)] for v in range(V)]
-    z = [[[[f"z_{v}_{m}_{q}_{p}" for p in range(P)] for q in range(P)]
-          for m in range(M)] for v in range(V)]
-
-    variables: list[str] = []
-    variables += h
-    variables += [r[q][p] for q in range(P) for p in range(P)]
-    variables += [x[m][p] for m in range(M) for p in range(P)]
-    variables += [y[v][m][p] for v in range(V) for m in range(M) for p in range(P)]
-    variables += [z[v][m][q][p] for v in range(V) for m in range(M)
-                  for q in range(P) for p in range(P)]
-
-    objective: list[_Term] = [(1.0, name) for name in h]
-    objective += [(1.0, x[m][p]) for m in range(M) for p in range(P)]
-
-    rows: list[LpRow] = []
-
-    # c2: each PoP in exactly one domain.
-    for q in range(P):
-        rows.append(LpRow(f"c2_{q}", tuple((1.0, r[q][p]) for p in range(P)), "=", 1.0))
-    # c3: domains only around open orchestrators.
-    for q in range(P):
-        for p in range(P):
-            rows.append(LpRow(f"c3_{q}_{p}", ((1.0, r[q][p]), (-1.0, h[p])), "<=", 0.0))
-    # c4: an open orchestrator heads its own PoP, and only then.
-    for p in range(P):
-        rows.append(LpRow(f"c4_{p}", ((1.0, r[p][p]), (-1.0, h[p])), "=", 0.0))
-    # c5: a manager slot sits on at most one PoP.
-    for m in range(M):
-        rows.append(LpRow(f"c5_{m}", tuple((1.0, x[m][p]) for p in range(P)), "<=", 1.0))
-    # c6: every VNF run by exactly one manager slot.
-    for v in range(V):
-        rows.append(LpRow(
-            f"c6_{v}",
-            tuple((1.0, y[v][m][p]) for m in range(M) for p in range(P)), "=", 1.0))
-    # c7: assignment only to an open slot at that PoP.
-    for v in range(V):
-        for m in range(M):
-            for p in range(P):
-                rows.append(LpRow(f"c7_{v}_{m}_{p}",
-                                  ((1.0, y[v][m][p]), (-1.0, x[m][p])), "<=", 0.0))
-    # c10/c11: slot load within [1, manager capacity].
-    for m in range(M):
-        for p in range(P):
-            terms = tuple((1.0, y[v][m][p]) for v in range(V)) + ((-cap_vnfm, x[m][p]),)
-            rows.append(LpRow(f"c10_{m}_{p}", terms, "<=", 0.0))
-    for m in range(M):
-        for p in range(P):
-            terms = ((1.0, x[m][p]),) + tuple((-1.0, y[v][m][p]) for v in range(V))
-            rows.append(LpRow(f"c11_{m}_{p}", terms, "<=", 0.0))
-    # c12: orchestrators within reach of the GSO (GSO position substituted).
-    for q in range(P):
-        if q == gso:
-            continue
-        rows.append(LpRow(f"c12_{q}", ((d[gso][q], h[q]),), "<=",
-                          params.gso_nfvo_delay_bound))
-    # c13: member PoPs within reach of their head.
-    for p in range(P):
-        for q in range(P):
-            if p == q:
-                continue
-            rows.append(LpRow(f"c13_{p}_{q}", ((d[p][q], r[q][p]),), "<=",
-                              params.nfvo_vim_delay_bound))
-    # c14: manager within the VNF's own delay bound (VNF location substituted).
-    for v in range(V):
-        for m in range(M):
-            for q in range(P):
-                if q == loc[v]:
-                    continue
-                rows.append(LpRow(f"c14_{v}_{m}_{q}", ((d[loc[v]][q], y[v][m][q]),),
-                                  "<=", instance.vnfs[v].vnfm_delay_bound))
-    # c16: the VNF's location lies in the same domain as its manager.
-    for v in range(V):
-        for m in range(M):
-            for q in range(P):
-                for p in range(P):
-                    rows.append(LpRow(f"c16_{v}_{m}_{q}_{p}",
-                                      ((1.0, z[v][m][q][p]), (-1.0, r[loc[v]][p])),
-                                      "<=", 0.0))
-    # c17: per-domain VNF count within orchestrator capacity.
-    for p in range(P):
-        terms = tuple((1.0, z[v][m][q][p])
-                      for v in range(V) for m in range(M) for q in range(P))
-        rows.append(LpRow(f"c17_{p}", terms + ((-cap_nfvo, h[p]),), "<=", 0.0))
-    # c18: manager within the VNF's orchestrator delay bound of the head.
-    for v in range(V):
-        for m in range(M):
-            for p in range(P):
-                for q in range(P):
-                    if p == q:
-                        continue
-                    rows.append(LpRow(f"c18_{v}_{m}_{q}_{p}", ((d[p][q], z[v][m][q][p]),),
-                                      "<=", instance.vnfs[v].nfvo_vnfm_delay_bound))
-    # c19/c20/c21: pin z to the product of y and r (diagonal included).
-    for v in range(V):
-        for m in range(M):
-            for q in range(P):
-                for p in range(P):
-                    rows.append(LpRow(f"c19_{v}_{m}_{q}_{p}",
-                                      ((1.0, z[v][m][q][p]), (-1.0, y[v][m][q])),
-                                      "<=", 0.0))
-    for v in range(V):
-        for m in range(M):
-            for q in range(P):
-                for p in range(P):
-                    rows.append(LpRow(f"c20_{v}_{m}_{q}_{p}",
-                                      ((1.0, z[v][m][q][p]), (-1.0, r[q][p])),
-                                      "<=", 0.0))
-    for v in range(V):
-        for m in range(M):
-            for q in range(P):
-                for p in range(P):
-                    rows.append(LpRow(f"c21_{v}_{m}_{q}_{p}",
-                                      ((1.0, y[v][m][q]), (1.0, r[q][p]),
-                                       (-1.0, z[v][m][q][p])),
-                                      "<=", 1.0))
-
-    return LpModel(tuple(variables), tuple(objective), tuple(rows))
+    """The instance's model; its rows are generated when it is written."""
+    return LpModel(instance)
 
 
 def _fmt_num(x: float) -> str:
@@ -213,7 +179,7 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_terms(terms: tuple[_Term, ...], per_line: int = 8) -> list[str]:
+def _fmt_terms(terms: Iterable[_Term], per_line: int = 8) -> list[str]:
     """Render terms as one or more lines (continuations keep the file diffable)."""
     pieces: list[str] = []
     for i, (coef, var) in enumerate(terms):
@@ -230,34 +196,30 @@ def _fmt_terms(terms: tuple[_Term, ...], per_line: int = 8) -> list[str]:
     return lines
 
 
-def write_lp_model(model: LpModel, path: str | Path) -> None:
-    out: list[str] = []
-    out.append("\\ placement model: minimise orchestrators plus managers")
-    out.append("Minimize")
-    obj_lines = _fmt_terms(model.objective)
-    out.append(" obj: " + obj_lines[0])
-    out.extend("      " + line for line in obj_lines[1:])
-    out.append("Subject To")
-    for row in model.rows:
-        body = _fmt_terms(row.terms)
-        rhs = f" {row.sense} {_fmt_num(row.rhs)}"
-        if len(body) == 1:
-            out.append(f" {row.name}: {body[0]}{rhs}")
-        else:
-            out.append(f" {row.name}: {body[0]}")
-            out.extend("      " + line for line in body[1:-1])
-            out.append("      " + body[-1] + rhs)
-    out.append("Binary")
-    out.extend(f" {name}" for name in model.variables)
-    out.append("End")
-    Path(path).write_text("\n".join(out) + "\n")
+def write_lp_model(model: LpModel, path: str | Path) -> LpSummary:
+    """Write the model to ``path`` one row at a time; returns what was written."""
+    family_rows: dict[str, int] = {}
+    variables = 0
+    with open(path, "w") as out:
+        out.write("\\ placement model: minimise orchestrators plus managers\nMinimize\n")
+        out.write(" obj: " + "\n      ".join(_fmt_terms(model.objective())) + "\n")
+        out.write("Subject To\n")
+        for row in model.rows():
+            body = "\n      ".join(_fmt_terms(row.terms))
+            out.write(f" {row.name}: {body} {row.sense} {_fmt_num(row.rhs)}\n")
+            family = row.name.split("_", 1)[0]
+            family_rows[family] = family_rows.get(family, 0) + 1
+        out.write("Binary\n")
+        for name in model.variables():
+            out.write(f" {name}\n")
+            variables += 1
+        out.write("End\n")
+    return LpSummary(variables, sum(family_rows.values()), family_rows)
 
 
 def export_lp(instance: ProblemInstance, path: str | Path) -> LpSummary:
     """Write the instance's integer program to ``path`` and return the summary."""
-    model = build_lp_model(instance)
-    write_lp_model(model, path)
-    return LpSummary(len(model.variables), len(model.rows), model.family_rows)
+    return write_lp_model(build_lp_model(instance), path)
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +232,42 @@ _NUM_RE = re.compile(r"^\d+(\.\d+)?([eE][+-]?\d+)?$|^\.\d+([eE][+-]?\d+)?$")
 _TOKEN_RE = re.compile(r"<=|>=|=|\+|-|:|[A-Za-z][A-Za-z0-9_]*|\d[\w.+-]*|\.\d[\w.+-]*|\S")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    for line in text.splitlines():
-        if line.lstrip().startswith("\\"):
-            continue
-        tokens.extend(_TOKEN_RE.findall(line))
-    return tokens
+# The parse reads at most this many tokens past the point where it last
+# refilled its window: a term's sign, coefficient and variable, then after a
+# failed term the relational operator, sign and right-hand side.
+_LOOKAHEAD = 8
 
 
-def _parse_expression(tokens: list[str], i: int, used: set[str], diags: list[str],
-                      where: str) -> int:
+def _token_lines(file: IO[str]) -> Iterator[list[str]]:
+    """The tokens of each line that is not a comment."""
+    for chunk in file:
+        # str.splitlines also breaks at form feeds and other separators that
+        # file iteration does not; only a comment's backslash can tell.
+        for line in chunk.splitlines() if "\\" in chunk else (chunk,):
+            if not line.lstrip().startswith("\\"):
+                yield _TOKEN_RE.findall(line)
+
+
+def _refill(tokens: list[str], i: int, lines: Iterator[list[str]]) -> int:
+    """Drop the tokens before ``i`` and read lines until the window holds
+    ``_LOOKAHEAD`` tokens or the file ends; returns the new index of token i."""
+    del tokens[:i]
+    for line in lines:
+        tokens.extend(line)
+        if len(tokens) >= _LOOKAHEAD:
+            break
+    return 0
+
+
+def _parse_expression(tokens: list[str], i: int, lines: Iterator[list[str]], used: set[str],
+                      diags: list[str], where: str) -> int:
     """Consume ``[sign] [num] var {(+|-) [num] var}``; returns the next index."""
     first = True
-    while i < len(tokens):
+    while True:
+        if i + _LOOKAHEAD > len(tokens):
+            i = _refill(tokens, i, lines)
+            if not tokens:
+                break
         tok = tokens[i]
         if tok in ("<=", ">=", "="):
             break
@@ -294,23 +278,33 @@ def _parse_expression(tokens: list[str], i: int, used: set[str], diags: list[str
         first = False
         if i < len(tokens) and _NUM_RE.match(tokens[i]):
             i += 1
-        if i >= len(tokens) or not _NAME_RE.match(tokens[i]):
-            diags.append(f"{where}: expected a variable, found "
-                         f"{tokens[i] if i < len(tokens) else 'end of file'!r}")
-            return i
-        if not _VAR_RE.match(tokens[i]):
-            diags.append(f"{where}: variable name {tokens[i]!r} does not match the "
+        var = tokens[i] if i < len(tokens) else "end of file"
+        # Every name in the naming scheme is a name, so test the scheme first.
+        if i >= len(tokens) or not _VAR_RE.match(var):
+            if i >= len(tokens) or not _NAME_RE.match(var):
+                diags.append(f"{where}: expected a variable, found {var!r}")
+                return i
+            diags.append(f"{where}: variable name {var!r} does not match the "
                          "h/r/x/y/z naming scheme")
-        used.add(tokens[i])
+        used.add(var)
         i += 1
     return i
 
 
 def check_lp_file(path: str | Path) -> list[str]:
-    """Re-parse an exported LP file; returns diagnostics (empty means clean)."""
+    """Re-parse an exported LP file; returns diagnostics (empty means clean).
+
+    The file is read a line at a time into a window of a few tokens, so
+    memory grows only with the sets of row and variable names.
+    """
+    with open(path) as file:
+        return _check_lines(_token_lines(file))
+
+
+def _check_lines(lines: Iterator[list[str]]) -> list[str]:
     diags: list[str] = []
-    tokens = _tokenize(Path(path).read_text())
-    i = 0
+    tokens: list[str] = []
+    i = _refill(tokens, 0, lines)
 
     def peek_kw(*words: str) -> bool:
         return (i + len(words) <= len(tokens)
@@ -325,7 +319,7 @@ def check_lp_file(path: str | Path) -> list[str]:
     # Objective: optional "name :" then an expression.
     if i + 1 < len(tokens) and _NAME_RE.match(tokens[i]) and tokens[i + 1] == ":":
         i += 2
-    i = _parse_expression(tokens, i, used, diags, "objective")
+    i = _parse_expression(tokens, i, lines, used, diags, "objective")
 
     if not (i < len(tokens) and tokens[i].lower() == "subject"
             and i + 1 < len(tokens) and tokens[i + 1].lower() == "to"):
@@ -334,7 +328,11 @@ def check_lp_file(path: str | Path) -> list[str]:
     i += 2
 
     row_names: set[str] = set()
-    while i < len(tokens) and tokens[i].lower() not in ("binary", "binaries", "end"):
+    while True:
+        if i + _LOOKAHEAD > len(tokens):
+            i = _refill(tokens, i, lines)
+        if not (i < len(tokens) and tokens[i].lower() not in ("binary", "binaries", "end")):
+            break
         if not (_NAME_RE.match(tokens[i]) and i + 1 < len(tokens) and tokens[i + 1] == ":"):
             diags.append(f"constraint section: expected 'name:', found {tokens[i]!r}")
             return diags
@@ -343,7 +341,7 @@ def check_lp_file(path: str | Path) -> list[str]:
             diags.append(f"duplicate constraint name {name!r}")
         row_names.add(name)
         i += 2
-        i = _parse_expression(tokens, i, used, diags, f"row {name}")
+        i = _parse_expression(tokens, i, lines, used, diags, f"row {name}")
         if i < len(tokens) and tokens[i] in ("<=", ">=", "="):
             i += 1
             sign = False
@@ -364,7 +362,11 @@ def check_lp_file(path: str | Path) -> list[str]:
         return diags
     i += 1
     declared: set[str] = set()
-    while i < len(tokens) and tokens[i].lower() != "end":
+    while True:
+        if i + _LOOKAHEAD > len(tokens):
+            i = _refill(tokens, i, lines)
+        if not (i < len(tokens) and tokens[i].lower() != "end"):
+            break
         tok = tokens[i]
         if not _NAME_RE.match(tok):
             diags.append(f"binary section: expected a variable name, found {tok!r}")

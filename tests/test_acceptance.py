@@ -228,8 +228,8 @@ def hand_feasible(instance, a):
     return True
 
 
-def model_holds(model, a):
-    for row in model.rows:
+def model_holds(rows, a):
+    for row in rows:
         lhs = sum(coef * a[name] for coef, name in row.terms)
         if row.sense == "<=":
             if lhs > row.rhs + 1e-9:
@@ -270,14 +270,15 @@ def test_criterion_04_linearization_is_exact(report):
     rng = random.Random(20240822)
     for instance in instances:
         model = build_lp_model(instance)
-        z_names = [n for n in model.variables if n.startswith("z_")]
+        rows, variables = list(model.rows()), list(model.variables())
+        z_names = [n for n in variables if n.startswith("z_")]
         exhaustive_z = len(z_names) <= 4
         for a in structured_assignments(instance.pop_count, instance.vnf_count):
             direct = hand_feasible(instance, a)
-            linearized = model_holds(model, plug_z(a, model.variables))
+            linearized = model_holds(rows, plug_z(a, variables))
             if exhaustive_z:
                 exists = any(
-                    model_holds(model, {**a, **dict(zip(z_names, bits))})
+                    model_holds(rows, {**a, **dict(zip(z_names, bits))})
                     for bits in product((0.0, 1.0), repeat=len(z_names)))
                 if exists != linearized:
                     mismatches += 1
@@ -287,11 +288,11 @@ def test_criterion_04_linearization_is_exact(report):
                 mismatches += 1
         # Unstructured corners: arbitrary 0/1 vectors, z included.
         for _ in range(300):
-            a = {name: float(rng.getrandbits(1)) for name in model.variables}
-            if model_holds(model, a) and not hand_feasible(instance, a):
+            a = {name: float(rng.getrandbits(1)) for name in variables}
+            if model_holds(rows, a) and not hand_feasible(instance, a):
                 mismatches += 1
             if hand_feasible(instance, a) and not model_holds(
-                    model, plug_z(a, model.variables)):
+                    rows, plug_z(a, variables)):
                 mismatches += 1
             compared += 1
     elapsed = time.perf_counter() - start

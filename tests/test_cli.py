@@ -61,11 +61,11 @@ class TestParsing:
     ({"sweep.json": json.dumps({"generator": {"pop_count": 4, "vnf_count": 4},
                                 "stop_patience": 0, "output": "r.csv"})},
      ["experiment", "--config", "sweep.json"], "stop_patience must be >= 1"),
-    ({}, ["solve-tsp", "bundled:pop8", "--patience", "0"], "stop_patience must be >= 1"),
-    ({}, ["solve-tsp", "bundled:pop8", "--tenure", "0"], "tabu_tenure must be >= 1"),
-    ({}, ["solve-tsp", "bundled:pop8", "--samples", "0"], "neighborhood_samples must be >= 1"),
-    ({}, ["solve-exact", "bundled:pop8", "--max-nodes", "0"], "max_nodes must be >= 1"),
-    ({}, ["solve-exact", "bundled:pop8", "--time-limit", "0"], "time_limit_s must be > 0"),
+    ({}, ["solve-tsp", "bundled:pop8", "--patience", "0"], "--patience must be >= 1"),
+    ({}, ["solve-tsp", "bundled:pop8", "--tenure", "0"], "--tenure must be >= 1"),
+    ({}, ["solve-tsp", "bundled:pop8", "--samples", "0"], "--samples must be >= 1"),
+    ({}, ["solve-exact", "bundled:pop8", "--max-nodes", "0"], "--max-nodes must be >= 1"),
+    ({}, ["solve-exact", "bundled:pop8", "--time-limit", "0"], "--time-limit must be > 0"),
     ({"gen.json": '{"pop_count": 4.5, "vnf_count": 3}'},
      ["gen", "--config", "gen.json", "--output", "i.json"], "pop_count must be an integer"),
     ({"gen.json": '{"pop_count": true, "vnf_count": 3}'},

@@ -8,6 +8,10 @@ enumerative solver on the same instance.
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,10 @@ def tiny_instance():
     return make_instance(TINY, vnf_locs=(1,))
 
 
+def p8_v12_instance():
+    return generate_instance(GeneratorConfig(pop_count=8, vnf_count=12, seed=1))
+
+
 class TestModelCounts:
     # Hand-derived index-set sizes for |P| = 2, |V| = 1 (so |M| = 1, GSO at
     # PoP 0, the VNF at PoP 1):
@@ -47,9 +55,10 @@ class TestModelCounts:
 
     def test_frozen_counts(self):
         model = build_lp_model(tiny_instance())
-        assert len(model.variables) == 14
-        assert len(model.rows) == 40
-        assert model.family_rows == self.FAMILIES
+        assert len(list(model.variables())) == 14
+        families = Counter(row.name.split("_", 1)[0] for row in model.rows())
+        assert sum(families.values()) == 40
+        assert families == self.FAMILIES
 
     def test_summary_line(self, tmp_path):
         summary = export_lp(tiny_instance(), tmp_path / "tiny.lp")
@@ -61,7 +70,7 @@ class TestModelCounts:
         # capacity row can be bypassed by zeroing the diagonal. Guard the
         # full index set of the pinning families.
         model = build_lp_model(tiny_instance())
-        names = {r.name for r in model.rows}
+        names = {r.name for r in model.rows()}
         for fam in ("c19", "c20", "c21"):
             for q in range(2):
                 for p in range(2):
@@ -69,12 +78,12 @@ class TestModelCounts:
 
     def test_gso_row_excluded_from_c12(self):
         model = build_lp_model(tiny_instance())
-        c12 = [r.name for r in model.rows if r.name.startswith("c12_")]
+        c12 = [r.name for r in model.rows() if r.name.startswith("c12_")]
         assert c12 == ["c12_1"]
 
     def test_objective_is_h_plus_x(self):
         model = build_lp_model(tiny_instance())
-        assert sorted(model.objective) == [
+        assert sorted(model.objective()) == [
             (1.0, "h_0"), (1.0, "h_1"), (1.0, "x_0_0"), (1.0, "x_0_1")]
 
 
@@ -111,6 +120,50 @@ class TestGrammarCheck:
         path.write_text(text)
         diags = check_lp_file(path)
         assert any("never used" in d for d in diags), diags
+
+    def test_long_rows_cross_window_refills(self, tmp_path):
+        # c17 rows hold V*V*P + 1 terms: here 433 terms over 55 lines, far more
+        # than the checker's token window, which is refilled inside the row.
+        path = tmp_path / "long.lp"
+        export_lp(generate_instance(GeneratorConfig(pop_count=3, vnf_count=12, seed=6)), path)
+        text = path.read_text()
+        c17 = text[text.index(" c17_0:"):text.index(" c17_1:")]
+        assert c17.count("\n") == 55
+        assert check_lp_file(path) == []
+        path.write_text(text.replace(" c18_", " c17_0: h_0 <= 1\n c18_", 1))
+        assert check_lp_file(path) == ["duplicate constraint name 'c17_0'"]
+
+
+class TestWriter:
+    # sha256 of each exported file, recorded when the whole model was built
+    # in memory before writing; the streaming writer must not change a byte.
+    GOLDEN = {
+        "tiny": "9986324abd5feeec568848eece032a6b3ecc69f5e97a2b419379c0c650b98dd2",
+        "line3": "0919d6733970daa88e12af33d467099e12516d9f981261b8659048aa6b2989d5",
+        "two_clusters": "a8602533aa3de775bdfef5b19ed6bf276ab0fa8ab7a2631fafe12b3757c089b2",
+        "p8_v12": "2fc71a8e6ed229e041c96b5314b1f535bf1fd62ca8d2a42a6454d0dcb2729d39",
+    }
+
+    def test_exported_bytes_match_the_recorded_digests(self, tmp_path, line3, two_clusters):
+        instances = {"tiny": tiny_instance(), "line3": line3, "two_clusters": two_clusters,
+                     "p8_v12": p8_v12_instance()}
+        for name, inst in instances.items():
+            path = tmp_path / f"{name}.lp"
+            export_lp(inst, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[name], name
+
+    def test_export_memory_is_a_small_fraction_of_the_file(self, tmp_path):
+        # Rows stream to the file: the traced peak is one row's terms and
+        # the file buffer, not the 47,455 rows of this 2.3 MB model.
+        inst = p8_v12_instance()
+        path = tmp_path / "p8_v12.lp"
+        tracemalloc.start()
+        try:
+            export_lp(inst, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------

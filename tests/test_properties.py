@@ -4,13 +4,16 @@ The heuristic's solutions must check clean and never beat the exact
 optimum, the reachability look-ahead shared by the search and the exact
 solver must agree with a per-VNF recount on arbitrary head assignments, and
 along random walks of search moves every incrementally scored neighbour
-must equal a full rescore. Examples are derandomized, so every run checks
-the same instances.
+must equal a full rescore. The MILP solver on the exported LP must reach
+the exact optimum, and instance and solution files must round-trip
+exactly. Examples are derandomized, so every run checks the same instances.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,22 +24,29 @@ from manoplace import (
     OracleStatus,
     TabuParams,
     check_feasibility,
+    export_lp,
     generate_instance,
+    load_problem,
+    load_solution,
+    save_problem,
+    save_solution,
     solve_exact,
     two_step_place,
 )
+from manoplace.model import DomainPlan, Solution, VnfmAssignment
 from manoplace.tabu import _Position, _start, unreachable_vnf_groups
 
+from test_lp_export import _solve_lp
 from test_tabu import check_neighbour, naive_look_ahead, tables
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
 
-def generated(max_pops):
+def generated(max_pops, max_vnfs=12):
     return st.builds(
         GeneratorConfig,
         pop_count=st.integers(2, max_pops),
-        vnf_count=st.integers(1, 12),
+        vnf_count=st.integers(1, max_vnfs),
         area_side_km=st.sampled_from([1500.0, 3000.0, 4500.0]),
         nfvo_capacity=st.integers(2, 20),
         vnfm_capacity=st.integers(1, 10),
@@ -48,9 +58,9 @@ instances = generated(6)
 
 
 @st.composite
-def mixed_bounds(draw, max_pops):
+def mixed_bounds(draw, max_pops, max_vnfs=12):
     """A generated instance whose VNFs draw their two manager bounds each."""
-    instance = draw(generated(max_pops))
+    instance = draw(generated(max_pops, max_vnfs))
     bound = st.sampled_from([15.0, 30.0, 45.0])
     vnfs = tuple(replace(v, vnfm_delay_bound=draw(bound), nfvo_vnfm_delay_bound=draw(bound))
                  for v in instance.vnfs)
@@ -101,3 +111,50 @@ def test_incremental_scores_match_a_full_rescore(instance, walk):
         chosen = moves[pick % len(moves)]
         position.move_to(chosen)
         assert tables(position) == tables(_Position(instance, chosen.nfvo_at, chosen.head_of))
+
+
+@SMALL
+@given(mixed_bounds(3, max_vnfs=2))
+def test_milp_on_the_exported_lp_reaches_the_exact_optimum(instance):
+    exact = solve_exact(instance)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.lp"
+        export_lp(instance, path)
+        res = _solve_lp(path)
+    assert exact.status is not OracleStatus.BUDGET_EXCEEDED
+    assert res.success == (exact.status is OracleStatus.OPTIMAL), res.message
+    if res.success:
+        assert round(res.fun) == exact.objective
+
+
+@st.composite
+def solutions(draw):
+    """Any well-formed solution; files need not describe a feasible one."""
+    n = draw(st.integers(1, 8))
+    pop = st.integers(0, n - 1)
+    nfvo_at = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    head_of = draw(st.lists(pop, min_size=n, max_size=n))
+    vnfms = draw(st.lists(st.builds(VnfmAssignment, pop, st.lists(st.integers(0, 30),
+                                                                   max_size=5).map(tuple)),
+                          max_size=6))
+    return Solution(DomainPlan.make(nfvo_at, head_of), tuple(vnfms))
+
+
+@SMALL
+@given(mixed_bounds(8), solutions(), st.sampled_from(["optimal", "budget_exceeded"]),
+       st.integers(0, 10**6))
+def test_instance_and_solution_files_round_trip_exactly(instance, solution, status, nodes):
+    extra = {"status": status, "nodes_explored": nodes}
+    with tempfile.TemporaryDirectory() as tmp:
+        problem_path, solution_path, again = (Path(tmp) / n for n in ("i.json", "s.json", "t.json"))
+        save_problem(instance, problem_path)
+        loaded = load_problem(problem_path)
+        assert loaded == instance
+        save_problem(loaded, again)
+        assert again.read_bytes() == problem_path.read_bytes()
+
+        save_solution(solution, solution_path, extra=extra)
+        loaded = load_solution(solution_path)
+        assert loaded == solution
+        save_solution(loaded, again, extra=extra)
+        assert again.read_bytes() == solution_path.read_bytes()
