@@ -21,11 +21,14 @@ rows rather than exported as variables, so location-indexed families only
 emit rows for the location that actually holds the VNF, and the GSO delay
 family only emits rows for the GSO's own PoP.
 
-Dialect (kept deliberately small; ``check_lp_file`` accepts exactly this):
-comment lines start with a backslash; sections are ``Minimize``,
-``Subject To``, ``Binary``, ``End`` in that order; each constraint row is
+Dialect (kept deliberately small): comment lines start with a backslash;
+sections are ``Minimize``, ``Subject To``, ``Binary``, ``End`` in that
+order; each constraint row is
 ``name: [sign] [coef] var {+|- [coef] var} (<=|>=|=) number``. All
-variables are declared in the Binary section.
+variables are declared in the Binary section. ``check_lp_file`` checks a
+file in the writer's own line form line by line, one regular expression per
+line; any other file it parses token by token, and that parse alone words
+the diagnostics.
 
 Neither direction holds the model in memory: ``write_lp_model`` writes each
 row as ``LpModel.rows`` generates it, and ``check_lp_file`` reads the file a
@@ -294,11 +297,93 @@ def _parse_expression(tokens: list[str], i: int, lines: Iterator[list[str]], use
 def check_lp_file(path: str | Path) -> list[str]:
     """Re-parse an exported LP file; returns diagnostics (empty means clean).
 
-    The file is read a line at a time into a window of a few tokens, so
-    memory grows only with the sets of row and variable names.
+    A file in the exact line form ``write_lp_model`` emits is checked line by
+    line; any other file is parsed token by token, and every diagnostic comes
+    from that parse. Both read the file a line at a time, so memory grows
+    only with the sets of row and variable names.
     """
     with open(path) as file:
+        if _is_clean_export(file):
+            return []
+        file.seek(0)
         return _check_lines(_token_lines(file))
+
+
+# The writer's line forms: objective, row, continuation and Binary lines.
+# Compiled with re.ASCII, each accepts a strict subset of what the token parse
+# accepts without a diagnostic: numbers and names end where _TOKEN_RE's greedy
+# tokens end, row names cannot be keywords, and inf or nan does not match.
+_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_VAR = r"(?:h_\d+|[rx]_\d+_\d+|y_\d+_\d+_\d+|z_\d+_\d+_\d+_\d+)"
+_TERMS = rf"(?:{_NUM} )?{_VAR}(?: [+-] (?:{_NUM} )?{_VAR})*"
+_CLOSE = rf"(?: (<=|>=|=) -?{_NUM})?\n"
+_LINE_FORMS = (rf" obj: ((?:- )?{_TERMS})\n",
+               rf" (c\d+(?:_\d+)*): ((?:- )?{_TERMS}){_CLOSE}",
+               rf"      ([+-] {_TERMS}){_CLOSE}",
+               rf" ({_VAR})\n")
+
+
+def _is_clean_export(file: IO[str]) -> bool:
+    """True when the file is in the writer's line form with no repeated row
+    name or declaration and the used variables equal the declared ones.
+
+    False means only that this check cannot tell: the token parse decides.
+    """
+    # Compiled on the first check, not at import; re caches them after that.
+    obj_line, row_line, cont_line, binary_line = (
+        re.compile(form, re.ASCII).fullmatch for form in _LINE_FORMS)
+    lines = iter(file)
+    comment = next(lines, "")
+    # A form feed or other line separator inside a comment line would end the
+    # comment for the token parse.
+    if not (comment.startswith("\\") and len(comment.splitlines()) == 1):
+        return False
+    if next(lines, "") != "Minimize\n":
+        return False
+    objective = obj_line(next(lines, ""))
+    if objective is None:
+        return False
+    used = set(objective[1].split())
+    line = next(lines, "")
+    while (more := cont_line(line)) is not None and more[2] is None:
+        used.update(more[1].split())
+        line = next(lines, "")
+    if line != "Subject To\n":
+        return False
+
+    names: set[str] = set()
+    rows = 0
+    for line in lines:
+        row = row_line(line)
+        if row is None:
+            break
+        names.add(row[1])
+        rows += 1
+        used.update(row[2].split())
+        closed = row[3]
+        while closed is None:
+            more = cont_line(next(lines, ""))
+            if more is None:
+                return False
+            used.update(more[1].split())
+            closed = more[2]
+    if line != "Binary\n":
+        return False
+
+    declared: set[str] = set()
+    count = 0
+    for line in lines:
+        var = binary_line(line)
+        if var is None:
+            break
+        declared.add(var[1])
+        count += 1
+    # Nothing may follow End, and every line must end in a bare \n: reading
+    # translates CR and CRLF line ends, and file.newlines records them.
+    if line != "End\n" or next(lines, None) is not None or file.newlines not in (None, "\n"):
+        return False
+    used = {token for token in used if token[0].isalpha()}
+    return len(names) == rows and len(declared) == count and used == declared
 
 
 def _check_lines(lines: Iterator[list[str]]) -> list[str]:

@@ -24,7 +24,7 @@ from manoplace import (
     generate_instance,
     solve_exact,
 )
-from manoplace.lp_export import build_lp_model
+from manoplace.lp_export import _check_lines, _is_clean_export, _token_lines, build_lp_model
 
 from conftest import make_instance
 
@@ -37,6 +37,18 @@ def tiny_instance():
 
 def p8_v12_instance():
     return generate_instance(GeneratorConfig(pop_count=8, vnf_count=12, seed=1))
+
+
+def check_against_the_token_parse(path, fast):
+    """``check_lp_file`` equals the token parse, the reference, on ``path``;
+    ``fast`` says whether the line-form check must accept the file."""
+    with open(path) as file:
+        reference = _check_lines(_token_lines(file))
+    with open(path) as file:
+        assert _is_clean_export(file) is fast
+    diags = check_lp_file(path)
+    assert diags == reference
+    return diags
 
 
 class TestModelCounts:
@@ -89,10 +101,10 @@ class TestModelCounts:
 
 class TestGrammarCheck:
     def test_exported_files_are_clean(self, tmp_path, line3, two_clusters):
-        for i, inst in enumerate((tiny_instance(), line3, two_clusters)):
+        for i, inst in enumerate((tiny_instance(), line3, two_clusters, p8_v12_instance())):
             path = tmp_path / f"m{i}.lp"
             export_lp(inst, path)
-            assert check_lp_file(path) == []
+            assert check_against_the_token_parse(path, fast=True) == []
 
     @pytest.mark.parametrize("corrupt, fragment", [
         (lambda t: t.replace(" c2_1:", " c2_0:", 1), "duplicate constraint"),
@@ -110,7 +122,7 @@ class TestGrammarCheck:
         path = tmp_path / "tiny.lp"
         export_lp(tiny_instance(), path)
         path.write_text(corrupt(path.read_text()))
-        diags = check_lp_file(path)
+        diags = check_against_the_token_parse(path, fast=False)
         assert any(fragment in d for d in diags), diags
 
     def test_unused_declaration_is_reported(self, tmp_path):
@@ -118,7 +130,7 @@ class TestGrammarCheck:
         export_lp(tiny_instance(), path)
         text = path.read_text().replace("Binary\n", "Binary\n z_7_7_7_7\n")
         path.write_text(text)
-        diags = check_lp_file(path)
+        diags = check_against_the_token_parse(path, fast=False)
         assert any("never used" in d for d in diags), diags
 
     def test_long_rows_cross_window_refills(self, tmp_path):
@@ -129,9 +141,33 @@ class TestGrammarCheck:
         text = path.read_text()
         c17 = text[text.index(" c17_0:"):text.index(" c17_1:")]
         assert c17.count("\n") == 55
-        assert check_lp_file(path) == []
+        assert check_against_the_token_parse(path, fast=True) == []
         path.write_text(text.replace(" c18_", " c17_0: h_0 <= 1\n c18_", 1))
-        assert check_lp_file(path) == ["duplicate constraint name 'c17_0'"]
+        assert check_against_the_token_parse(path, fast=False) == [
+            "duplicate constraint name 'c17_0'"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: "\f" + t,
+        lambda t: t.replace("Subject To\n", "Subject To\n\\ a note\n"),
+        lambda t: t.replace("Binary\n", "Binary\n\n"),
+        lambda t: t + "\\ written by hand\n",
+        lambda t: t.replace("Minimize", "Maximize").replace("Binary", "Binaries"),
+        lambda t: t.replace(" r_0_0 - h_0 <= 0", " r_0_0 - h_0\n      <= 0", 1),
+        lambda t: t.replace("10 h_1 <= 80", "inf h_1 <= 80"),
+        lambda t: t.replace("\\ placement", "\\ placement\fBinary", 1),
+        lambda t: t.replace("End\n", "End"),
+        lambda t: t.replace("h_1", "h_\u0661"),
+    ], ids=["crlf", "form-feed-comment", "comment-mid-file", "blank-line",
+            "comment-after-end", "maximize-binaries", "row-broken-at-operator",
+            "inf-coefficient", "form-feed-in-comment", "no-final-newline",
+            "non-ascii-digit"])
+    def test_other_forms_are_left_to_the_token_parse(self, tmp_path, edit):
+        path = tmp_path / "tiny.lp"
+        export_lp(tiny_instance(), path)
+        text = edit(path.read_text())
+        path.write_bytes(text.encode())
+        check_against_the_token_parse(path, fast=False)
 
 
 class TestWriter:

@@ -5,8 +5,10 @@ optimum, the reachability look-ahead shared by the search and the exact
 solver must agree with a per-VNF recount on arbitrary head assignments, and
 along random walks of search moves every incrementally scored neighbour
 must equal a full rescore. The MILP solver on the exported LP must reach
-the exact optimum, and instance and solution files must round-trip
-exactly. Examples are derandomized, so every run checks the same instances.
+the exact optimum, instance and solution files must round-trip exactly,
+and on exports with one character or line edited the LP check must equal
+the token parse. Examples are derandomized, so every run checks the
+same instances.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from manoplace import (
     OracleStatus,
     TabuParams,
     check_feasibility,
+    check_lp_file,
     export_lp,
     generate_instance,
     load_problem,
@@ -33,6 +36,7 @@ from manoplace import (
     solve_exact,
     two_step_place,
 )
+from manoplace.lp_export import _check_lines, _token_lines
 from manoplace.model import DomainPlan, Solution, VnfmAssignment
 from manoplace.tabu import _Position, _start, unreachable_vnf_groups
 
@@ -114,8 +118,11 @@ def test_incremental_scores_match_a_full_rescore(instance, walk):
 
 
 @SMALL
-@given(mixed_bounds(3, max_vnfs=2))
-def test_milp_on_the_exported_lp_reaches_the_exact_optimum(instance):
+@given(mixed_bounds(3, max_vnfs=2), st.sampled_from([15.0, 30.0, 80.0]))
+def test_milp_on_the_exported_lp_reaches_the_exact_optimum(instance, gso_bound):
+    # A tight GSO bound makes the c12 rows bind, and some drawn instances
+    # infeasible.
+    instance = replace(instance, params=replace(instance.params, gso_nfvo_delay_bound=gso_bound))
     exact = solve_exact(instance)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.lp"
@@ -125,6 +132,40 @@ def test_milp_on_the_exported_lp_reaches_the_exact_optimum(instance):
     assert res.success == (exact.status is OracleStatus.OPTIMAL), res.message
     if res.success:
         assert round(res.fun) == exact.objective
+
+
+# What an edit may insert: separators, line ends and the characters of the
+# writer's tokens, keywords and numbers.
+EDIT_CHARS = list("0123456789hrxyzc_ +-=<>:.eE\n\r\f\t\\") + ["inf", "End", "\x85"]
+
+
+@SMALL
+@given(generated(3, max_vnfs=2),
+       st.sampled_from([(edit, whole_line) for edit in ("truncate", "delete", "duplicate", "replace")
+                        for whole_line in (False, True)]),
+       st.data())
+def test_lp_check_equals_the_token_parse_on_edited_exports(instance, how, data):
+    edit, whole_line = how
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.lp"
+        export_lp(instance, path)
+        with open(path, newline="") as file:
+            units = file.readlines() if whole_line else list(file.read())
+        i = data.draw(st.integers(0, len(units) - 1))
+        if edit == "truncate":
+            del units[i:]
+        elif edit == "delete":
+            del units[i]
+        elif edit == "duplicate":
+            units.insert(i, units[i])
+        elif whole_line:
+            units[i] = units[data.draw(st.integers(0, len(units) - 1))]
+        else:
+            units[i] = data.draw(st.sampled_from(EDIT_CHARS))
+        path.write_bytes("".join(units).encode())
+        with open(path) as file:
+            reference = _check_lines(_token_lines(file))
+        assert check_lp_file(path) == reference
 
 
 @st.composite
