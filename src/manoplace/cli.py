@@ -203,7 +203,10 @@ def _cmd_solve_exact(args) -> int:
 def _cmd_check(args) -> int:
     instance = load_instance_ref(args.instance)
     solution = load_solution(args.solution)
-    report = check_feasibility(instance, solution)
+    try:
+        report = check_feasibility(instance, solution)
+    except ValueError as exc:  # the solution does not fit the instance
+        raise _UsageError(f"{args.solution}: {exc}") from None
     if report.ok:
         print(f"{args.solution}: feasible (objective={solution.objective})")
         return EXIT_OK
@@ -252,10 +255,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"manoplace: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InstanceFormatError, SolutionFormatError) as exc:
+    except (_UsageError, InstanceFormatError, SolutionFormatError, OSError) as exc:
         print(f"manoplace: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InstanceValidationError as exc:
@@ -267,9 +267,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     except InfeasibleDomain as exc:
         print(f"manoplace: infeasible domain: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"manoplace: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - safety net
         print(f"manoplace: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -30,6 +30,7 @@ from .topology import (
     DEFAULT_VNF_VNFM_BOUND_MS,
     GeneratorConfig,
     ProblemInstance,
+    check_type,
     generate_instance,
     load_problem,
     parse_config,
@@ -71,6 +72,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.instance_file is None) == (self.generator is None):
             raise ValueError("exactly one of instance_file and generator must be set")
+        for name in ("runs_per_point", "base_seed", "oracle_max_nodes"):
+            check_type(name, getattr(self, name), int)
+        for name in ("emit_solutions", "wall_clock"):
+            check_type(name, getattr(self, name), bool)
+        for count in self.vnf_counts:
+            check_type("vnf_counts entry", count, int)
         if not self.vnf_counts or any(v < 1 for v in self.vnf_counts):
             raise ValueError("vnf_counts must be a nonempty list of positive counts")
         if not self.algorithms:

@@ -67,9 +67,6 @@ class DomainPlan:
     def active_pops(self) -> tuple[int, ...]:
         return tuple(p for p, on in enumerate(self.nfvo_at) if on)
 
-    def members_of(self, head: int) -> tuple[int, ...]:
-        return tuple(q for q, h in enumerate(self.head_of) if h == head)
-
 
 @dataclass(frozen=True)
 class VnfmAssignment:

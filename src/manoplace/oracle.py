@@ -9,10 +9,11 @@ proved optimum. On ties the first solution in enumeration order (increasing
 cardinality, then lexicographic subsets and assignments) is kept, which
 makes results reproducible.
 
-Intended for desk-scale instances (around six PoPs or fewer); the node and
-time budget turns runaway searches into a reported ``BUDGET_EXCEEDED``
-instead of a hang. ``INFEASIBLE`` is only ever reported after the whole
-space has been enumerated.
+Intended for desk-scale instances: at ten PoPs and a few tens of VNFs it
+proves optimality in about a second or less, and its cost grows steeply
+with the PoP count. The node and time budget turns runaway searches into a
+reported ``BUDGET_EXCEEDED`` instead of a hang. ``INFEASIBLE`` is only ever
+reported after the whole space has been enumerated.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .model import DomainPlan, Solution, VnfmAssignment
-from .tabu import unreachable_vnf_groups
+from .tabu import unreachable_vnfs
 from .topology import ProblemInstance
 from .vnfm import domains_of, place_domain
 
@@ -73,13 +74,17 @@ class _Ticker:
 
 
 def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
-                          tick=None) -> Iterator[tuple[int, ...]]:
+                          tick) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield complete head assignments for this orchestrator subset, in
-    lexicographic order, honouring the VIM delay bound and domain capacity."""
+    lexicographic order, honouring the VIM delay bound, domain capacity and
+    the manager look-ahead, each with a floor on its manager count: the sum
+    over its domains of the VNF count over the manager capacity, rounded up.
+    ``tick`` is called once per complete assignment."""
     n = instance.pop_count
     d = instance.delays
     big_psi = instance.params.nfvo_vim_delay_bound
     cap = instance.params.nfvo_capacity
+    vnfm_cap = instance.params.vnfm_capacity
 
     vnfs_at = [m.bit_count() for m in instance.vnfs_at]
 
@@ -97,12 +102,11 @@ def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
 
     head_of = list(range(n))
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int) -> Iterator[tuple[tuple[int, ...], int]]:
         if i == len(nonheads):
-            if tick is not None:
-                tick()
-            if not any(unreachable_vnf_groups(instance, head_of)):
-                yield tuple(head_of)
+            tick()
+            if not any(unreachable_vnfs(instance, head_of)):
+                yield tuple(head_of), sum(math.ceil(c / vnfm_cap) for c in counts.values())
             return
         q = nonheads[i]
         vq = vnfs_at[q]
@@ -156,14 +160,11 @@ def solve_exact(instance: ProblemInstance,
                 break  # no larger subset can beat the incumbent: proved optimal
             for heads in combinations(head_candidates, k):
                 ticker.tick()
-                for head_of in _feasible_assignments(instance, heads, ticker.tick):
-                    plan = _plan_of(instance, heads, head_of)
-                    per_domain_floor = sum(
-                        math.ceil(len(dom.vnf_ids) / params.vnfm_capacity)
-                        for dom in domains_of(instance, plan))
-                    if (best_objective is not None
-                            and k + per_domain_floor >= best_objective):
+                for head_of, per_domain_floor in _feasible_assignments(instance, heads,
+                                                                       ticker.tick):
+                    if best_objective is not None and k + per_domain_floor >= best_objective:
                         continue
+                    plan = _plan_of(instance, heads, head_of)
                     vnfms = _solve_domains(instance, plan)
                     total = k + len(vnfms)
                     if best_objective is None or total < best_objective:
@@ -177,22 +178,3 @@ def solve_exact(instance: ProblemInstance,
         return OracleResult(OracleStatus.INFEASIBLE, None, None, ticker.nodes)
     return OracleResult(OracleStatus.OPTIMAL, best_solution, best_objective,
                         ticker.nodes)
-
-
-def min_feasible_nfvo_count(instance: ProblemInstance) -> int | None:
-    """Smallest orchestrator count for which any feasible domain plan exists.
-
-    This is the target of the search's first step (manager count played no
-    part), which makes it the reference for judging the tabu result. None
-    means no plan is feasible at any cardinality.
-    """
-    params = instance.params
-    d = instance.delays
-    n = instance.pop_count
-    head_candidates = [p for p in range(n)
-                       if d[params.gso_location][p] <= params.gso_nfvo_delay_bound]
-    for k in range(1, n + 1):
-        for heads in combinations(head_candidates, k):
-            for _head_of in _feasible_assignments(instance, heads):
-                return k
-    return None

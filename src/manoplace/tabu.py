@@ -23,10 +23,10 @@ improving the best-found score.
 
 The penalty is a sum of per-PoP terms and per-domain terms, so a neighbour
 is scored from the few PoPs and domains its move changes. Bitmask tables
-built once per instance (``ProblemInstance.manager_hosts``, ``vnfs_at`` and
-``vnfs_served``) make a domain's term a handful of big-int operations: each
-domain keeps the VNFs its members can manage once and twice over, so
-removing or adding a member needs no rescan of the others.
+built once per instance (``ProblemInstance.vnfs_at`` and ``vnfs_served``)
+make a domain's term a handful of big-int operations: each domain keeps the
+VNFs its members can manage once and twice over, so removing or adding a
+member needs no rescan of the others.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .model import DomainPlan
-from .topology import ProblemInstance
+from .topology import ProblemInstance, check_type
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,10 @@ class TabuParams:
     def __post_init__(self):
         for name in ("stop_patience", "tabu_tenure", "neighborhood_samples"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value is not None:
+                check_type(name, value, int)
+                if value < 1:
+                    raise ValueError(f"{name} must be >= 1")
 
     def resolved(self, pop_count: int) -> tuple[int, int, int]:
         patience = self.stop_patience if self.stop_patience is not None else 4 * pop_count
@@ -75,14 +77,12 @@ class Score(NamedTuple):
     nfvo_count: int
 
 
-def unreachable_vnf_groups(instance: ProblemInstance, head_of) -> Iterator[int]:
-    """Yield the VNF count of every VNF group whose domain offers no PoP within
+def unreachable_vnfs(instance: ProblemInstance, head_of) -> Iterator[int]:
+    """Yield, per domain, how many of its VNFs no member PoP can manage within
     both manager delay bounds: no later step can give those VNFs a manager."""
-    members = _members(instance.pop_count, head_of)
-    for (loc, _, _, count), hosts in zip(instance.vnf_groups, instance.manager_hosts):
-        head = head_of[loc]
-        if not hosts[head] & members[head]:
-            yield count
+    for h, members in enumerate(_members(instance.pop_count, head_of)):
+        _, located, served, _ = _domain(instance, h, members)
+        yield (located & ~served).bit_count()
 
 
 def _members(pop_count: int, head_of) -> list[int]:
@@ -99,6 +99,20 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _domain(instance: ProblemInstance, h: int, members: int) -> tuple[int, int, int, int]:
+    """``(members, located, once, twice)`` of the domain headed by ``h`` whose
+    member PoPs are the mask ``members``: the VNFs located on them, and the
+    VNFs that at least one, and at least two, of them can manage under ``h``."""
+    at = instance.vnfs_at
+    serves = instance.vnfs_served[h]
+    located = once = twice = 0
+    for q in _bits(members):
+        located |= at[q]
+        twice |= once & serves[q]
+        once |= serves[q]
+    return members, located, once, twice
 
 
 def _pop_term(instance: ProblemInstance, nfvo_at, head_of, q: int) -> int:
@@ -148,22 +162,12 @@ class _Position:
         self.head_of = tuple(head_of)
         self.pop_terms = [_pop_term(instance, self.nfvo_at, self.head_of, q)
                           for q in range(n)]
-        self.domains = [self._domain(h, m)
+        self.domains = [_domain(instance, h, m)
                         for h, m in enumerate(_members(n, self.head_of))]
         self.domain_terms = [_domain_term(instance, located, once)
                              for _, located, once, _ in self.domains]
         self.active = [p for p in range(n) if self.nfvo_at[p]]
         self.score = Score(sum(self.pop_terms) + sum(self.domain_terms), len(self.active))
-
-    def _domain(self, h: int, members: int) -> tuple[int, int, int, int]:
-        at = self.instance.vnfs_at
-        serves = self.instance.vnfs_served[h]
-        located = once = twice = 0
-        for q in _bits(members):
-            located |= at[q]
-            twice |= once & serves[q]
-            once |= serves[q]
-        return members, located, once, twice
 
     def _leave(self, h: int, q: int) -> int:
         """Change of domain ``h``'s term when member ``q`` leaves it."""
@@ -244,7 +248,7 @@ class _Position:
             members[cand.head_of[q]] |= 1 << q
             touched.update((old_head[q], cand.head_of[q]))
         for h in touched:
-            self.domains[h] = self._domain(h, members[h])
+            self.domains[h] = _domain(self.instance, h, members[h])
             self.domain_terms[h] = _domain_term(self.instance, *self.domains[h][1:3])
         rescore = set(moved)
         for p in range(n):
@@ -259,7 +263,7 @@ class _Position:
 def penalty_parts(instance: ProblemInstance, plan: DomainPlan) -> dict[str, int]:
     """A plan's penalty split into per-PoP rules, look-ahead and capacity."""
     position = _Position(instance, plan.nfvo_at, plan.head_of)
-    look_ahead = sum(unreachable_vnf_groups(instance, plan.head_of))
+    look_ahead = sum(unreachable_vnfs(instance, plan.head_of))
     return {"per-PoP rules": sum(position.pop_terms), "look-ahead": look_ahead,
             "capacity": sum(position.domain_terms) - look_ahead}
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -102,53 +101,31 @@ class ProblemInstance:
     def vnf_count(self) -> int:
         return len(self.vnfs)
 
-    @cached_property
-    def vnf_groups(self) -> tuple[tuple[int, float, float, int], ...]:
-        """VNFs grouped by (location, vnfm bound, nfvo-vnfm bound) with counts.
-
-        VNFs in the same group are interchangeable for reachability checks,
-        which keeps the search's penalty evaluation off the per-VNF loop.
-        """
-        counts: dict[tuple[int, float, float], int] = {}
-        for v in self.vnfs:
-            key = (v.location, v.vnfm_delay_bound, v.nfvo_vnfm_delay_bound)
-            counts[key] = counts.get(key, 0) + 1
-        return tuple((loc, w, big_w, n) for (loc, w, big_w), n in sorted(counts.items()))
-
-    # The tables below are bitmasks: bit pp of a PoP mask stands for PoP pp,
-    # bit i of a VNF mask for the i-th VNF in ``vnf_groups`` order.
-
-    def _can_host(self, groups) -> Iterator[np.ndarray]:
-        """Per head h, the boolean array ``[pp, i]``: PoP pp can host a manager
-        in h's domain for the VNFs of ``groups[i]`` (``delays[loc][pp] <= ω``
-        and ``delays[pp][h] <= Ω``). One head at a time keeps arrays small."""
-        d = np.asarray(self.delays)
-        rows = np.array(groups, dtype=float).reshape(-1, 4)
-        near = np.ascontiguousarray((d[rows[:, 0].astype(int)] <= rows[:, 1:2]).T)
-        for h in range(self.pop_count):
-            yield near & (d[:, h:h + 1] <= rows[:, 2])
-
-    @cached_property
-    def manager_hosts(self) -> tuple[tuple[int, ...], ...]:
-        """``manager_hosts[g][h]``: the PoPs that can host a manager for VNF
-        group g in the domain headed by h."""
-        return tuple(zip(*(_bitmasks(block.T) for block in self._can_host(self.vnf_groups))))
+    # The two tables below are VNF bitmasks: bit i stands for ``vnfs[i]``.
+    # They are the one implementation of the manager-reachability rule that
+    # the search, the manager placer and the exact solver all use.
 
     @cached_property
     def vnfs_served(self) -> tuple[tuple[int, ...], ...]:
-        """``vnfs_served[h][pp]``: the VNFs that a manager at PoP pp could run
-        in the domain headed by h."""
-        per_vnf = [g for g in self.vnf_groups for _ in range(g[3])]
-        return tuple(_bitmasks(block) for block in self._can_host(per_vnf))
+        """``vnfs_served[h][p]``: the VNFs that a manager at PoP p could run in
+        the domain headed by h, that is each VNF v with
+        ``delays[v.location][p] <= v.vnfm_delay_bound`` and
+        ``delays[p][h] <= v.nfvo_vnfm_delay_bound``."""
+        d = np.asarray(self.delays)
+        loc = np.array([v.location for v in self.vnfs], dtype=int)
+        omega = np.array([v.vnfm_delay_bound for v in self.vnfs])
+        big_omega = np.array([v.nfvo_vnfm_delay_bound for v in self.vnfs])
+        near = np.ascontiguousarray((d[loc] <= omega[:, None]).T)  # [p, i]
+        # One head at a time keeps the arrays P x V.
+        return tuple(_bitmasks(near & (d[:, h:h + 1] <= big_omega))
+                     for h in range(self.pop_count))
 
     @cached_property
     def vnfs_at(self) -> tuple[int, ...]:
         """Per PoP, the VNFs located there."""
         masks = [0] * self.pop_count
-        offset = 0
-        for loc, _, _, count in self.vnf_groups:
-            masks[loc] |= ((1 << count) - 1) << offset
-            offset += count
+        for i, v in enumerate(self.vnfs):
+            masks[v.location] |= 1 << i
         return tuple(masks)
 
 
@@ -167,6 +144,15 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.entries
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """Raise :class:`TypeError` unless ``value`` is a ``kind``, which is
+    ``int`` or ``bool``. A bool does not pass as an integer: in the JSON
+    settings files these checks guard, ``true`` is not a count."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        what = "an integer" if kind is int else "a boolean"
+        raise TypeError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -196,9 +182,7 @@ class GeneratorConfig:
 
     def __post_init__(self):
         for name in ("pop_count", "vnf_count", "nfvo_capacity", "vnfm_capacity", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            check_type(name, getattr(self, name), int)
         if self.pop_count < 1:
             raise ValueError("pop_count must be >= 1")
         if self.vnf_count < 1:

@@ -6,6 +6,8 @@ so that every VNF sits within its own delay bound of its manager and every
 manager sits within the VNF's orchestrator bound of the domain head. That
 is a capacitated covering problem; domains up to ``EXACT_THRESHOLD`` VNFs
 are solved exactly by branch and bound, larger ones by a covering greedy.
+A feasible plan's domains hold at most the orchestrator capacity of VNFs,
+so the greedy runs only when that capacity is above the threshold.
 
 ``two_step_place`` chains the orchestrator search and the per-domain
 manager placement into a full solution.
@@ -18,47 +20,40 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleDomain, NoFeasiblePlan
 from .model import DomainPlan, Solution, VnfmAssignment
-from .tabu import SearchResult, TabuParams, penalty_parts, search
-from .topology import ProblemInstance, VnfInstance
+from .tabu import SearchResult, TabuParams, _bits, _domain, _members, penalty_parts, search
+from .topology import ProblemInstance
 
 EXACT_THRESHOLD = 20
 
 
 @dataclass(frozen=True)
 class DomainView:
-    """One domain: its head, member PoPs and the VNFs located on them."""
+    """One domain: its head, the VNFs located on its member PoPs and, per VNF,
+    the member PoPs that can host its manager."""
 
     head: int
-    member_pops: tuple[int, ...]
     vnf_ids: tuple[int, ...]
+    hosts: tuple[frozenset[int], ...]
 
 
 def domains_of(instance: ProblemInstance, plan: DomainPlan) -> tuple[DomainView, ...]:
-    """The plan's domains in ascending head order."""
+    """The plan's domains in ascending head order.
+
+    A member PoP can host a VNF's manager when it is within the VNF's own
+    delay bound of the VNF's location and within the VNF's orchestrator bound
+    of the head; ``ProblemInstance.vnfs_served`` holds that rule.
+    """
+    members = _members(plan.pop_count, plan.head_of)
     views = []
     for head in plan.active_pops:
-        members = plan.members_of(head)
-        member_set = set(members)
-        vnf_ids = tuple(v.id for v in instance.vnfs if v.location in member_set)
-        views.append(DomainView(head, members, vnf_ids))
+        _, located, _, _ = _domain(instance, head, members[head])
+        pops = list(_bits(members[head]))
+        serves = instance.vnfs_served[head]
+        vnfs = list(_bits(located))
+        views.append(DomainView(
+            head, tuple(instance.vnfs[i].id for i in vnfs),
+            tuple(frozenset(p for p in pops if serves[p] >> i & 1) for i in vnfs)))
     return tuple(views)
-
-
-def eligible_hosts(instance: ProblemInstance, domain: DomainView,
-                   vnf: VnfInstance) -> frozenset[int]:
-    """Member PoPs that can host the VNF's manager.
-
-    A PoP qualifies when it is within the VNF's own delay bound of the VNF's
-    location and within the VNF's orchestrator bound of the domain head. The
-    VNF's own PoP qualifies whenever the head is close enough, since the
-    self-delay is zero.
-    """
-    d = instance.delays
-    return frozenset(
-        p for p in domain.member_pops
-        if d[vnf.location][p] <= vnf.vnfm_delay_bound
-        and d[p][domain.head] <= vnf.nfvo_vnfm_delay_bound
-    )
 
 
 def _host_order(instance: ProblemInstance, head: int, hosts, coverage) -> list[int]:
@@ -162,13 +157,10 @@ def place_domain(instance: ProblemInstance, domain: DomainView,
     VNF has no PoP satisfying both delay bounds."""
     if not domain.vnf_ids:
         return ()
-    vnf_by_id = {v.id: v for v in instance.vnfs}
-    elig: dict[int, frozenset[int]] = {}
-    for v_id in domain.vnf_ids:
-        hosts = eligible_hosts(instance, domain, vnf_by_id[v_id])
+    elig = dict(zip(domain.vnf_ids, domain.hosts))
+    for v_id, hosts in elig.items():
         if not hosts:
             raise InfeasibleDomain(v_id, domain.head)
-        elig[v_id] = hosts
 
     cap = instance.params.vnfm_capacity
     if len(domain.vnf_ids) <= exact_threshold:

@@ -70,10 +70,31 @@ class TestParsing:
      ["gen", "--config", "gen.json", "--output", "i.json"], "pop_count must be an integer"),
     ({"gen.json": '{"pop_count": true, "vnf_count": 3}'},
      ["gen", "--config", "gen.json", "--output", "i.json"], "pop_count must be an integer"),
+    *(({"sweep.json": json.dumps({"generator": {"pop_count": 4, "vnf_count": 4},
+                                  "output": "r.csv", key: value})},
+       ["experiment", "--config", "sweep.json"], fragment)
+      for key, value, fragment in [
+          ("base_seed", 1.5, "base_seed must be an integer"),
+          ("runs_per_point", 2.5, "runs_per_point must be an integer"),
+          ("vnf_counts", [1.5], "vnf_counts entry must be an integer"),
+          ("vnf_counts", [True], "vnf_counts entry must be an integer"),
+          ("neighborhood_samples", 2.5, "neighborhood_samples must be an integer"),
+          ("emit_solutions", "no", "emit_solutions must be a boolean")]),
+    *(({"s.json": json.dumps({"nfvos": [0], "assignments": assignments, "vnfms": vnfms})},
+       ["check", "bundled:pop8", "s.json"], fragment)
+      for assignments, vnfms, fragment in [
+          ([0, 0], [], "plan covers 2 PoPs but instance has 8"),
+          ([0] * 7 + [9], [], "head of PoP 7 is 9, out of range"),
+          ([0] * 8, [{"location": 99, "vnf_ids": [0]}], "location 99 is out of range"),
+          ([0] * 8, [{"location": 0, "vnf_ids": [999]}], "unknown VNF id 999")]),
 ], ids=["gen-unknown-key", "gen-bad-json", "gen-zero-pops", "sweep-zero-patience",
         "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
-        "exact-zero-time", "gen-float-pops", "gen-bool-pops"])
-def test_bad_inputs_are_usage_errors(capsys, tmp_path, files, argv, fragment):
+        "exact-zero-time", "gen-float-pops", "gen-bool-pops",
+        "sweep-float-seed", "sweep-float-runs", "sweep-float-count", "sweep-bool-count",
+        "sweep-float-samples", "sweep-string-flag",
+        "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf"])
+def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
+    monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]

@@ -41,8 +41,6 @@ class TestTypes:
         assert plan.pop_count == 3
         assert plan.nfvo_count == 2
         assert plan.active_pops == (0, 2)
-        assert plan.members_of(0) == (0, 1)
-        assert plan.members_of(2) == (2,)
 
     def test_vnfm_assignment_sorts_managed(self):
         m = VnfmAssignment(3, (5, 1, 4))

@@ -21,9 +21,23 @@ from manoplace import (
     generate_instance,
     solve_exact,
 )
-from manoplace.oracle import min_feasible_nfvo_count
+from manoplace.oracle import _feasible_assignments
 
 from conftest import make_instance
+
+
+def fewest_heads(instance):
+    """Smallest orchestrator count for which the solver's enumeration yields any
+    plan, or None: the target of the search's first step."""
+    params = instance.params
+    d = instance.delays
+    heads = [p for p in range(instance.pop_count)
+             if d[params.gso_location][p] <= params.gso_nfvo_delay_bound]
+    for k in range(1, len(heads) + 1):
+        for subset in combinations(heads, k):
+            if next(_feasible_assignments(instance, subset, lambda: None), None):
+                return k
+    return None
 
 
 def min_managers_enumerated(instance, head, members):
@@ -191,18 +205,21 @@ class TestSolveExact:
 
 
 class TestMinFeasibleCount:
+    """The solver's plan enumeration, with its manager look-ahead, stopped at
+    the first orchestrator count that yields a plan."""
+
     def test_single_orchestrator_suffices_on_the_line(self, line3):
-        assert min_feasible_nfvo_count(line3) == 1
+        assert fewest_heads(line3) == 1
 
     def test_cluster_split_needs_two(self, four_pop_clusters):
-        assert min_feasible_nfvo_count(four_pop_clusters) == 2
+        assert fewest_heads(four_pop_clusters) == 2
 
     def test_none_when_nothing_is_feasible(self):
         inst = make_instance([[0, 200], [200, 0]], vnf_locs=(1,))
-        assert min_feasible_nfvo_count(inst) is None
+        assert fewest_heads(inst) is None
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_brute_force_count(self, seed):
         inst = generate_instance(GeneratorConfig(
             pop_count=4, vnf_count=5, seed=seed))
-        assert min_feasible_nfvo_count(inst) == brute_min_k(inst)
+        assert fewest_heads(inst) == brute_min_k(inst)

@@ -2,7 +2,8 @@
 
 The heuristic's solutions must check clean and never beat the exact
 optimum, the reachability look-ahead shared by the search and the exact
-solver must agree with a per-VNF recount on arbitrary head assignments, and
+solver, and the manager hosts of each domain, must agree with a per-VNF
+recount on arbitrary head assignments, and
 along random walks of search moves every incrementally scored neighbour
 must equal a full rescore. The MILP solver on the exported LP must reach
 the exact optimum, instance and solution files must round-trip exactly,
@@ -38,10 +39,12 @@ from manoplace import (
 )
 from manoplace.lp_export import _check_lines, _token_lines
 from manoplace.model import DomainPlan, Solution, VnfmAssignment
-from manoplace.tabu import _Position, _start, unreachable_vnf_groups
+from manoplace.tabu import _Position, _start, unreachable_vnfs
+from manoplace.vnfm import domains_of
 
 from test_lp_export import _solve_lp
 from test_tabu import check_neighbour, naive_look_ahead, tables
+from test_vnfm import eligibility
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
@@ -90,8 +93,23 @@ def test_tabu_solutions_check_clean_and_never_beat_the_optimum(instance, seed):
 def test_look_ahead_matches_the_per_vnf_recount(instance, data):
     n = instance.pop_count
     head_of = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    count = sum(unreachable_vnf_groups(instance, head_of))
+    count = sum(unreachable_vnfs(instance, head_of))
     assert count == naive_look_ahead(instance, head_of)
+
+
+@SMALL
+@given(mixed_bounds(8), st.data())
+def test_domain_hosts_match_the_per_vnf_recount(instance, data):
+    n = instance.pop_count
+    nfvo_at = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    head_of = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    plan = DomainPlan.make(nfvo_at, head_of)
+    domains = domains_of(instance, plan)
+    assert [dom.head for dom in domains] == [p for p in range(n) if nfvo_at[p]]
+    for dom in domains:
+        members = [q for q in range(n) if head_of[q] == dom.head]
+        elig = eligibility(instance, dom.head, members)
+        assert (dom.vnf_ids, dom.hosts) == (tuple(elig), tuple(elig.values()))
 
 
 @SMALL

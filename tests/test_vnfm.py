@@ -3,7 +3,8 @@
 ``flow_minimum`` below is the reference oracle: it enumerates how many
 managers to open per host (smallest total first) and asks a max-flow
 feasibility question for each candidate, so it cannot miss a better
-packing. The branch and bound must match it exactly.
+packing. It reads the manager hosts straight from the delays, sharing no
+code with the placer. The branch and bound must match it exactly.
 """
 
 from __future__ import annotations
@@ -25,18 +26,22 @@ from manoplace import (
 )
 from manoplace.model import DomainPlan
 from manoplace.topology import with_uniform_vnfs
-from manoplace.vnfm import DomainView, domains_of, eligible_hosts, place_domain
+from manoplace.vnfm import DomainView, domains_of, place_domain
 
 from conftest import make_instance
 
 
-def eligibility(instance, domain):
-    vnf_by_id = {v.id: v for v in instance.vnfs}
-    return {v_id: eligible_hosts(instance, domain, vnf_by_id[v_id])
-            for v_id in domain.vnf_ids}
+def eligibility(instance, head, members):
+    """Per VNF located on ``members`` (by id, in inventory order), the members
+    within its own bound of its location and its orchestrator bound of ``head``."""
+    d = instance.delays
+    return {v.id: frozenset(p for p in members
+                            if d[v.location][p] <= v.vnfm_delay_bound
+                            and d[p][head] <= v.nfvo_vnfm_delay_bound)
+            for v in instance.vnfs if v.location in members}
 
 
-def flow_minimum(instance, domain):
+def flow_minimum(instance, head, members):
     """Smallest manager count that covers the domain, by exhaustive check.
 
     For each total count t (ascending) and each distribution of t managers
@@ -45,8 +50,8 @@ def flow_minimum(instance, domain):
     distribution cannot cover some VNF.
     """
     cap = instance.params.vnfm_capacity
-    elig = eligibility(instance, domain)
-    vnfs = list(domain.vnf_ids)
+    elig = eligibility(instance, head, members)
+    vnfs = list(elig)
     if not vnfs:
         return 0
     if any(not e for e in elig.values()):
@@ -70,36 +75,36 @@ def flow_minimum(instance, domain):
 
 
 def single_domain(instance):
+    """The domain of a plan where PoP 0 heads every PoP."""
     n = instance.pop_count
     plan = DomainPlan.make([True] + [False] * (n - 1), [0] * n)
     (domain,) = domains_of(instance, plan)
     return domain
 
 
+def whole(instance):
+    """``flow_minimum``'s and ``eligibility``'s head and members for ``single_domain``."""
+    return 0, range(instance.pop_count)
+
+
 class TestDomainViews:
     def test_domains_follow_the_plan(self, line3):
         plan = DomainPlan.make([True, False, True], [0, 0, 2])
         a, b = domains_of(line3, plan)
-        assert (a.head, a.member_pops, a.vnf_ids) == (0, (0, 1), (0, 1))
-        assert (b.head, b.member_pops, b.vnf_ids) == (2, (2,), (2,))
+        assert (a.head, a.vnf_ids, a.hosts) == (0, (0, 1), (frozenset({0, 1}),) * 2)
+        assert (b.head, b.vnf_ids, b.hosts) == (2, (2,), (frozenset({2}),))
 
-    def test_eligible_hosts_double_filter(self):
+    def test_domain_hosts_double_filter(self):
         for seed in range(4):
             inst = generate_instance(GeneratorConfig(pop_count=5, vnf_count=8,
                                                      seed=seed))
             domain = single_domain(inst)
-            d = inst.delays
-            for v in inst.vnfs:
-                expected = frozenset(
-                    p for p in domain.member_pops
-                    if d[v.location][p] <= v.vnfm_delay_bound
-                    and d[p][domain.head] <= v.nfvo_vnfm_delay_bound)
-                assert eligible_hosts(inst, domain, v) == expected
+            assert dict(zip(domain.vnf_ids, domain.hosts)) == eligibility(inst, *whole(inst))
 
 
 class TestPlaceDomain:
     def test_empty_domain_places_nothing(self, line3):
-        domain = DomainView(head=0, member_pops=(0, 1, 2), vnf_ids=())
+        domain = DomainView(head=0, vnf_ids=(), hosts=())
         assert place_domain(line3, domain) == ()
 
     def test_matches_flow_oracle_on_random_domains(self):
@@ -109,7 +114,7 @@ class TestPlaceDomain:
                 pop_count=4, vnf_count=6, seed=seed, vnfm_capacity=2,
                 vnfm_delay_bound=20.0))
             domain = single_domain(inst)
-            expected = flow_minimum(inst, domain)
+            expected = flow_minimum(inst, *whole(inst))
             if expected is None:
                 with pytest.raises(InfeasibleDomain):
                     place_domain(inst, domain)
@@ -124,7 +129,7 @@ class TestPlaceDomain:
                                                  seed=3, vnfm_capacity=3))
         domain = single_domain(inst)
         placed = place_domain(inst, domain)
-        elig = eligibility(inst, domain)
+        elig = eligibility(inst, *whole(inst))
         seen = []
         for m in placed:
             assert 1 <= m.load <= 3
@@ -145,7 +150,7 @@ class TestPlaceDomain:
         domain = single_domain(inst)
         placed = place_domain(inst, domain)
         assert len(placed) == 2
-        assert flow_minimum(inst, domain) == 2
+        assert flow_minimum(inst, *whole(inst)) == 2
 
     def test_many_vnfs_at_one_pop_chunk_into_capacity_managers(self):
         inst = make_instance([[0, 10], [10, 0]], vnf_locs=(0,) * 5,
