@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .errors import (
     InfeasibleDomain,
@@ -42,7 +43,7 @@ from .topology import (
     generate_instance,
     load_instance_ref,
     load_problem,
-    parse_generator_config,
+    parse_config,
     read_json,
     resolve_instance_path,
     save_problem,
@@ -130,16 +131,16 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     if args.config is not None:
-        config = parse_generator_config(read_json(args.config), args.config)
+        config = parse_config(GeneratorConfig, read_json(args.config), args.config)
         if args.seed != 0:
-            config = replace(config, seed=args.seed)
+            config = _from_flags(partial(replace, config), {"--seed": ("seed", args.seed)})
     else:
         if args.pops is None or args.vnfs is None:
             raise _UsageError("gen requires --pops and --vnfs (or --config)")
-        config = parse_generator_config(
-            {"pop_count": args.pops, "vnf_count": args.vnfs, "seed": args.seed,
-             "area_side_km": args.area_km, "delay_per_km": args.delay_per_km,
-             "delay_jitter_fraction": args.jitter}, "gen")
+        config = parse_config(GeneratorConfig, {
+            "pop_count": args.pops, "vnf_count": args.vnfs, "seed": args.seed,
+            "area_side_km": args.area_km, "delay_per_km": args.delay_per_km,
+            "delay_jitter_fraction": args.jitter}, "gen")
     instance = generate_instance(config)
     save_problem(instance, args.output)
     print(f"wrote {args.output}: {instance.pop_count} pops, "

@@ -8,7 +8,7 @@ class ManoPlaceError(Exception):
 
 
 class InstanceFormatError(ManoPlaceError):
-    """An instance or solution file could not be parsed into the expected shape."""
+    """An instance, generator or sweep file could not be parsed into the expected shape."""
 
 
 class SolutionFormatError(ManoPlaceError):

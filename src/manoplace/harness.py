@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InfeasibleDomain, InstanceFormatError, NoFeasiblePlan
+from .errors import InfeasibleDomain, NoFeasiblePlan
 from .model import Solution, save_solution
 from .oracle import OracleBudget, OracleStatus, solve_exact
 from .tabu import TabuParams
@@ -34,7 +34,6 @@ from .topology import (
     generate_instance,
     load_problem,
     parse_config,
-    parse_generator_config,
     read_json,
     resolve_instance_path,
     with_uniform_vnfs,
@@ -72,10 +71,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.instance_file is None) == (self.generator is None):
             raise ValueError("exactly one of instance_file and generator must be set")
-        for name in ("runs_per_point", "base_seed", "oracle_max_nodes"):
-            check_type(name, getattr(self, name), int)
-        for name in ("emit_solutions", "wall_clock"):
-            check_type(name, getattr(self, name), bool)
+        if not isinstance(self.generator, (GeneratorConfig, type(None))):
+            # A sweep file gives the generator as a JSON object.
+            object.__setattr__(self, "generator",
+                               parse_config(GeneratorConfig, self.generator, "generator"))
+        for name in ("instance_file", "solutions_dir"):
+            if getattr(self, name) is not None:
+                check_type(name, getattr(self, name), str)
+        for name, kind in (("vnf_counts", list), ("algorithms", list), ("runs_per_point", int),
+                           ("base_seed", int), ("output", str), ("emit_solutions", bool),
+                           ("wall_clock", bool), ("vnfm_delay_bound", float),
+                           ("nfvo_vnfm_delay_bound", float)):
+            check_type(name, getattr(self, name), kind)
+        for name in ("vnf_counts", "algorithms"):  # a sweep file gives lists
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for count in self.vnf_counts:
             check_type("vnf_counts entry", count, int)
         if not self.vnf_counts or any(v < 1 for v in self.vnf_counts):
@@ -87,6 +96,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {alg!r} (expected 'tsp' or 'exact')")
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
+        for name in ("vnfm_delay_bound", "nfvo_vnfm_delay_bound"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0")
         # The solvers' own parameter types check the knobs, at load time.
         self.tabu_params(self.base_seed)
         self.oracle_budget()
@@ -118,18 +132,8 @@ class RunRecord:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Read a sweep configuration file (JSON, strict keys)."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise InstanceFormatError(f"{path}: expected a configuration object")
-    kwargs = dict(data)
-    if kwargs.get("generator") is not None:
-        kwargs["generator"] = parse_generator_config(kwargs["generator"],
-                                                     f"{path}: generator")
-    for key in ("vnf_counts", "algorithms"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(kwargs[key])
-    return parse_config(ExperimentConfig, kwargs, str(path))
+    """Read a sweep configuration file (JSON, strict keys and kinds)."""
+    return parse_config(ExperimentConfig, read_json(path), f"{path}: configuration object")
 
 
 def _base_instance(config: ExperimentConfig) -> tuple[ProblemInstance, str]:

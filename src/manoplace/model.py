@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import SolutionFormatError
-from .topology import ProblemInstance
+from .errors import InstanceFormatError, SolutionFormatError
+from .topology import ProblemInstance, check_keys, check_type, read_json
 
 
 @dataclass(frozen=True)
@@ -254,54 +254,39 @@ def save_solution(solution: Solution, path: str | Path, extra: dict | None = Non
     Path(path).write_text(json.dumps(solution_to_data(solution, extra), indent=2) + "\n")
 
 
-_SOLUTION_KEYS = {"objective", "nfvos", "assignments", "vnfms", "status", "nodes_explored"}
+# Solution file keys and the kinds of their values.
+_SOLUTION_KEYS = {"nfvos": list, "assignments": list, "vnfms": list,
+                  "objective": int, "status": str, "nodes_explored": int}
 
 
 def parse_solution(data) -> Solution:
-    if not isinstance(data, dict):
-        raise SolutionFormatError("solution: expected an object")
-    unknown = set(data) - _SOLUTION_KEYS
-    if unknown:
-        raise SolutionFormatError(f"solution: unknown key(s) {sorted(unknown)}")
-    for key in ("nfvos", "assignments", "vnfms"):
-        if key not in data:
-            raise SolutionFormatError(f"solution: missing key {key!r}")
-        if not isinstance(data[key], list):
-            raise SolutionFormatError(f"solution: {key} must be a list")
-    head_of = []
-    for i, h in enumerate(data["assignments"]):
-        if isinstance(h, bool) or not isinstance(h, int):
-            raise SolutionFormatError(f"solution: assignments[{i}] must be an integer")
-        head_of.append(h)
-    n = len(head_of)
-    nfvo_at = [False] * n
-    for p in data["nfvos"]:
-        if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < n:
-            raise SolutionFormatError(f"solution: nfvos entry {p!r} is not a valid PoP id")
-        nfvo_at[p] = True
-    vnfms = []
-    for i, entry in enumerate(data["vnfms"]):
-        if (not isinstance(entry, dict)
-                or set(entry) != {"location", "vnf_ids"}
-                or not isinstance(entry["vnf_ids"], list)):
-            raise SolutionFormatError(
-                f"solution: vnfms[{i}] must be {{location, vnf_ids}}")
-        loc = entry["location"]
-        if isinstance(loc, bool) or not isinstance(loc, int):
-            raise SolutionFormatError(f"solution: vnfms[{i}].location must be an integer")
-        ids = []
-        for x in entry["vnf_ids"]:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise SolutionFormatError(f"solution: vnfms[{i}].vnf_ids must be integers")
-            ids.append(x)
-        vnfms.append(VnfmAssignment(location=loc, managed=tuple(ids)))
+    """Build a solution from already-decoded JSON data (strict keys and kinds)."""
+    try:
+        check_keys("solution", data, _SOLUTION_KEYS, ("objective", "status", "nodes_explored"))
+        for key, value in data.items():
+            check_type(key, value, _SOLUTION_KEYS[key])
+        head_of = [check_type(f"assignments[{i}]", h, int)
+                   for i, h in enumerate(data["assignments"])]
+        nfvo_at = [False] * len(head_of)
+        for i, p in enumerate(data["nfvos"]):
+            if not 0 <= check_type(f"nfvos[{i}]", p, int) < len(head_of):
+                raise ValueError(f"nfvos entry {p} is not a valid PoP id")
+            nfvo_at[p] = True
+        vnfms = []
+        for i, entry in enumerate(data["vnfms"]):
+            check_keys(f"vnfms[{i}]", entry, ("location", "vnf_ids"))
+            ids = check_type(f"vnfms[{i}].vnf_ids", entry["vnf_ids"], list)
+            vnfms.append(VnfmAssignment(
+                check_type(f"vnfms[{i}].location", entry["location"], int),
+                tuple(check_type(f"vnfms[{i}].vnf_ids[{j}]", x, int) for j, x in enumerate(ids))))
+    except (TypeError, ValueError) as exc:
+        raise SolutionFormatError(f"solution: {exc}") from None
     return Solution(DomainPlan.make(nfvo_at, head_of), tuple(vnfms))
 
 
 def load_solution(path: str | Path) -> Solution:
-    path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SolutionFormatError(f"{path}: not valid JSON: {exc}") from exc
+        data = read_json(path)
+    except InstanceFormatError as exc:  # not valid JSON
+        raise SolutionFormatError(str(exc)) from None
     return parse_solution(data)

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .model import DomainPlan, Solution, VnfmAssignment
 from .tabu import unreachable_vnfs
-from .topology import ProblemInstance
+from .topology import ProblemInstance, check_type
 from .vnfm import domains_of, place_domain
 
 
@@ -43,9 +43,11 @@ class OracleBudget:
     time_limit_s: float = 60.0
 
     def __post_init__(self):
+        check_type("max_nodes", self.max_nodes, int)
+        check_type("time_limit_s", self.time_limit_s, float)
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:  # NaN fails too
             raise ValueError("time_limit_s must be > 0")
 
 

@@ -25,14 +25,21 @@ File format (JSON, strict: unknown keys are rejected)::
     }
 
 ``coordinates`` is optional and only informative (the generator records the
-sampled points; the algorithms read delays only).
+sampled points; the algorithms read delays only). The key map
+``INSTANCE_FORMAT`` is the one definition of this format: it gives each
+object's keys in file order with the field each fills and the kind of its
+value, and both ``parse_problem`` and ``problem_to_data`` read it.
+
+Every input file (instances, solutions, generator and sweep settings) is
+read with the same checks: ``read_json`` decodes it, ``check_keys`` rejects
+unknown and missing keys and ``check_type`` the values of the wrong kind.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -146,13 +153,32 @@ class ValidationReport:
         return not self.entries
 
 
-def check_type(name: str, value, kind: type) -> None:
-    """Raise :class:`TypeError` unless ``value`` is a ``kind``, which is
-    ``int`` or ``bool``. A bool does not pass as an integer: in the JSON
-    settings files these checks guard, ``true`` is not a count."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        what = "an integer" if kind is int else "a boolean"
-        raise TypeError(f"{name} must be {what}, got {value!r}")
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+               str: "a string", list: "a list", dict: "an object"}
+_ACCEPTED = {float: (int, float), list: (list, tuple)}
+
+
+def check_type(name: str, value, kind: type):
+    """Return ``value``; raise :class:`TypeError` unless it is a ``kind``:
+    ``int``, ``float`` (any number), ``bool``, ``str``, ``list`` (a tuple
+    passes too) or ``dict``. A bool is neither an integer nor a number: in
+    the JSON files these checks guard, ``true`` is not a count."""
+    if (not isinstance(value, _ACCEPTED.get(kind, kind))
+            or (isinstance(value, bool) and kind is not bool)):
+        raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def check_keys(name: str, data, keys, optional=()) -> None:
+    """Raise :class:`TypeError` unless ``data`` is an object holding every
+    key of ``keys`` but those in ``optional``, and no other key."""
+    check_type(name, data, dict)
+    unknown = data.keys() - set(keys)
+    if unknown:
+        raise TypeError(f"{name}: unknown key(s) {sorted(unknown)}")
+    missing = [k for k in keys if k not in data and k not in optional]
+    if missing:
+        raise TypeError(f"{name}: missing key(s) {missing}")
 
 
 @dataclass(frozen=True)
@@ -183,15 +209,19 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("pop_count", "vnf_count", "nfvo_capacity", "vnfm_capacity", "seed"):
             check_type(name, getattr(self, name), int)
+        positive = ("area_side_km", "delay_per_km", "vnfm_delay_bound",
+                    "nfvo_vnfm_delay_bound", "gso_nfvo_delay_bound", "nfvo_vim_delay_bound")
+        for name in (*positive, "delay_jitter_fraction"):
+            check_type(name, getattr(self, name), float)
         if self.pop_count < 1:
             raise ValueError("pop_count must be >= 1")
         if self.vnf_count < 1:
             raise ValueError("vnf_count must be >= 1")
-        for name in ("area_side_km", "delay_per_km", "vnfm_delay_bound",
-                     "nfvo_vnfm_delay_bound", "gso_nfvo_delay_bound",
-                     "nfvo_vim_delay_bound"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in positive:
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be > 0 and finite")
         if self.nfvo_capacity < 1 or self.vnfm_capacity < 1:
             raise ValueError("capacities must be >= 1")
         if not 0 <= self.delay_jitter_fraction < 1:
@@ -243,9 +273,9 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
         seen.add(v.id)
         if not 0 <= v.location < n:
             entries.append(f"vnf {v.id}: location {v.location} is not a valid PoP id")
-        if v.vnfm_delay_bound <= 0:
+        if not v.vnfm_delay_bound > 0:
             entries.append(f"vnf {v.id}: VNF-manager delay bound must be > 0")
-        if v.nfvo_vnfm_delay_bound <= 0:
+        if not v.nfvo_vnfm_delay_bound > 0:
             entries.append(f"vnf {v.id}: orchestrator-manager delay bound must be > 0")
 
     pr = instance.params
@@ -253,9 +283,9 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
         entries.append("params: orchestrator capacity must be >= 1")
     if pr.vnfm_capacity < 1:
         entries.append("params: manager capacity must be >= 1")
-    if pr.gso_nfvo_delay_bound <= 0:
+    if not pr.gso_nfvo_delay_bound > 0:
         entries.append("params: GSO-orchestrator delay bound must be > 0")
-    if pr.nfvo_vim_delay_bound <= 0:
+    if not pr.nfvo_vim_delay_bound > 0:
         entries.append("params: orchestrator-VIM delay bound must be > 0")
     if not 0 <= pr.gso_location < n:
         entries.append(f"params: GSO location {pr.gso_location} is not a valid PoP id")
@@ -267,86 +297,71 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
 # JSON loading / saving
 
 
-def _require_mapping(obj, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    if not isinstance(obj, dict):
-        raise InstanceFormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise InstanceFormatError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise InstanceFormatError(f"{where}: missing key(s) {missing}")
+def _object(cls, keys: dict) -> tuple:
+    """A key map entry for an object read into ``cls``; the keys whose field
+    defaults to None may be missing."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return cls, keys, [k for k, (field, _) in keys.items() if defaults[field] is None]
 
 
-def _as_int(x, where: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InstanceFormatError(f"{where}: expected an integer, got {x!r}")
-    return x
+# The instance file format. An object is (class, {JSON key: (field, kind)},
+# optional keys), its keys in file order; a kind is a type for
+# ``check_type``, another object, or [kind] for a list of that kind.
+INSTANCE_FORMAT = _object(ProblemInstance, {
+    "pops": ("pops", [_object(PoP, {
+        "id": ("id", int), "label": ("label", str), "coordinates": ("coordinates", [float]),
+    })]),
+    "delays": ("delays", [[float]]),
+    "vnfs": ("vnfs", [_object(VnfInstance, {
+        "id": ("id", int), "location": ("location", int),
+        "omega_ms": ("vnfm_delay_bound", float),
+        "big_omega_ms": ("nfvo_vnfm_delay_bound", float),
+    })]),
+    "params": ("params", _object(ManoParameters, {
+        "phi_nfvo": ("nfvo_capacity", int), "phi_vnfm": ("vnfm_capacity", int),
+        "psi_ms": ("gso_nfvo_delay_bound", float), "big_psi_ms": ("nfvo_vim_delay_bound", float),
+        "gso_pop": ("gso_location", int),
+    })),
+})
 
 
-def _as_number(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InstanceFormatError(f"{where}: expected a number, got {x!r}")
-    return float(x)
+def _read(value, kind, name: str):
+    """Read decoded JSON ``value`` as ``kind`` of the key map, strictly;
+    numbers come back as floats."""
+    if isinstance(kind, type):
+        check_type(name, value, kind)
+        return float(value) if kind is float else value
+    if isinstance(kind, list):
+        check_type(name, value, list)
+        return tuple([_read(x, kind[0], f"{name}[{i}]") for i, x in enumerate(value)])
+    cls, keys, optional = kind
+    check_keys(name, value, keys, optional)
+    return cls(**{field: _read(value[key], sub, f"{name}.{key}")
+                  for key, (field, sub) in keys.items() if key in value})
+
+
+def _write(value, kind):
+    """``value`` as the JSON data ``_read`` takes back; None fields are left out."""
+    if isinstance(kind, type):
+        return kind(value)
+    if isinstance(kind, list):
+        return [_write(x, kind[0]) for x in value]
+    return {key: _write(getattr(value, field), sub)
+            for key, (field, sub) in kind[1].items() if getattr(value, field) is not None}
 
 
 def parse_problem(data) -> ProblemInstance:
-    """Build an instance from already-decoded JSON data (strict keys, no validation)."""
-    _require_mapping(data, "instance", ("pops", "delays", "vnfs", "params"))
-
-    if not isinstance(data["pops"], list):
-        raise InstanceFormatError("pops: expected a list")
-    pops = []
-    for i, entry in enumerate(data["pops"]):
-        _require_mapping(entry, f"pops[{i}]", ("id", "label"), ("coordinates",))
-        coords = None
-        if "coordinates" in entry:
-            raw = entry["coordinates"]
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise InstanceFormatError(f"pops[{i}].coordinates: expected [x, y]")
-            coords = (_as_number(raw[0], f"pops[{i}].coordinates[0]"),
-                      _as_number(raw[1], f"pops[{i}].coordinates[1]"))
-        if not isinstance(entry["label"], str):
-            raise InstanceFormatError(f"pops[{i}].label: expected a string")
-        pops.append(PoP(id=_as_int(entry["id"], f"pops[{i}].id"),
-                        label=entry["label"], coordinates=coords))
-    pops.sort(key=lambda p: p.id)
-
-    raw_delays = data["delays"]
-    if not isinstance(raw_delays, list) or not all(isinstance(r, list) for r in raw_delays):
-        raise InstanceFormatError("delays: expected a list of rows")
-    rows = []
-    for i, r in enumerate(raw_delays):
-        rows.append(tuple(_as_number(x, f"delays[{i}][{j}]") for j, x in enumerate(r)))
-    widths = {len(r) for r in rows}
-    if len(rows) and (widths != {len(rows)}):
-        raise InstanceValidationError(
-            f"delays: matrix is not square ({len(rows)} rows, widths {sorted(widths)})")
-    delays = tuple(rows)
-
-    if not isinstance(data["vnfs"], list):
-        raise InstanceFormatError("vnfs: expected a list")
-    vnfs = []
-    for i, entry in enumerate(data["vnfs"]):
-        _require_mapping(entry, f"vnfs[{i}]", ("id", "location", "omega_ms", "big_omega_ms"))
-        vnfs.append(VnfInstance(
-            id=_as_int(entry["id"], f"vnfs[{i}].id"),
-            location=_as_int(entry["location"], f"vnfs[{i}].location"),
-            vnfm_delay_bound=_as_number(entry["omega_ms"], f"vnfs[{i}].omega_ms"),
-            nfvo_vnfm_delay_bound=_as_number(entry["big_omega_ms"], f"vnfs[{i}].big_omega_ms"),
-        ))
-
-    _require_mapping(data["params"], "params",
-                     ("phi_nfvo", "phi_vnfm", "psi_ms", "big_psi_ms", "gso_pop"))
-    pr = data["params"]
-    params = ManoParameters(
-        nfvo_capacity=_as_int(pr["phi_nfvo"], "params.phi_nfvo"),
-        vnfm_capacity=_as_int(pr["phi_vnfm"], "params.phi_vnfm"),
-        gso_nfvo_delay_bound=_as_number(pr["psi_ms"], "params.psi_ms"),
-        nfvo_vim_delay_bound=_as_number(pr["big_psi_ms"], "params.big_psi_ms"),
-        gso_location=_as_int(pr["gso_pop"], "params.gso_pop"),
-    )
-    return ProblemInstance(tuple(pops), delays, tuple(vnfs), params)
+    """Build an instance from already-decoded JSON data (strict keys and
+    kinds, no validation); PoPs come back sorted by id."""
+    try:
+        instance = _read(data, INSTANCE_FORMAT, "instance")
+        for p in instance.pops:
+            if p.coordinates is not None and len(p.coordinates) != 2:
+                raise TypeError(f"pop {p.id}: coordinates must be [x, y], "
+                                f"got {list(p.coordinates)}")
+    except TypeError as exc:
+        raise InstanceFormatError(str(exc)) from None
+    return replace(instance, pops=tuple(sorted(instance.pops, key=lambda p: p.id)))
 
 
 def read_json(path: str | Path):
@@ -373,29 +388,7 @@ def load_problem(path: str | Path) -> ProblemInstance:
 
 
 def problem_to_data(instance: ProblemInstance) -> dict:
-    pops = []
-    for p in instance.pops:
-        entry: dict = {"id": int(p.id), "label": p.label}
-        if p.coordinates is not None:
-            entry["coordinates"] = [float(p.coordinates[0]), float(p.coordinates[1])]
-        pops.append(entry)
-    return {
-        "pops": pops,
-        "delays": [[float(x) for x in row] for row in instance.delays],
-        "vnfs": [
-            {"id": int(v.id), "location": int(v.location),
-             "omega_ms": float(v.vnfm_delay_bound),
-             "big_omega_ms": float(v.nfvo_vnfm_delay_bound)}
-            for v in instance.vnfs
-        ],
-        "params": {
-            "phi_nfvo": int(instance.params.nfvo_capacity),
-            "phi_vnfm": int(instance.params.vnfm_capacity),
-            "psi_ms": float(instance.params.gso_nfvo_delay_bound),
-            "big_psi_ms": float(instance.params.nfvo_vim_delay_bound),
-            "gso_pop": int(instance.params.gso_location),
-        },
-    }
+    return _write(instance, INSTANCE_FORMAT)
 
 
 def save_problem(instance: ProblemInstance, path: str | Path) -> None:
@@ -492,21 +485,17 @@ def load_instance_ref(ref: str | Path) -> ProblemInstance:
 # Configuration files
 
 
-def parse_config(cls, data: dict, where: str):
-    """Build dataclass ``cls`` from a decoded JSON object, strictly: unknown
-    keys and values its constructor rejects raise :class:`InstanceFormatError`."""
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise InstanceFormatError(f"{where}: unknown key(s) {sorted(unknown)}")
+def parse_config(cls, data, where: str):
+    """Build dataclass ``cls`` from a decoded JSON object, strictly: a value
+    that is no object, unknown keys, missing keys (the fields without a
+    default) and values the constructor rejects raise
+    :class:`InstanceFormatError`."""
+    try:
+        check_keys(where, data, [f.name for f in fields(cls)],
+                   [f.name for f in fields(cls) if f.default is not MISSING])
+    except TypeError as exc:
+        raise InstanceFormatError(str(exc)) from None
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{where}: {exc}") from exc
-
-
-def parse_generator_config(data, where: str) -> GeneratorConfig:
-    """The one reader of generator settings (``gen`` flags, ``gen --config``
-    files and a sweep's ``generator`` object)."""
-    if not isinstance(data, dict):
-        raise InstanceFormatError(f"{where} must be an object")
-    return parse_config(GeneratorConfig, data, where)

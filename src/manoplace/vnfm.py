@@ -179,8 +179,7 @@ class TwoStepResult:
 
 
 def two_step_place_detailed(instance: ProblemInstance,
-                            params: TabuParams | None = None,
-                            exact_threshold: int = EXACT_THRESHOLD) -> TwoStepResult:
+                            params: TabuParams | None = None) -> TwoStepResult:
     """Like :func:`two_step_place` but keeps the search accounting."""
     result = search(instance, params)
     if result.plan is None:
@@ -189,7 +188,7 @@ def two_step_place_detailed(instance: ProblemInstance,
     plan = result.plan
     vnfms: list[VnfmAssignment] = []
     for domain in domains_of(instance, plan):
-        vnfms.extend(place_domain(instance, domain, exact_threshold))
+        vnfms.extend(place_domain(instance, domain))
     return TwoStepResult(Solution(plan, tuple(vnfms)), result)
 
 

@@ -66,20 +66,40 @@ class TestParsing:
     ({}, ["solve-tsp", "bundled:pop8", "--samples", "0"], "--samples must be >= 1"),
     ({}, ["solve-exact", "bundled:pop8", "--max-nodes", "0"], "--max-nodes must be >= 1"),
     ({}, ["solve-exact", "bundled:pop8", "--time-limit", "0"], "--time-limit must be > 0"),
+    ({}, ["solve-exact", "bundled:pop8", "--time-limit", "nan"], "--time-limit must be > 0"),
     ({"gen.json": '{"pop_count": 4.5, "vnf_count": 3}'},
      ["gen", "--config", "gen.json", "--output", "i.json"], "pop_count must be an integer"),
     ({"gen.json": '{"pop_count": true, "vnf_count": 3}'},
      ["gen", "--config", "gen.json", "--output", "i.json"], "pop_count must be an integer"),
     *(({"sweep.json": json.dumps({"generator": {"pop_count": 4, "vnf_count": 4},
-                                  "output": "r.csv", key: value})},
+                                  "output": "r.csv", **entries})},
        ["experiment", "--config", "sweep.json"], fragment)
-      for key, value, fragment in [
-          ("base_seed", 1.5, "base_seed must be an integer"),
-          ("runs_per_point", 2.5, "runs_per_point must be an integer"),
-          ("vnf_counts", [1.5], "vnf_counts entry must be an integer"),
-          ("vnf_counts", [True], "vnf_counts entry must be an integer"),
-          ("neighborhood_samples", 2.5, "neighborhood_samples must be an integer"),
-          ("emit_solutions", "no", "emit_solutions must be a boolean")]),
+      for entries, fragment in [
+          ({"base_seed": 1.5}, "base_seed must be an integer"),
+          ({"runs_per_point": 2.5}, "runs_per_point must be an integer"),
+          ({"vnf_counts": [1.5]}, "vnf_counts entry must be an integer"),
+          ({"vnf_counts": [True]}, "vnf_counts entry must be an integer"),
+          ({"neighborhood_samples": 2.5}, "neighborhood_samples must be an integer"),
+          ({"emit_solutions": "no"}, "emit_solutions must be a boolean"),
+          ({"output": 5}, "output must be a string"),
+          ({"solutions_dir": 5, "emit_solutions": True}, "solutions_dir must be a string"),
+          ({"vnfm_delay_bound": "x"}, "vnfm_delay_bound must be a number"),
+          ({"vnfm_delay_bound": -5}, "vnfm_delay_bound must be > 0"),
+          ({"nfvo_vnfm_delay_bound": -5}, "nfvo_vnfm_delay_bound must be > 0"),
+          ({"vnfm_delay_bound": float("nan")}, "vnfm_delay_bound must be > 0"),
+          ({"oracle_time_limit_s": True}, "time_limit_s must be a number"),
+          ({"base_seed": -5, "vnf_counts": [2]}, "base_seed must be >= 0"),
+          ({"generator": {"pop_count": 4, "vnf_count": 4, "seed": -1}},
+           "seed must be >= 0")]),
+    ({}, ["gen", "--pops", "3", "--vnfs", "2", "--seed", "-1", "--output", "i.json"],
+     "seed must be >= 0"),
+    ({"gen.json": '{"pop_count": 4, "vnf_count": 3}'},
+     ["gen", "--config", "gen.json", "--seed", "-1", "--output", "i.json"],
+     "--seed must be >= 0"),
+    ({"gen.json": '{"pop_count": 4, "vnf_count": 3, "area_side_km": true}'},
+     ["gen", "--config", "gen.json", "--output", "i.json"], "area_side_km must be a number"),
+    ({"gen.json": '{"pop_count": 4, "vnf_count": 3, "area_side_km": Infinity}'},
+     ["gen", "--config", "gen.json", "--output", "i.json"], "area_side_km must be > 0 and finite"),
     *(({"s.json": json.dumps({"nfvos": [0], "assignments": assignments, "vnfms": vnfms})},
        ["check", "bundled:pop8", "s.json"], fragment)
       for assignments, vnfms, fragment in [
@@ -89,9 +109,13 @@ class TestParsing:
           ([0] * 8, [{"location": 0, "vnf_ids": [999]}], "unknown VNF id 999")]),
 ], ids=["gen-unknown-key", "gen-bad-json", "gen-zero-pops", "sweep-zero-patience",
         "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
-        "exact-zero-time", "gen-float-pops", "gen-bool-pops",
+        "exact-zero-time", "exact-nan-time", "gen-float-pops", "gen-bool-pops",
         "sweep-float-seed", "sweep-float-runs", "sweep-float-count", "sweep-bool-count",
-        "sweep-float-samples", "sweep-string-flag",
+        "sweep-float-samples", "sweep-string-flag", "sweep-int-output",
+        "sweep-int-solutions-dir", "sweep-string-bound", "sweep-negative-bound",
+        "sweep-negative-manager-bound", "sweep-nan-bound", "sweep-bool-time-limit",
+        "sweep-negative-seed", "sweep-negative-generator-seed", "gen-negative-seed",
+        "gen-config-negative-seed", "gen-bool-area", "gen-infinite-area",
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
@@ -145,6 +169,22 @@ class TestValidate:
         path.write_text(json.dumps(data))
         assert cli_main(["validate", str(path)]) == 2
         assert "not symmetric" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("section, key, fragment", [
+        ("params", "psi_ms", "GSO-orchestrator delay bound"),
+        ("params", "big_psi_ms", "orchestrator-VIM delay bound"),
+        ("vnfs", "omega_ms", "VNF-manager delay bound"),
+        ("vnfs", "big_omega_ms", "orchestrator-manager delay bound"),
+    ])
+    def test_nan_bounds_are_findings(self, capsys, tmp_path, line3, section, key, fragment):
+        path = tmp_path / "nan.json"
+        save_problem(line3, path)
+        data = json.loads(path.read_text())
+        target = data["params"] if section == "params" else data["vnfs"][0]
+        target[key] = float("nan")  # JSON NaN, which the decoder accepts
+        path.write_text(json.dumps(data))
+        assert cli_main(["validate", str(path)]) == 2
+        assert fragment in capsys.readouterr().out
 
     def test_unreadable_files_are_usage_errors(self, capsys, tmp_path):
         garbled = tmp_path / "garbled.json"

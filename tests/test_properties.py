@@ -8,17 +8,22 @@ along random walks of search moves every incrementally scored neighbour
 must equal a full rescore. The MILP solver on the exported LP must reach
 the exact optimum, instance and solution files must round-trip exactly,
 and on exports with one character or line edited the LP check must equal
-the token parse. Examples are derandomized, so every run checks the
-same instances.
+the token parse. Every input file with one value swapped for one of
+another JSON kind must exit 0, 1 or 2, never 3. Examples are derandomized,
+so every run checks the same instances.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from manoplace import (
@@ -37,6 +42,7 @@ from manoplace import (
     solve_exact,
     two_step_place,
 )
+from manoplace.cli import cli_main
 from manoplace.lp_export import _check_lines, _token_lines
 from manoplace.model import DomainPlan, Solution, VnfmAssignment
 from manoplace.tabu import _Position, _start, unreachable_vnfs
@@ -217,3 +223,76 @@ def test_instance_and_solution_files_round_trip_exactly(instance, solution, stat
         assert loaded == solution
         save_solution(loaded, again, extra=extra)
         assert again.read_bytes() == solution_path.read_bytes()
+
+
+# Values of each JSON kind that a file may hold where another kind belongs.
+JSON_KINDS = {"null": [None], "bool": [True, False], "int": [-1, 0, 1, 3],
+              "float": [-0.5, 0.5, 2.5], "nan": [float("nan")], "string": ["", "x"],
+              "list": [[], [1]], "object": [{}, {"a": 1}]}
+
+
+def json_kind(value) -> str:
+    if isinstance(value, float):
+        return "nan" if value != value else "float"
+    return {type(None): "null", bool: "bool", int: "int", str: "string",
+            list: "list", dict: "object"}[type(value)]
+
+
+def value_paths(value, path=()):
+    """The path of every key's value and list entry below ``value``."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+def valid_files(tmp: Path) -> dict:
+    """A valid P=3 instance, a solution of it and a sweep config, by file name."""
+    instance = generate_instance(GeneratorConfig(pop_count=3, vnf_count=4, seed=1))
+    result = solve_exact(instance)
+    assert result.solution is not None
+    save_problem(instance, tmp / "instance.json")
+    save_solution(result.solution, tmp / "solution.json",
+                  extra={"status": result.status.value, "nodes_explored": result.nodes_explored})
+    sweep = {"generator": {"pop_count": 3, "vnf_count": 2, "seed": 1, "area_side_km": 1500.0,
+                           "delay_jitter_fraction": 0.1, "nfvo_capacity": 20},
+             "vnf_counts": [2], "algorithms": ["tsp", "exact"], "runs_per_point": 1,
+             "base_seed": 0, "output": "r.csv", "emit_solutions": False,
+             "solutions_dir": "solutions", "wall_clock": False, "vnfm_delay_bound": 30.0,
+             "nfvo_vnfm_delay_bound": 45.0, "stop_patience": 4, "tabu_tenure": 2,
+             "neighborhood_samples": 3, "oracle_max_nodes": 1000,
+             "oracle_time_limit_s": 60.0}
+    return {"instance.json": json.loads((tmp / "instance.json").read_text()),
+            "solution.json": json.loads((tmp / "solution.json").read_text()),
+            "sweep.json": sweep}
+
+
+@pytest.mark.parametrize("edited, argv", [
+    ("instance.json", ["validate", "instance.json"]),
+    ("solution.json", ["check", "instance.json", "solution.json"]),
+    ("sweep.json", ["experiment", "--config", "sweep.json"]),
+])
+@settings(SMALL, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_value_of_another_kind_never_exits_internal(tmp_path, edited, argv, data):
+    tmp = Path(tempfile.mkdtemp(dir=tmp_path))
+    files = valid_files(tmp)
+    path = data.draw(st.sampled_from(list(value_paths(files[edited]))))
+    *parents, last = path
+    target = files[edited]
+    for key in parents:
+        target = target[key]
+    kind = data.draw(st.sampled_from([k for k in JSON_KINDS if k != json_kind(target[last])]))
+    target[last] = data.draw(st.sampled_from(JSON_KINDS[kind]))
+    for name, content in files.items():
+        (tmp / name).write_text(json.dumps(content))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(tmp), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert err.startswith("manoplace: error:") and err.count("\n") == 1, err
+    else:  # findings go to stdout; a refused request adds one stderr line
+        assert err.count("\n") <= code // 2, err

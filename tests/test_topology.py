@@ -17,6 +17,7 @@ from manoplace import (
     save_problem,
 )
 from manoplace.topology import (
+    bundled_instance_path,
     parse_problem,
     problem_to_data,
     validate_instance,
@@ -87,12 +88,6 @@ class TestParsing:
         with pytest.raises(InstanceFormatError, match=message):
             parse_problem(data)
 
-    def test_ragged_matrix_is_a_validation_error(self):
-        data = good_data()
-        data["delays"] = [[0.0, 1.0], [1.0]]
-        with pytest.raises(InstanceValidationError, match="square"):
-            parse_problem(data)
-
     def test_load_problem_rejects_invalid(self, tmp_path):
         data = good_data()
         data["delays"] = [[0.0, -5.0], [-5.0, 0.0]]
@@ -132,6 +127,14 @@ class TestValidation:
         report = validate_instance(build())
         assert not report.ok
         assert any(fragment in entry for entry in report.entries), report.entries
+
+    def test_ragged_matrix_is_a_validation_error(self, tmp_path):
+        data = good_data()
+        data["delays"] = [[0.0, 1.0], [1.0]]
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InstanceValidationError, match="square"):
+            load_problem(path)
 
     def test_duplicate_vnf_ids(self):
         inst = make_instance([[0, 10], [10, 0]], vnf_locs=(0, 1))
@@ -216,6 +219,14 @@ class TestBundled:
         assert inst.pop_count == pops
         assert inst.vnf_count == 10
         assert validate_instance(inst).ok
+
+    @pytest.mark.parametrize("name", ["pop8", "pop16"])
+    def test_bundled_files_are_in_canonical_form(self, tmp_path, name):
+        # Catches a key map that renames or reorders keys: the files keep
+        # the order and names they were written with.
+        path = bundled_instance_path(name)
+        save_problem(load_problem(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_plain_paths_still_resolve(self, tmp_path):
         inst = parse_problem(good_data())
