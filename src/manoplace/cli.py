@@ -154,7 +154,7 @@ def _cmd_validate(args) -> int:
     except InstanceValidationError as exc:
         for entry in exc.entries:
             print(entry)
-        return EXIT_INFEASIBLE
+        raise  # cli_main adds the one stderr line
     print(f"{args.instance}: ok ({instance.pop_count} pops, "
           f"{instance.vnf_count} vnfs)")
     return EXIT_OK
@@ -191,6 +191,8 @@ def _cmd_solve_exact(args) -> int:
     result = solve_exact(instance, budget)
     print(f"status={result.status.value} nodes_explored={result.nodes_explored}")
     if result.solution is None:
+        print(f"manoplace: no solution: {result.status.value} after "
+              f"{result.nodes_explored} nodes", file=sys.stderr)
         return EXIT_INFEASIBLE
     _print_solution(result.solution)
     if args.output:
@@ -214,6 +216,8 @@ def _cmd_check(args) -> int:
     for entry in report.entries:
         print(entry)
     print(f"{len(report.entries)} violation(s)")
+    print(f"manoplace: infeasible solution: {args.solution}: {len(report.entries)} violation(s)",
+          file=sys.stderr)
     return EXIT_INFEASIBLE
 
 

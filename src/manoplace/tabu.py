@@ -77,14 +77,6 @@ class Score(NamedTuple):
     nfvo_count: int
 
 
-def unreachable_vnfs(instance: ProblemInstance, head_of) -> Iterator[int]:
-    """Yield, per domain, how many of its VNFs no member PoP can manage within
-    both manager delay bounds: no later step can give those VNFs a manager."""
-    for h, members in enumerate(_members(instance.pop_count, head_of)):
-        _, located, served, _ = _domain(instance, h, members)
-        yield (located & ~served).bit_count()
-
-
 def _members(pop_count: int, head_of) -> list[int]:
     """Per head, the mask of the PoPs in its domain (bit q stands for PoP q)."""
     members = [0] * pop_count
@@ -263,7 +255,7 @@ class _Position:
 def penalty_parts(instance: ProblemInstance, plan: DomainPlan) -> dict[str, int]:
     """A plan's penalty split into per-PoP rules, look-ahead and capacity."""
     position = _Position(instance, plan.nfvo_at, plan.head_of)
-    look_ahead = sum(unreachable_vnfs(instance, plan.head_of))
+    look_ahead = sum((located & ~once).bit_count() for _, located, once, _ in position.domains)
     return {"per-PoP rules": sum(position.pop_terms), "look-ahead": look_ahead,
             "capacity": sum(position.domain_terms) - look_ahead}
 

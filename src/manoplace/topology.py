@@ -226,6 +226,11 @@ class GeneratorConfig:
             raise ValueError("capacities must be >= 1")
         if not 0 <= self.delay_jitter_fraction < 1:
             raise ValueError("delay_jitter_fraction must be in [0, 1)")
+        # The generator squares distances and adds two jittered delays: at the
+        # square's diagonal both must stay finite.
+        side, per_km = self.area_side_km, self.delay_per_km
+        if not (2 * side * side < math.inf and 4 * math.sqrt(2) * side * per_km < math.inf):
+            raise ValueError("area_side_km and delay_per_km make the delays overflow")
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:

@@ -100,6 +100,14 @@ class TestParsing:
      ["gen", "--config", "gen.json", "--output", "i.json"], "area_side_km must be a number"),
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3, "area_side_km": Infinity}'},
      ["gen", "--config", "gen.json", "--output", "i.json"], "area_side_km must be > 0 and finite"),
+    ({}, ["gen", "--pops", "3", "--vnfs", "2", "--area-km", "1e308", "--delay-per-km", "1e308",
+          "--output", "i.json"], "make the delays overflow"),
+    ({}, ["gen", "--pops", "3", "--vnfs", "2", "--area-km", "1e200", "--delay-per-km", "1e-200",
+          "--output", "i.json"], "make the delays overflow"),
+    ({"sweep.json": json.dumps({"generator": {"pop_count": 3, "vnf_count": 2,
+                                              "area_side_km": 1e308, "delay_per_km": 1e308},
+                                "output": "r.csv"})},
+     ["experiment", "--config", "sweep.json"], "make the delays overflow"),
     *(({"s.json": json.dumps({"nfvos": [0], "assignments": assignments, "vnfms": vnfms})},
        ["check", "bundled:pop8", "s.json"], fragment)
       for assignments, vnfms, fragment in [
@@ -116,6 +124,7 @@ class TestParsing:
         "sweep-negative-manager-bound", "sweep-nan-bound", "sweep-bool-time-limit",
         "sweep-negative-seed", "sweep-negative-generator-seed", "gen-negative-seed",
         "gen-config-negative-seed", "gen-bool-area", "gen-infinite-area",
+        "gen-overflowing-delays", "gen-overflowing-area", "sweep-overflowing-generator",
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
@@ -168,7 +177,9 @@ class TestValidate:
         data["delays"][0][1] = 99.0  # break symmetry
         path.write_text(json.dumps(data))
         assert cli_main(["validate", str(path)]) == 2
-        assert "not symmetric" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "not symmetric" in out
+        assert err.startswith("manoplace: invalid instance:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("section, key, fragment", [
         ("params", "psi_ms", "GSO-orchestrator delay bound"),
@@ -229,12 +240,17 @@ class TestSolve:
 
     def test_exact_infeasible_exit_code(self, capsys, split_file):
         assert cli_main(["solve-exact", split_file]) == 2
-        assert "status=infeasible" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "status=infeasible" in out
+        assert err.startswith("manoplace: no solution: infeasible after")
+        assert err.count("\n") == 1, err
 
     def test_exact_budget_exhaustion_exit_code(self, capsys):
         rc = cli_main(["solve-exact", "bundled:pop8", "--max-nodes", "1"])
         assert rc == 2
-        assert "status=budget_exceeded" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "status=budget_exceeded" in out
+        assert err == "manoplace: no solution: budget_exceeded after 2 nodes\n"
 
 
 class TestCheck:
@@ -254,7 +270,10 @@ class TestCheck:
         save_problem(tight, tight_file)
         capsys.readouterr()
         assert cli_main(["check", str(tight_file), str(sol)]) == 2
-        assert "violation(s)" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "violation(s)" in out
+        assert err.startswith(f"manoplace: infeasible solution: {sol}: ")
+        assert err.endswith(" violation(s)\n") and err.count("\n") == 1, err
 
 
 class TestExportLp:
