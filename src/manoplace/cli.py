@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a synthetic instance")
     gen.add_argument("--pops", type=int, help="number of PoPs")
     gen.add_argument("--vnfs", type=int, help="number of VNFs")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="overrides the configuration's seed")
     gen.add_argument("--area-km", type=float, default=GeneratorConfig.area_side_km)
     gen.add_argument("--delay-per-km", type=float,
                      default=GeneratorConfig.delay_per_km)
@@ -109,8 +109,8 @@ def _build_parser() -> _Parser:
 
     exact = sub.add_parser("solve-exact", help="run the exact solver")
     exact.add_argument("instance")
-    exact.add_argument("--max-nodes", type=int, default=1_000_000)
-    exact.add_argument("--time-limit", type=float, default=60.0,
+    exact.add_argument("--max-nodes", type=int, default=OracleBudget.max_nodes)
+    exact.add_argument("--time-limit", type=float, default=OracleBudget.time_limit_s,
                        help="budget in seconds")
     exact.add_argument("--output", help="solution file to write")
 
@@ -132,13 +132,14 @@ def _build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     if args.config is not None:
         config = parse_config(GeneratorConfig, read_json(args.config), args.config)
-        if args.seed != 0:
+        if args.seed is not None:
             config = _from_flags(partial(replace, config), {"--seed": ("seed", args.seed)})
     else:
         if args.pops is None or args.vnfs is None:
             raise _UsageError("gen requires --pops and --vnfs (or --config)")
         config = parse_config(GeneratorConfig, {
-            "pop_count": args.pops, "vnf_count": args.vnfs, "seed": args.seed,
+            "pop_count": args.pops, "vnf_count": args.vnfs,
+            "seed": GeneratorConfig.seed if args.seed is None else args.seed,
             "area_side_km": args.area_km, "delay_per_km": args.delay_per_km,
             "delay_jitter_fraction": args.jitter}, "gen")
     instance = generate_instance(config)

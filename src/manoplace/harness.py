@@ -65,8 +65,8 @@ class ExperimentConfig:
     stop_patience: int | None = None
     tabu_tenure: int | None = None
     neighborhood_samples: int | None = None
-    oracle_max_nodes: int = 1_000_000
-    oracle_time_limit_s: float = 60.0
+    oracle_max_nodes: int = OracleBudget.max_nodes
+    oracle_time_limit_s: float = OracleBudget.time_limit_s
 
     def __post_init__(self):
         if (self.instance_file is None) == (self.generator is None):
@@ -146,42 +146,27 @@ def _base_instance(config: ExperimentConfig) -> tuple[ProblemInstance, str]:
 
 
 def _run_tsp(config: ExperimentConfig, instance: ProblemInstance,
-             instance_id: str, seed: int) -> tuple[RunRecord, Solution | None]:
+             seed: int) -> tuple[str, Solution | None, int | None]:
+    """``(status, solution, iterations)`` of one two-step run."""
     from .vnfm import two_step_place_detailed
 
-    start = time.perf_counter()
     try:
         result = two_step_place_detailed(instance, config.tabu_params(seed))
-    except (NoFeasiblePlan, InfeasibleDomain) as exc:
-        runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
-        status = ("no_feasible_plan" if isinstance(exc, NoFeasiblePlan)
-                  else "infeasible_domain")
-        return RunRecord(instance_id, instance.pop_count, instance.vnf_count,
-                         "tsp", seed, None, None, None, None, runtime, status), None
-    runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
-    sol = result.solution
-    record = RunRecord(instance_id, instance.pop_count, instance.vnf_count,
-                       "tsp", seed, sol.objective, sol.plan.nfvo_count,
-                       sol.vnfm_count, result.search.iterations, runtime, STATUS_OK)
-    return record, sol
+    except NoFeasiblePlan:
+        return "no_feasible_plan", None, None
+    except InfeasibleDomain:
+        return "infeasible_domain", None, None
+    return STATUS_OK, result.solution, result.search.iterations
 
 
 def _run_exact(config: ExperimentConfig, instance: ProblemInstance,
-               instance_id: str, seed: int) -> tuple[RunRecord, Solution | None]:
-    start = time.perf_counter()
+               seed: int) -> tuple[str, Solution | None, int | None]:
+    """``(status, solution, nodes explored)`` of the exact solver; a budget
+    hit keeps no solution."""
     result = solve_exact(instance, config.oracle_budget())
-    runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
     if result.status is OracleStatus.OPTIMAL:
-        sol = result.solution
-        assert sol is not None
-        record = RunRecord(instance_id, instance.pop_count, instance.vnf_count,
-                           "exact", seed, sol.objective, sol.plan.nfvo_count,
-                           sol.vnfm_count, result.nodes_explored, runtime, STATUS_OK)
-        return record, sol
-    record = RunRecord(instance_id, instance.pop_count, instance.vnf_count,
-                       "exact", seed, None, None, None, result.nodes_explored,
-                       runtime, result.status.value)
-    return record, None
+        return STATUS_OK, result.solution, result.nodes_explored
+    return result.status.value, None, result.nodes_explored
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
@@ -203,7 +188,13 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
                 runs = [config.base_seed]  # deterministic: one run per point
                 runner = _run_exact
             for seed in runs:
-                record, sol = runner(config, point, instance_id, seed)
+                start = time.perf_counter()
+                status, sol, iterations = runner(config, point, seed)
+                runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
+                counts = ((None,) * 3 if sol is None
+                          else (sol.objective, sol.plan.nfvo_count, sol.vnfm_count))
+                record = RunRecord(instance_id, point.pop_count, point.vnf_count, alg, seed,
+                                   *counts, iterations, runtime, status)
                 records.append(record)
                 if sol is not None and config.emit_solutions:
                     emitted.append((record, sol))

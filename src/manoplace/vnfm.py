@@ -9,6 +9,12 @@ are solved exactly by branch and bound, larger ones by a covering greedy.
 A feasible plan's domains hold at most the orchestrator capacity of VNFs,
 so the greedy runs only when that capacity is above the threshold.
 
+A domain is read from the masks step 1 keeps: its member PoPs and the VNFs
+``located`` on them. A manager at member p can run the VNFs
+``vnfs_served[head][p] & located``; a VNF no member can run is the search's
+look-ahead (``located & ~once``) and raises :class:`InfeasibleDomain`. Host
+coverage is a popcount over the VNFs still to place.
+
 ``two_step_place`` chains the orchestrator search and the per-domain
 manager placement into a full solution.
 """
@@ -28,75 +34,72 @@ EXACT_THRESHOLD = 20
 
 @dataclass(frozen=True)
 class DomainView:
-    """One domain: its head, the VNFs located on its member PoPs and, per VNF,
-    the member PoPs that can host its manager."""
+    """One domain: its head, the mask of its member PoPs (bit q stands for
+    PoP q), the mask of the VNFs located on them (bit i stands for
+    ``instance.vnfs[i]``) and those VNFs' ids in bit order."""
 
     head: int
+    members: int
+    located: int
     vnf_ids: tuple[int, ...]
-    hosts: tuple[frozenset[int], ...]
 
 
 def domains_of(instance: ProblemInstance, plan: DomainPlan) -> tuple[DomainView, ...]:
-    """The plan's domains in ascending head order.
-
-    A member PoP can host a VNF's manager when it is within the VNF's own
-    delay bound of the VNF's location and within the VNF's orchestrator bound
-    of the head; ``ProblemInstance.vnfs_served`` holds that rule.
-    """
+    """The plan's domains in ascending head order."""
     members = _members(plan.pop_count, plan.head_of)
     views = []
     for head in plan.active_pops:
         _, located, _, _ = _domain(instance, head, members[head])
-        pops = list(_bits(members[head]))
-        serves = instance.vnfs_served[head]
-        vnfs = list(_bits(located))
-        views.append(DomainView(
-            head, tuple(instance.vnfs[i].id for i in vnfs),
-            tuple(frozenset(p for p in pops if serves[p] >> i & 1) for i in vnfs)))
+        views.append(DomainView(head, members[head], located,
+                                tuple(instance.vnfs[i].id for i in _bits(located))))
     return tuple(views)
 
 
-def _host_order(instance: ProblemInstance, head: int, hosts, coverage) -> list[int]:
-    """Decreasing coverage; ties go to the host nearest the head, then lowest id."""
+def _host_order(instance: ProblemInstance, head: int, runs: dict[int, int], hosts,
+                within: int) -> list[int]:
+    """Decreasing coverage of the VNFs ``within``; ties go to the host nearest
+    the head, then lowest id."""
     d = instance.delays
-    return sorted(hosts, key=lambda h: (-coverage[h], d[h][head], h))
+    return sorted(hosts, key=lambda p: (-(runs[p] & within).bit_count(), d[p][head], p))
 
 
-def _greedy_assign(instance: ProblemInstance, domain: DomainView,
-                   elig: dict[int, frozenset[int]]) -> list[tuple[int, list[int]]]:
+def _greedy_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
+                   order: list[int]) -> list[tuple[int, list[int]]]:
+    """Covering greedy: open a manager at the member that can run the most
+    unassigned VNFs (``runs[p]`` holds those of member p) and give it up to
+    its capacity of them, in ``order``."""
     cap = instance.params.vnfm_capacity
-    unassigned = set(elig)
+    unassigned = sum(1 << i for i in order)
     managers: list[tuple[int, list[int]]] = []
     while unassigned:
-        coverage: dict[int, int] = {}
-        for v in unassigned:
-            for h in elig[v]:
-                coverage[h] = coverage.get(h, 0) + 1
-        host = _host_order(instance, domain.head, coverage, coverage)[0]
-        pool = sorted((v for v in unassigned if host in elig[v]),
-                      key=lambda v: (len(elig[v]), v))
-        taken = pool[:cap]
+        host = _host_order(instance, head, runs,
+                           [p for p in runs if runs[p] & unassigned], unassigned)[0]
+        pool = runs[host] & unassigned
+        taken = [i for i in order if pool >> i & 1][:cap]
         managers.append((host, taken))
-        unassigned.difference_update(taken)
+        unassigned &= ~sum(1 << i for i in taken)
     return managers
 
 
-def _exact_assign(instance: ProblemInstance, domain: DomainView,
-                  elig: dict[int, frozenset[int]]) -> dict[int, int]:
+def _exact_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
+                  order: list[int]) -> dict[int, int]:
     """Minimum-manager host assignment by branch and bound.
 
-    Branches on the hosts of one VNF at a time, most-constrained VNF first.
-    At a host with spare capacity the VNF joins the open manager (opening
-    another one there can never do better); otherwise a manager is opened.
-    Nodes are cut when the open count plus a floor on the managers still
-    needed (spare slots count against the unassigned VNFs) cannot beat the
-    incumbent.
+    Branches on the hosts of one VNF at a time, in ``order`` (most-constrained
+    VNF first); hosts are tried by their coverage of the VNFs not yet
+    branched on. At a host with spare capacity the VNF joins the open
+    manager (opening another one there can never do better); otherwise a
+    manager is opened. Nodes are cut when the open count plus a floor on the
+    managers still needed (spare slots count against the unassigned VNFs)
+    cannot beat the incumbent.
     """
     cap = instance.params.vnfm_capacity
-    order = sorted(elig, key=lambda v: (len(elig[v]), v))
     n = len(order)
+    suffix = [0] * (n + 1)  # suffix[i]: the VNFs order[i:]
+    for i in reversed(range(n)):
+        suffix[i] = suffix[i + 1] | 1 << order[i]
 
-    greedy = _greedy_assign(instance, domain, elig)
+    greedy = _greedy_assign(instance, head, runs, order)
     best_count = len(greedy)
     best_map = {v: host for host, taken in greedy for v in taken}
 
@@ -117,9 +120,8 @@ def _exact_assign(instance: ProblemInstance, domain: DomainView,
             best_map = dict(assign)
             return
         v = order[i]
-        remaining = order[i:]
-        coverage = {h: sum(1 for u in remaining if h in elig[u]) for h in elig[v]}
-        for host in _host_order(instance, domain.head, elig[v], coverage):
+        hosts = [p for p in runs if runs[p] >> v & 1]
+        for host in _host_order(instance, head, runs, hosts, suffix[i]):
             assign[v] = host
             if spare.get(host, 0) > 0:
                 spare[host] -= 1
@@ -154,21 +156,24 @@ def _chunk_hosts(host_map: dict[int, int], cap: int) -> list[VnfmAssignment]:
 def place_domain(instance: ProblemInstance, domain: DomainView,
                  exact_threshold: int = EXACT_THRESHOLD) -> tuple[VnfmAssignment, ...]:
     """Place managers for one domain; raises :class:`InfeasibleDomain` when a
-    VNF has no PoP satisfying both delay bounds."""
-    if not domain.vnf_ids:
-        return ()
-    elig = dict(zip(domain.vnf_ids, domain.hosts))
-    for v_id, hosts in elig.items():
-        if not hosts:
-            raise InfeasibleDomain(v_id, domain.head)
+    VNF has no member PoP satisfying both delay bounds."""
+    ids = dict(zip(_bits(domain.located), domain.vnf_ids))
+    _, _, once, _ = _domain(instance, domain.head, domain.members)
+    unserved = domain.located & ~once
+    if unserved:
+        raise InfeasibleDomain(ids[next(_bits(unserved))], domain.head)
+    serves = instance.vnfs_served[domain.head]
+    runs = {p: serves[p] & domain.located for p in _bits(domain.members)}
+    # Most-constrained VNF first: fewest hosts, then lowest id.
+    order = sorted(ids, key=lambda i: (sum(vnfs >> i & 1 for vnfs in runs.values()), ids[i]))
 
     cap = instance.params.vnfm_capacity
-    if len(domain.vnf_ids) <= exact_threshold:
-        host_map = _exact_assign(instance, domain, elig)
-        managers = _chunk_hosts(host_map, cap)
+    if len(order) <= exact_threshold:
+        host_map = _exact_assign(instance, domain.head, runs, order)
+        managers = _chunk_hosts({ids[i]: h for i, h in host_map.items()}, cap)
     else:
-        managers = [VnfmAssignment(host, tuple(taken))
-                    for host, taken in _greedy_assign(instance, domain, elig)]
+        managers = [VnfmAssignment(host, tuple(ids[i] for i in taken))
+                    for host, taken in _greedy_assign(instance, domain.head, runs, order)]
     return tuple(sorted(managers, key=lambda m: (m.location, m.managed)))
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +165,17 @@ class TestGen:
         assert rc == 0
         inst = load_problem(out)
         assert (inst.pop_count, inst.vnf_count) == (6, 7)
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"pop_count": 6, "vnf_count": 7, "seed": 5}))
+        runs = {"config": ["--config", str(cfg)],
+                "flag": ["--config", str(cfg), "--seed", "0"],
+                "plain": ["--pops", "6", "--vnfs", "7", "--seed", "0"]}
+        for name, argv in runs.items():
+            assert cli_main(["gen", *argv, "--output", str(tmp_path / name)]) == 0
+        read = {name: (tmp_path / name).read_bytes() for name in runs}
+        assert read["flag"] == read["plain"] != read["config"]
 
 
 class TestValidate:
@@ -334,3 +347,30 @@ def test_module_entry_point_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def readme_transcript():
+    """``(argv, expected output lines)`` of each ``$ manoplace`` command in
+    the README's command-line block; a ``...`` line ends the lines compared."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ manoplace "):
+            runs.append((shlex.split(line)[2:], []))
+        elif line and runs:
+            runs[-1][1].append(line)
+    return runs
+
+
+def test_readme_transcript(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    runs = readme_transcript()
+    assert len(runs) == 5
+    for argv, expected in runs:
+        assert cli_main(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        if "..." in expected:
+            expected = expected[:expected.index("...")]
+            out = out[:len(expected)]
+        assert out == expected, argv

@@ -1,19 +1,19 @@
 """Property tests on generated instances (up to 8 PoPs and 12 VNFs).
 
 The heuristic's solutions must check clean and never beat the exact
-optimum. The search's reachability look-ahead and the manager hosts of each
-domain must agree with a per-VNF recount on arbitrary head assignments. For
-any subset of orchestrators the GSO can reach, the exact solver's
-enumeration must yield, in order, the assignments of a product over each
-PoP's heads in reach that pass the capacity and look-ahead recounts, with
-their manager floors. Along random walks of search moves every
-incrementally scored neighbour must equal a full rescore. The MILP solver
-on the exported LP must reach the exact optimum, instance and solution
-files must round-trip exactly, and on exports with one character or line
-edited the LP check must equal the token parse. Every input file with one
-value swapped for one of another JSON kind must exit 0, 1 or 2, never 3,
-and an exit 2 prints one stderr line. Examples are derandomized, so every
-run checks the same instances.
+optimum. The search's reachability look-ahead and the VNFs each member of a
+domain can manage must agree with a per-VNF recount on arbitrary head
+assignments. For any subset of orchestrators the GSO can reach, the exact
+solver's enumeration must yield, in order, the assignments of a product
+over each PoP's heads in reach that pass the capacity and look-ahead
+recounts, with their manager floors. Along random walks of search moves
+every incrementally scored neighbour must equal a full rescore. The MILP
+solver on the exported LP must reach the exact optimum, instance and
+solution files must round-trip exactly, and on exports with one character
+or line edited the LP check must equal the token parse. Every input file
+with one value swapped for one of another JSON kind must exit 0, 1 or 2,
+never 3, and an exit 2 prints one stderr line. Examples are derandomized,
+so every run checks the same instances.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from manoplace.vnfm import domains_of
 
 from test_lp_export import _solve_lp
 from test_tabu import check_neighbour, naive_look_ahead, tables
-from test_vnfm import eligibility
+from test_vnfm import by_member, eligibility, runnable
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
@@ -150,7 +150,9 @@ def test_domain_hosts_match_the_per_vnf_recount(instance, data):
     for dom in domains:
         members = [q for q in range(n) if head_of[q] == dom.head]
         elig = eligibility(instance, dom.head, members)
-        assert (dom.vnf_ids, dom.hosts) == (tuple(elig), tuple(elig.values()))
+        assert dom.members == sum(1 << q for q in members)
+        assert dom.vnf_ids == tuple(elig)
+        assert runnable(instance, dom) == by_member(elig, members)
 
 
 @SMALL

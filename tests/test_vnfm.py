@@ -5,11 +5,21 @@ managers to open per host (smallest total first) and asks a max-flow
 feasibility question for each candidate, so it cannot miss a better
 packing. It reads the manager hosts straight from the delays, sharing no
 code with the placer. The branch and bound must match it exactly.
+
+The step-2 golden corpus pins the bytes of two-step and exact solutions on
+generated instances whose VNF ids are shuffled and whose VNFs carry their
+own delay bounds; a tie broken by inventory order instead of VNF id shows
+there.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+import hashlib
+import json
+import random
+from collections import Counter
+from dataclasses import replace
+from itertools import combinations_with_replacement, product
 
 import networkx as nx
 import pytest
@@ -21,12 +31,14 @@ from manoplace import (
     check_feasibility,
     generate_instance,
     load_instance_ref,
+    solve_exact,
     two_step_place,
     two_step_place_detailed,
 )
-from manoplace.model import DomainPlan
+from manoplace.model import DomainPlan, solution_to_data
+from manoplace.tabu import _bits
 from manoplace.topology import with_uniform_vnfs
-from manoplace.vnfm import DomainView, domains_of, place_domain
+from manoplace.vnfm import EXACT_THRESHOLD, DomainView, domains_of, place_domain
 
 from conftest import make_instance
 
@@ -87,25 +99,46 @@ def whole(instance):
     return 0, range(instance.pop_count)
 
 
+def runnable(instance, domain):
+    """Per member PoP of ``domain``, the ids of the VNFs a manager there can
+    run, read from the domain's masks as the placer reads them."""
+    serves = instance.vnfs_served[domain.head]
+    return {p: {instance.vnfs[i].id for i in _bits(serves[p] & domain.located)}
+            for p in _bits(domain.members)}
+
+
+def by_member(elig, members):
+    """``eligibility`` turned around: per member, the VNFs it can host."""
+    return {p: {v for v, hosts in elig.items() if p in hosts} for p in members}
+
+
 class TestDomainViews:
     def test_domains_follow_the_plan(self, line3):
         plan = DomainPlan.make([True, False, True], [0, 0, 2])
         a, b = domains_of(line3, plan)
-        assert (a.head, a.vnf_ids, a.hosts) == (0, (0, 1), (frozenset({0, 1}),) * 2)
-        assert (b.head, b.vnf_ids, b.hosts) == (2, (2,), (frozenset({2}),))
+        assert (a.head, a.members, a.located, a.vnf_ids) == (0, 0b011, 0b011, (0, 1))
+        assert (b.head, b.members, b.located, b.vnf_ids) == (2, 0b100, 0b100, (2,))
+        assert runnable(line3, a) == by_member(eligibility(line3, 0, [0, 1]), [0, 1])
+        assert runnable(line3, a) == {0: {0, 1}, 1: {0, 1}}
+        assert runnable(line3, b) == by_member(eligibility(line3, 2, [2]), [2]) == {2: {2}}
 
     def test_domain_hosts_double_filter(self):
         for seed in range(4):
             inst = generate_instance(GeneratorConfig(pop_count=5, vnf_count=8,
                                                      seed=seed))
             domain = single_domain(inst)
-            assert dict(zip(domain.vnf_ids, domain.hosts)) == eligibility(inst, *whole(inst))
+            elig = eligibility(inst, *whole(inst))
+            assert domain.vnf_ids == tuple(elig)
+            assert runnable(inst, domain) == by_member(elig, range(5))
 
 
 class TestPlaceDomain:
-    def test_empty_domain_places_nothing(self, line3):
-        domain = DomainView(head=0, vnf_ids=(), hosts=())
-        assert place_domain(line3, domain) == ()
+    def test_empty_domain_places_nothing(self):
+        inst = make_instance([[0, 10], [10, 0]], vnf_locs=(1,))
+        empty, _ = domains_of(inst, DomainPlan.make([True, True], [0, 1]))
+        assert empty == DomainView(head=0, members=0b1, located=0, vnf_ids=())
+        assert runnable(inst, empty) == by_member(eligibility(inst, 0, [0]), [0]) == {0: set()}
+        assert place_domain(inst, empty) == ()
 
     def test_matches_flow_oracle_on_random_domains(self):
         checked = 0
@@ -203,3 +236,95 @@ class TestTwoStep:
         inst = with_uniform_vnfs(base, 10, seed=110)
         sol = two_step_place(inst, TabuParams(seed=0))
         assert check_feasibility(inst, sol).ok
+
+
+def mixed_instance(pops, vnfs, seed, phi_vnfm, phi_nfvo):
+    """A generated instance whose VNFs carry shuffled, sparse ids and their
+    own pair of manager bounds, so that id order is not inventory order."""
+    base = generate_instance(GeneratorConfig(pop_count=pops, vnf_count=vnfs, seed=seed,
+                                             vnfm_capacity=phi_vnfm, nfvo_capacity=phi_nfvo))
+    rng = random.Random(seed)
+    ids = rng.sample(range(3 * vnfs), vnfs)
+    bounds = [(rng.choice([15.0, 30.0, 45.0]), rng.choice([30.0, 45.0, 60.0])) for _ in ids]
+    return replace(base, vnfs=tuple(
+        replace(v, id=i, vnfm_delay_bound=w, nfvo_vnfm_delay_bound=big_w)
+        for v, i, (w, big_w) in zip(base.vnfs, ids, bounds)))
+
+
+def digest(data) -> str:
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
+
+
+# Step-2 outputs recorded before the manager placer moved to bitmasks:
+# (pops, vnfs, seed, phi_vnfm, phi_nfvo, largest tsp domain, sha256 prefix
+# of the tsp solution file data, and of the exact one with its status and
+# node count, or None above 8 PoPs). Domains above EXACT_THRESHOLD VNFs ran
+# the greedy fallback in the tsp pipeline; the exact solver never does.
+STEP2_GOLDEN = [
+    (8, 16, 0, 5, 20, 16, "ac8fec8fefb2ce16", "f044dec06ffa1342"),
+    (5, 8, 1, 10, 20, 8, "fa135579dd474562", "99e60e951c450cd0"),
+    (10, 12, 2, 3, 40, 12, "1efbdb2ddbbbc2d6", None),
+    (8, 12, 3, 10, 40, 12, "d95d216d26cf67bf", "ea61694f8b919d6d"),
+    (8, 24, 4, 10, 20, 20, "ca7782c56aff017c", "6fd5c660cc3f2d96"),
+    (8, 36, 5, 5, 40, 19, "854f2261111b1593", "3d5f3b064df40c25"),
+    (7, 8, 6, 5, 20, 8, "0a4af901edec3d90", "0567aafb70196d05"),
+    (5, 16, 7, 10, 20, 16, "d0121e0ab937b6f9", "ab6f83b2aa34ef49"),
+    (10, 24, 8, 3, 40, 24, "f2137654631d698b", None),
+    (6, 16, 9, 3, 20, 9, "481fff5efc7ff7c1", "62b8de57b4f87751"),
+    (12, 24, 10, 3, 20, 19, "db0920ba33b6970d", None),
+    (7, 12, 11, 5, 40, 12, "f34a07c88a45a62c", "a74e307bdc05e5d3"),
+    (7, 8, 12, 5, 20, 8, "aa06dc248fbf0496", "cebff51e9fba7cb1"),
+    (8, 36, 13, 10, 40, 17, "11311eb082ddfafc", "68f73d74dbba3279"),
+    (10, 8, 14, 5, 20, 8, "fceacee427681040", None),
+    (5, 24, 15, 10, 40, 24, "0384ddfa09878736", "f89faf7b75c0d238"),
+    (7, 36, 16, 5, 40, 36, "7525fd0957e7d924", "5adec3804250f7c2"),
+    (8, 12, 17, 3, 40, 12, "c594f1f5dfd2d057", "a959bf3f4fefd46e"),
+    (8, 36, 18, 3, 40, 36, "f70fdc70f72217a6", "bfbcea553eeda229"),
+    (5, 12, 19, 3, 40, 10, "4df969cf45073288", "3a992e4205148d94"),
+    (5, 16, 20, 5, 20, 16, "51a29506326e0add", "7565f5a1dcc771c7"),
+    (10, 24, 21, 3, 20, 17, "970a409a76c7fb62", None),
+    (6, 36, 22, 5, 40, 36, "ffb072972dd33460", "50df3b313adba2e1"),
+    (8, 24, 23, 3, 40, 24, "0377e37aa64da864", "2be6ad387f2dc366"),
+    (5, 24, 24, 5, 40, 24, "15f7cdf5b8015a0a", "4abcbd069cd42c5c"),
+    (6, 8, 25, 3, 20, 5, "4fff6fa5984afb55", "0f37339c07509a42"),
+    (5, 24, 26, 5, 40, 20, "410b5c599a0d3938", "92fda4266005c039"),
+    (5, 8, 27, 10, 20, 8, "258a880d83ff6aef", "f89a12b78554f4ff"),
+    (8, 36, 28, 5, 40, 36, "178b2388e9d1006b", "d7e5adb3a4c3bab9"),
+    (10, 36, 29, 10, 40, 36, "ac42bb3ceff070bf", None),
+    (5, 36, 30, 3, 40, 36, "856f3c842d717b41", "6dbe5aa1785ae27f"),
+    (12, 8, 31, 5, 20, 8, "5855b9b4330ca0f2", None),
+]
+
+
+@pytest.mark.parametrize("pops, vnfs, seed, phi_vnfm, phi_nfvo, largest, tsp, exact",
+                         STEP2_GOLDEN, ids=[f"p{g[0]}-v{g[1]}-s{g[2]}" for g in STEP2_GOLDEN])
+def test_step2_golden(pops, vnfs, seed, phi_vnfm, phi_nfvo, largest, tsp, exact):
+    inst = mixed_instance(pops, vnfs, seed, phi_vnfm, phi_nfvo)
+    sol = two_step_place(inst, TabuParams(seed=0))
+    sizes = Counter(sol.plan.head_of[v.location] for v in inst.vnfs)
+    assert max(sizes.values()) == largest
+    assert digest(solution_to_data(sol)) == tsp
+    if exact is not None:
+        result = solve_exact(inst)
+        assert digest(solution_to_data(result.solution, {
+            "status": result.status.value, "nodes_explored": result.nodes_explored})) == exact
+
+
+def test_step2_golden_runs_the_greedy_fallback():
+    assert sum(g[5] > EXACT_THRESHOLD for g in STEP2_GOLDEN) >= 9
+
+
+def test_step2_golden_single_domains():
+    # The whole instance as one domain headed by PoP 0, on 216 instances with
+    # shuffled ids and per-VNF bounds; 87 of them raise InfeasibleDomain.
+    # Ordering the branch and bound's hosts by their coverage of all the
+    # domain's VNFs, not of those still to branch on, changes 3 placements.
+    placed = []
+    for pops, vnfs, cap, seed in product([4, 6, 8], [10, 16], [2, 3, 4], range(12)):
+        inst = mixed_instance(pops, vnfs, seed, cap, 20)
+        try:
+            placed.append([[m.location, list(m.managed)]
+                           for m in place_domain(inst, single_domain(inst))])
+        except InfeasibleDomain as exc:
+            placed.append([exc.vnf_id, exc.head])
+    assert digest(placed) == "a5a55307a541fa40"
