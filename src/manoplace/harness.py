@@ -99,8 +99,14 @@ class ExperimentConfig:
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
         for name in ("vnfm_delay_bound", "nfvo_vnfm_delay_bound"):
-            if not getattr(self, name) > 0:  # NaN fails too
+            bound = getattr(self, name)
+            if not bound > 0:  # NaN fails too
                 raise ValueError(f"{name} must be > 0")
+            # Every point redraws the VNFs with the sweep's bounds, so a
+            # generator bound of its own would be silently dropped.
+            if self.generator is not None and getattr(self.generator, name) != bound:
+                raise ValueError(f"generator.{name} ({getattr(self.generator, name)}) differs "
+                                 f"from {name} ({bound}); the sweep draws its VNFs with {name}")
         # The solvers' own parameter types check the knobs, at load time.
         self.tabu_params(self.base_seed)
         self.oracle_budget()

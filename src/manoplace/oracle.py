@@ -13,10 +13,12 @@ reproducible.
 
 Intended for desk-scale instances: on 280 generated ten-PoP instances with
 10 to 40 VNFs it proved optimality in a median of 20 ms and at most 1.3 s
-(a 2-vCPU Xeon VM); its cost grows steeply with the PoP count. The node
-and time budget turns runaway searches into a reported ``BUDGET_EXCEEDED``
-instead of a hang. ``INFEASIBLE`` is only ever reported after the whole
-space has been enumerated.
+(a 2-vCPU Xeon VM); its cost grows steeply with the PoP count. The budget
+turns runaway searches into a reported ``BUDGET_EXCEEDED`` instead of a
+hang. The node budget counts enumeration nodes only (subsets and complete
+assignments); the time limit also covers the per-domain branch and bound.
+``INFEASIBLE`` is only ever reported after the whole space has been
+enumerated.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterator
 
-from .model import DomainPlan, Solution, VnfmAssignment
+from .model import DomainPlan, Solution
 from .tabu import _domain_term
 from .topology import ProblemInstance, check_type
 from .vnfm import domains_of, place_domain
@@ -128,15 +130,6 @@ def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
     yield from rec(0)
 
 
-def _solve_domains(instance: ProblemInstance, plan: DomainPlan) -> tuple[VnfmAssignment, ...]:
-    vnfms: list[VnfmAssignment] = []
-    for domain in domains_of(instance, plan):
-        # Always the exact per-domain solver here, whatever the domain size.
-        vnfms.extend(place_domain(instance, domain,
-                                  exact_threshold=max(1, len(domain.vnf_ids))))
-    return tuple(vnfms)
-
-
 def solve_exact(instance: ProblemInstance,
                 budget: OracleBudget | None = None) -> OracleResult:
     """Provably optimal solution, within the given search budget."""
@@ -164,12 +157,14 @@ def solve_exact(instance: ProblemInstance,
                     if best_objective is not None and k + per_domain_floor >= best_objective:
                         continue
                     plan = DomainPlan(tuple(p in heads for p in range(n)), head_of)
-                    vnfms = _solve_domains(instance, plan)
+                    vnfms = tuple(m for domain in domains_of(instance, plan)
+                                  for m in place_domain(instance, domain, math.inf,
+                                                        ticker.deadline))
                     total = k + len(vnfms)
                     if best_objective is None or total < best_objective:
                         best_objective = total
                         best_solution = Solution(plan, vnfms)
-    except _BudgetHit:
+    except (_BudgetHit, TimeoutError):
         return OracleResult(OracleStatus.BUDGET_EXCEEDED, best_solution,
                             best_objective, ticker.nodes)
 

@@ -405,6 +405,16 @@ def save_problem(instance: ProblemInstance, path: str | Path) -> None:
 # Generation
 
 
+def _uniform_vnfs(rng: np.random.Generator, pop_count: int, count: int,
+                  vnfm_delay_bound: float, nfvo_vnfm_delay_bound: float,
+                  ) -> tuple[VnfInstance, ...]:
+    """VNFs 0..count-1 at uniformly drawn PoPs, all with the given bounds."""
+    locations = rng.integers(0, pop_count, size=count)
+    return tuple(VnfInstance(id=i, location=int(loc), vnfm_delay_bound=vnfm_delay_bound,
+                             nfvo_vnfm_delay_bound=nfvo_vnfm_delay_bound)
+                 for i, loc in enumerate(locations))
+
+
 def generate_instance(config: GeneratorConfig) -> ProblemInstance:
     """Generate a synthetic instance; identical configs give identical instances."""
     rng = np.random.default_rng(config.seed)
@@ -417,18 +427,13 @@ def generate_instance(config: GeneratorConfig) -> ProblemInstance:
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
 
-    locations = rng.integers(0, n, size=config.vnf_count)
+    vnfs = _uniform_vnfs(rng, n, config.vnf_count, config.vnfm_delay_bound,
+                         config.nfvo_vnfm_delay_bound)
     gso = int(d.max(axis=1).argmin())
 
     pops = tuple(
         PoP(id=i, label=f"pop{i}", coordinates=(float(coords[i, 0]), float(coords[i, 1])))
         for i in range(n)
-    )
-    vnfs = tuple(
-        VnfInstance(id=i, location=int(locations[i]),
-                    vnfm_delay_bound=config.vnfm_delay_bound,
-                    nfvo_vnfm_delay_bound=config.nfvo_vnfm_delay_bound)
-        for i in range(config.vnf_count)
     )
     params = ManoParameters(
         nfvo_capacity=config.nfvo_capacity,
@@ -451,14 +456,8 @@ def with_uniform_vnfs(instance: ProblemInstance, count: int, seed: int,
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    rng = np.random.default_rng(seed)
-    locations = rng.integers(0, instance.pop_count, size=count)
-    vnfs = tuple(
-        VnfInstance(id=i, location=int(locations[i]),
-                    vnfm_delay_bound=vnfm_delay_bound,
-                    nfvo_vnfm_delay_bound=nfvo_vnfm_delay_bound)
-        for i in range(count)
-    )
+    vnfs = _uniform_vnfs(np.random.default_rng(seed), instance.pop_count, count,
+                         vnfm_delay_bound, nfvo_vnfm_delay_bound)
     return ProblemInstance(instance.pops, instance.delays, vnfs, instance.params)
 
 

@@ -22,6 +22,7 @@ manager placement into a full solution.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 from .errors import InfeasibleDomain, NoFeasiblePlan
@@ -82,60 +83,51 @@ def _greedy_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
 
 
 def _exact_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
-                  order: list[int]) -> dict[int, int]:
+                  order: list[int], hosts_of: dict[int, list[int]],
+                  deadline: float) -> dict[int, int]:
     """Minimum-manager host assignment by branch and bound.
 
-    Branches on the hosts of one VNF at a time, in ``order`` (most-constrained
-    VNF first); hosts are tried by their coverage of the VNFs not yet
-    branched on. At a host with spare capacity the VNF joins the open
-    manager (opening another one there can never do better); otherwise a
-    manager is opened. Nodes are cut when the open count plus a floor on the
-    managers still needed (spare slots count against the unassigned VNFs)
-    cannot beat the incumbent.
+    Branches on the hosts ``hosts_of[v]`` of one VNF v at a time, in ``order``
+    (most-constrained VNF first); hosts are tried by their coverage of the
+    VNFs not yet branched on. The state is one load per host: at a host whose
+    load is not a multiple of the capacity φ the VNF joins the open manager
+    (opening another one there can never do better), otherwise a manager is
+    opened. The open managers' free slots total ``open·φ − i`` after i of the
+    n VNFs, so a node is cut when ``max(open, ⌈n/φ⌉)`` cannot beat the
+    incumbent. Raises :class:`TimeoutError` once ``time.monotonic()`` passes
+    ``deadline``.
     """
     cap = instance.params.vnfm_capacity
     n = len(order)
+    floor = math.ceil(n / cap)
     suffix = [0] * (n + 1)  # suffix[i]: the VNFs order[i:]
     for i in reversed(range(n)):
         suffix[i] = suffix[i + 1] | 1 << order[i]
+    tries = [_host_order(instance, head, runs, hosts_of[v], suffix[i])
+             for i, v in enumerate(order)]
 
     greedy = _greedy_assign(instance, head, runs, order)
     best_count = len(greedy)
     best_map = {v: host for host, taken in greedy for v in taken}
 
-    spare: dict[int, int] = {}
-    assign: dict[int, int] = {}
-
-    def bound(i: int, opens: int) -> int:
-        remaining = n - i
-        free = sum(spare.values())
-        return opens + math.ceil(max(0, remaining - free) / cap)
+    load = dict.fromkeys(runs, 0)
+    path = [0] * n  # path[i]: the host of order[i]
 
     def dfs(i: int, opens: int) -> None:
         nonlocal best_count, best_map
-        if bound(i, opens) >= best_count:
+        if max(opens, floor) >= best_count:
             return
         if i == n:
-            best_count = opens
-            best_map = dict(assign)
+            best_count, best_map = opens, dict(zip(order, path))
             return
-        v = order[i]
-        hosts = [p for p in runs if runs[p] >> v & 1]
-        for host in _host_order(instance, head, runs, hosts, suffix[i]):
-            assign[v] = host
-            if spare.get(host, 0) > 0:
-                spare[host] -= 1
-                dfs(i + 1, opens)
-                spare[host] += 1
-            else:
-                prev = spare.get(host)
-                spare[host] = cap - 1
-                dfs(i + 1, opens + 1)
-                if prev is None:
-                    del spare[host]
-                else:
-                    spare[host] = prev
-            del assign[v]
+        if time.monotonic() > deadline:
+            raise TimeoutError
+        for host in tries[i]:
+            path[i] = host
+            opened = load[host] % cap == 0
+            load[host] += 1
+            dfs(i + 1, opens + opened)
+            load[host] -= 1
 
     dfs(0, 0)
     return best_map
@@ -154,9 +146,12 @@ def _chunk_hosts(host_map: dict[int, int], cap: int) -> list[VnfmAssignment]:
 
 
 def place_domain(instance: ProblemInstance, domain: DomainView,
-                 exact_threshold: int = EXACT_THRESHOLD) -> tuple[VnfmAssignment, ...]:
+                 exact_threshold: float = EXACT_THRESHOLD,
+                 deadline: float = math.inf) -> tuple[VnfmAssignment, ...]:
     """Place managers for one domain; raises :class:`InfeasibleDomain` when a
-    VNF has no member PoP satisfying both delay bounds."""
+    VNF has no member PoP satisfying both delay bounds, and
+    :class:`TimeoutError` when the branch and bound runs past ``deadline``
+    (a ``time.monotonic()`` reading)."""
     ids = dict(zip(_bits(domain.located), domain.vnf_ids))
     _, _, once, _ = _domain(instance, domain.head, domain.members)
     unserved = domain.located & ~once
@@ -164,12 +159,13 @@ def place_domain(instance: ProblemInstance, domain: DomainView,
         raise InfeasibleDomain(ids[next(_bits(unserved))], domain.head)
     serves = instance.vnfs_served[domain.head]
     runs = {p: serves[p] & domain.located for p in _bits(domain.members)}
+    hosts_of = {i: [p for p in runs if runs[p] >> i & 1] for i in ids}
     # Most-constrained VNF first: fewest hosts, then lowest id.
-    order = sorted(ids, key=lambda i: (sum(vnfs >> i & 1 for vnfs in runs.values()), ids[i]))
+    order = sorted(ids, key=lambda i: (len(hosts_of[i]), ids[i]))
 
     cap = instance.params.vnfm_capacity
     if len(order) <= exact_threshold:
-        host_map = _exact_assign(instance, domain.head, runs, order)
+        host_map = _exact_assign(instance, domain.head, runs, order, hosts_of, deadline)
         managers = _chunk_hosts({ids[i]: h for i, h in host_map.items()}, cap)
     else:
         managers = [VnfmAssignment(host, tuple(ids[i] for i in taken))

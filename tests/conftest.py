@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import random
+import signal
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from manoplace.topology import ManoParameters, PoP, ProblemInstance, VnfInstance
+from manoplace.topology import (
+    GeneratorConfig,
+    ManoParameters,
+    PoP,
+    ProblemInstance,
+    VnfInstance,
+    generate_instance,
+)
 
 
 def make_instance(delays, vnf_locs=(), *, gso=0, nfvo_capacity=20,
@@ -79,3 +90,31 @@ def four_pop_clusters():
 @pytest.fixture
 def two_clusters():
     return cluster_instance(3)
+
+
+@pytest.fixture
+def slow_domain():
+    """A 6-PoP, 18-VNF instance whose first feasible plan (PoP 0 heading every
+    PoP) has a domain the manager branch and bound runs on for over a minute:
+    four VNFs have one host each, the other 14 four or five, and the manager
+    capacity is 2."""
+    base = generate_instance(GeneratorConfig(pop_count=6, vnf_count=18, seed=65,
+                                             vnfm_capacity=2))
+    rng = random.Random(65)
+    return replace(base, vnfs=tuple(
+        replace(v, vnfm_delay_bound=rng.choice([15.0, 30.0, 45.0]),
+                nfvo_vnfm_delay_bound=rng.choice([30.0, 45.0, 60.0]))
+        for v in base.vnfs))
+
+
+@pytest.fixture
+def alarm():
+    """``alarm(s)`` fails the test with TimeoutError after s seconds instead
+    of letting it hang; the alarm is cleared on teardown."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its alarm")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -92,7 +92,12 @@ class TestParsing:
           ({"oracle_time_limit_s": True}, "time_limit_s must be a number"),
           ({"base_seed": -5, "vnf_counts": [2]}, "base_seed must be >= 0"),
           ({"generator": {"pop_count": 4, "vnf_count": 4, "seed": -1}},
-           "seed must be >= 0")]),
+           "seed must be >= 0"),
+          ({"generator": {"pop_count": 4, "vnf_count": 4, "vnfm_delay_bound": 1.0}},
+           "generator.vnfm_delay_bound (1.0) differs from vnfm_delay_bound (30.0)"),
+          ({"generator": {"pop_count": 4, "vnf_count": 4, "nfvo_vnfm_delay_bound": 1.0},
+            "nfvo_vnfm_delay_bound": 1.0, "vnfm_delay_bound": 20.0},
+           "generator.vnfm_delay_bound (30.0) differs from vnfm_delay_bound (20.0)")]),
     ({}, ["gen", "--pops", "3", "--vnfs", "2", "--seed", "-1", "--output", "i.json"],
      "seed must be >= 0"),
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3}'},
@@ -124,8 +129,9 @@ class TestParsing:
         "sweep-float-samples", "sweep-string-flag", "sweep-int-output",
         "sweep-int-solutions-dir", "sweep-string-bound", "sweep-negative-bound",
         "sweep-negative-manager-bound", "sweep-nan-bound", "sweep-bool-time-limit",
-        "sweep-negative-seed", "sweep-negative-generator-seed", "gen-negative-seed",
-        "gen-config-negative-seed", "gen-bool-area", "gen-infinite-area",
+        "sweep-negative-seed", "sweep-negative-generator-seed",
+        "sweep-generator-manager-bound", "sweep-bound-without-generator-bound",
+        "gen-negative-seed", "gen-config-negative-seed", "gen-bool-area", "gen-infinite-area",
         "gen-overflowing-delays", "gen-overflowing-area", "sweep-overflowing-generator",
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
@@ -263,6 +269,16 @@ class TestSolve:
         assert rc == 2
         out, err = capsys.readouterr()
         assert "status=budget_exceeded" in out
+        assert err == "manoplace: no solution: budget_exceeded after 2 nodes\n"
+
+    def test_exact_time_limit_covers_manager_placement(self, capsys, tmp_path, slow_domain,
+                                                       alarm):
+        path = tmp_path / "slow.json"
+        save_problem(slow_domain, path)
+        alarm(10)
+        assert cli_main(["solve-exact", str(path), "--time-limit", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "status=budget_exceeded nodes_explored=2\n"
         assert err == "manoplace: no solution: budget_exceeded after 2 nodes\n"
 
 

@@ -9,6 +9,7 @@ instances is strong evidence the pruned search is exact.
 from __future__ import annotations
 
 import math
+import time
 from itertools import combinations, product
 
 import pytest
@@ -21,7 +22,7 @@ from manoplace import (
     generate_instance,
     solve_exact,
 )
-from manoplace.oracle import _feasible_assignments
+from manoplace.oracle import OracleResult, _feasible_assignments
 
 from conftest import make_instance
 
@@ -192,6 +193,15 @@ class TestSolveExact:
     def test_time_budget_exhaustion_is_reported(self, line3):
         result = solve_exact(line3, OracleBudget(time_limit_s=1e-9))
         assert result.status is OracleStatus.BUDGET_EXCEEDED
+
+    def test_time_limit_stops_the_domain_branch_and_bound(self, slow_domain, alarm):
+        # The first plan's domain alone runs for over a minute, and the
+        # enumeration never gets past it to tick its own budget.
+        alarm(10)
+        start = time.monotonic()
+        result = solve_exact(slow_domain, OracleBudget(time_limit_s=2.0))
+        assert time.monotonic() - start < 3.0
+        assert result == OracleResult(OracleStatus.BUDGET_EXCEEDED, None, None, 2)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_nodes": 0},
