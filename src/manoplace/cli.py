@@ -120,7 +120,8 @@ def _build_parser() -> _Parser:
 
     lp = sub.add_parser("export-lp", help="write the ILP model in LP format")
     lp.add_argument("instance")
-    lp.add_argument("--output", help="LP file to write (default: <instance>.lp)")
+    lp.add_argument("--output", help="LP file to write (default: <instance>.lp, "
+                                      "or <name>.lp in the current directory for bundled:<name>)")
 
     exp = sub.add_parser("experiment", help="run a sweep from a configuration file")
     exp.add_argument("--config", required=True, help="sweep configuration (JSON)")
@@ -225,7 +226,9 @@ def _cmd_check(args) -> int:
 def _cmd_export_lp(args) -> int:
     path = resolve_instance_path(args.instance)
     instance = load_problem(path)
-    output = args.output or str(path.with_suffix(".lp"))
+    lp = path.with_suffix(".lp")
+    # bundled:<name> writes <name>.lp here, not into the package's data.
+    output = args.output or (lp.name if args.instance.startswith("bundled:") else str(lp))
     summary = export_lp(instance, output)
     print(summary.line())
     print(f"wrote {output}")

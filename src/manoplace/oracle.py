@@ -15,8 +15,10 @@ Intended for desk-scale instances: on 280 generated ten-PoP instances with
 10 to 40 VNFs it proved optimality in a median of 20 ms and at most 1.3 s
 (a 2-vCPU Xeon VM); its cost grows steeply with the PoP count. The budget
 turns runaway searches into a reported ``BUDGET_EXCEEDED`` instead of a
-hang. The node budget counts enumeration nodes only (subsets and complete
-assignments); the time limit also covers the per-domain branch and bound.
+hang: either limit raises ``TimeoutError``, and so does the manager
+placer's own clock check. The node budget counts enumeration nodes only
+(subsets and complete assignments); the time limit also covers the
+per-domain manager search.
 ``INFEASIBLE`` is only ever reported after the whole space has been
 enumerated.
 """
@@ -64,10 +66,6 @@ class OracleResult:
     nodes_explored: int
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 class _Ticker:
     def __init__(self, budget: OracleBudget):
         self.nodes = 0
@@ -77,7 +75,7 @@ class _Ticker:
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes or time.monotonic() > self.deadline:
-            raise _BudgetHit
+            raise TimeoutError
 
 
 def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
@@ -158,13 +156,12 @@ def solve_exact(instance: ProblemInstance,
                         continue
                     plan = DomainPlan(tuple(p in heads for p in range(n)), head_of)
                     vnfms = tuple(m for domain in domains_of(instance, plan)
-                                  for m in place_domain(instance, domain, math.inf,
-                                                        ticker.deadline))
+                                  for m in place_domain(instance, domain, ticker.deadline))
                     total = k + len(vnfms)
                     if best_objective is None or total < best_objective:
                         best_objective = total
                         best_solution = Solution(plan, vnfms)
-    except (_BudgetHit, TimeoutError):
+    except TimeoutError:
         return OracleResult(OracleStatus.BUDGET_EXCEEDED, best_solution,
                             best_objective, ticker.nodes)
 

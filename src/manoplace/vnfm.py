@@ -4,10 +4,12 @@ Once the orchestrator layer has fixed the domains, each domain is solved on
 its own: pick PoPs for the managers and split the domain's VNFs among them
 so that every VNF sits within its own delay bound of its manager and every
 manager sits within the VNF's orchestrator bound of the domain head. That
-is a capacitated covering problem; domains up to ``EXACT_THRESHOLD`` VNFs
-are solved exactly by branch and bound, larger ones by a covering greedy.
-A feasible plan's domains hold at most the orchestrator capacity of VNFs,
-so the greedy runs only when that capacity is above the threshold.
+is a capacitated covering problem, solved exactly for every domain: the
+VNFs split into parts that share no host, and in each part a covering
+greedy gives the answer unless a search over manager counts per host, each
+spread tested by a bipartite matching, finds one with fewer managers. The
+search is exponential in the worst case; ``place_domain``'s ``deadline``
+bounds it.
 
 A domain is read from the masks step 1 keeps: its member PoPs and the VNFs
 ``located`` on them. A manager at member p can run the VNFs
@@ -30,7 +32,7 @@ from .model import DomainPlan, Solution, VnfmAssignment
 from .tabu import SearchResult, TabuParams, _bits, _domain, _members, penalty_parts, search
 from .topology import ProblemInstance
 
-EXACT_THRESHOLD = 20
+EXACT_THRESHOLD = 20  # read by no code here; bench/run.py still imports it
 
 
 @dataclass(frozen=True)
@@ -82,55 +84,84 @@ def _greedy_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
     return managers
 
 
-def _exact_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
-                  order: list[int], hosts_of: dict[int, list[int]],
-                  deadline: float) -> dict[int, int]:
-    """Minimum-manager host assignment by branch and bound.
+def _augment(runs: dict[int, int], slots: dict[int, int], held: dict[int, int],
+             seen: set[int], i: int) -> bool:
+    """Kuhn's augmenting path for VNF i: put it at a host p that runs it
+    (``runs[p]``) and holds fewer than ``slots[p]`` VNFs (``held[p]``), moving
+    VNFs along a path of hosts not yet ``seen`` to make room. False when no
+    path exists."""
+    for p in slots:
+        if runs[p] >> i & 1 and p not in seen:
+            seen.add(p)
+            if held[p].bit_count() < slots[p]:
+                held[p] |= 1 << i
+                return True
+            for j in _bits(held[p]):
+                if _augment(runs, slots, held, seen, j):
+                    held[p] ^= 1 << j | 1 << i
+                    return True
+    return False
 
-    Branches on the hosts ``hosts_of[v]`` of one VNF v at a time, in ``order``
-    (most-constrained VNF first); hosts are tried by their coverage of the
-    VNFs not yet branched on. The state is one load per host: at a host whose
-    load is not a multiple of the capacity φ the VNF joins the open manager
-    (opening another one there can never do better), otherwise a manager is
-    opened. The open managers' free slots total ``open·φ − i`` after i of the
-    n VNFs, so a node is cut when ``max(open, ⌈n/φ⌉)`` cannot beat the
-    incumbent. Raises :class:`TimeoutError` once ``time.monotonic()`` passes
-    ``deadline``.
+
+def _match(runs: dict[int, int], slots: dict[int, int], held: dict[int, int],
+           order: list[int], vnfs: int) -> bool:
+    """Extend the matching ``held`` to the VNFs ``vnfs``, taken in ``order``;
+    False when no matching covers them."""
+    return all(_augment(runs, slots, held, set(), i) for i in order if vnfs >> i & 1)
+
+
+def _exact_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
+                  order: list[int], deadline: float) -> dict[int, int]:
+    """Minimum-manager host for each VNF in ``order``, one part of a domain.
+
+    The covering greedy is the answer unless fewer managers will do. For
+    each count t from ``⌈n/φ⌉`` up to one below the greedy's, t managers are
+    spread over the hosts, taken by coverage: more managers on earlier hosts
+    first, and never more at host p than ``⌈|runs[p]|/φ⌉``. A partial spread
+    is cut as soon as the VNFs that no later host runs admit no matching into
+    the managers placed so far; once all t are placed, every VNF must match.
+    The first full spread that admits a matching is optimal. Raises
+    :class:`TimeoutError` once ``time.monotonic()`` passes ``deadline``.
     """
     cap = instance.params.vnfm_capacity
-    n = len(order)
-    floor = math.ceil(n / cap)
-    suffix = [0] * (n + 1)  # suffix[i]: the VNFs order[i:]
-    for i in reversed(range(n)):
-        suffix[i] = suffix[i + 1] | 1 << order[i]
-    tries = [_host_order(instance, head, runs, hosts_of[v], suffix[i])
-             for i, v in enumerate(order)]
-
+    floor = math.ceil(len(order) / cap)
     greedy = _greedy_assign(instance, head, runs, order)
-    best_count = len(greedy)
-    best_map = {v: host for host, taken in greedy for v in taken}
+    greedy_map = {i: host for host, taken in greedy for i in taken}
+    if len(greedy) == floor:
+        return greedy_map
+    vnfs = sum(1 << i for i in order)
+    hosts = _host_order(instance, head, runs, [p for p in runs if runs[p] & vnfs], vnfs)
+    most = [math.ceil(runs[p].bit_count() / cap) for p in hosts]
+    later = [0] * (len(hosts) + 1)  # later[j]: the VNFs hosts[j:] run
+    room = [0] * (len(hosts) + 1)  # room[j]: the managers hosts[j:] can take
+    for j in reversed(range(len(hosts))):
+        later[j] = later[j + 1] | runs[hosts[j]]
+        room[j] = room[j + 1] + most[j]
+    slots: dict[int, int] = {}
 
-    load = dict.fromkeys(runs, 0)
-    path = [0] * n  # path[i]: the host of order[i]
-
-    def dfs(i: int, opens: int) -> None:
-        nonlocal best_count, best_map
-        if max(opens, floor) >= best_count:
-            return
-        if i == n:
-            best_count, best_map = opens, dict(zip(order, path))
-            return
+    def spread(j: int, left: int, held: dict[int, int]) -> dict[int, int] | None:
         if time.monotonic() > deadline:
             raise TimeoutError
-        for host in tries[i]:
-            path[i] = host
-            opened = load[host] % cap == 0
-            load[host] += 1
-            dfs(i + 1, opens + opened)
-            load[host] -= 1
+        # x managers at hosts[j], most first, leaving no more than the later hosts take.
+        for x in range(min(most[j], left), max(left - room[j + 1], 0) - 1, -1):
+            slots[hosts[j]] = x * cap
+            grown = {**held, hosts[j]: 0}
+            if x == left:  # the spread is full: every VNF still open is matched now
+                if _match(runs, slots, grown, order, later[j]):
+                    return grown
+            # Otherwise the VNFs that no host after hosts[j] runs are.
+            elif _match(runs, slots, grown, order, later[j] & ~later[j + 1]):
+                found = spread(j + 1, left - x, grown)
+                if found is not None:
+                    return found
+        slots.pop(hosts[j], None)
+        return None
 
-    dfs(0, 0)
-    return best_map
+    for t in range(floor, len(greedy)):
+        held = spread(0, t, {})
+        if held is not None:
+            return {i: p for p, mask in held.items() for i in _bits(mask)}
+    return greedy_map
 
 
 def _chunk_hosts(host_map: dict[int, int], cap: int) -> list[VnfmAssignment]:
@@ -145,13 +176,23 @@ def _chunk_hosts(host_map: dict[int, int], cap: int) -> list[VnfmAssignment]:
     return out
 
 
+def _parts(runs: dict[int, int]) -> list[int]:
+    """The masks of VNFs that share no host: ``runs``' masks, overlapping ones joined."""
+    parts: list[int] = []
+    for mask in filter(None, runs.values()):
+        for part in [part for part in parts if part & mask]:
+            parts.remove(part)
+            mask |= part
+        parts.append(mask)
+    return parts
+
+
 def place_domain(instance: ProblemInstance, domain: DomainView,
-                 exact_threshold: float = EXACT_THRESHOLD,
                  deadline: float = math.inf) -> tuple[VnfmAssignment, ...]:
-    """Place managers for one domain; raises :class:`InfeasibleDomain` when a
-    VNF has no member PoP satisfying both delay bounds, and
-    :class:`TimeoutError` when the branch and bound runs past ``deadline``
-    (a ``time.monotonic()`` reading)."""
+    """Place the fewest managers for one domain; raises
+    :class:`InfeasibleDomain` when a VNF has no member PoP satisfying both
+    delay bounds, and :class:`TimeoutError` when the search runs past
+    ``deadline`` (a ``time.monotonic()`` reading)."""
     ids = dict(zip(_bits(domain.located), domain.vnf_ids))
     _, _, once, _ = _domain(instance, domain.head, domain.members)
     unserved = domain.located & ~once
@@ -159,18 +200,14 @@ def place_domain(instance: ProblemInstance, domain: DomainView,
         raise InfeasibleDomain(ids[next(_bits(unserved))], domain.head)
     serves = instance.vnfs_served[domain.head]
     runs = {p: serves[p] & domain.located for p in _bits(domain.members)}
-    hosts_of = {i: [p for p in runs if runs[p] >> i & 1] for i in ids}
     # Most-constrained VNF first: fewest hosts, then lowest id.
-    order = sorted(ids, key=lambda i: (len(hosts_of[i]), ids[i]))
-
-    cap = instance.params.vnfm_capacity
-    if len(order) <= exact_threshold:
-        host_map = _exact_assign(instance, domain.head, runs, order, hosts_of, deadline)
-        managers = _chunk_hosts({ids[i]: h for i, h in host_map.items()}, cap)
-    else:
-        managers = [VnfmAssignment(host, tuple(ids[i] for i in taken))
-                    for host, taken in _greedy_assign(instance, domain.head, runs, order)]
-    return tuple(sorted(managers, key=lambda m: (m.location, m.managed)))
+    order = sorted(ids, key=lambda i: (sum(mask >> i & 1 for mask in runs.values()), ids[i]))
+    host_map = {}
+    for part in _parts(runs):
+        host_map.update(_exact_assign(instance, domain.head, runs,
+                                      [i for i in order if part >> i & 1], deadline))
+    return tuple(_chunk_hosts({ids[i]: h for i, h in host_map.items()},
+                              instance.params.vnfm_capacity))
 
 
 @dataclass(frozen=True)

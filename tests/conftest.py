@@ -95,9 +95,10 @@ def two_clusters():
 @pytest.fixture
 def slow_domain():
     """A 6-PoP, 18-VNF instance whose first feasible plan (PoP 0 heading every
-    PoP) has a domain the manager branch and bound runs on for over a minute:
-    four VNFs have one host each, the other 14 four or five, and the manager
-    capacity is 2."""
+    PoP) has one domain: four VNFs have one host each, the other 14 four or
+    five, and the manager capacity is 2. The optimum, 10 managers, is one
+    above the ``⌈18/2⌉`` floor; a branch and bound cut at that floor once ran
+    on this domain for over a minute."""
     base = generate_instance(GeneratorConfig(pop_count=6, vnf_count=18, seed=65,
                                              vnfm_capacity=2))
     rng = random.Random(65)
@@ -105,6 +106,32 @@ def slow_domain():
         replace(v, vnfm_delay_bound=rng.choice([15.0, 30.0, 45.0]),
                 nfvo_vnfm_delay_bound=rng.choice([30.0, 45.0, 60.0]))
         for v in base.vnfs))
+
+
+def pairs_instance(k, bridged=True):
+    """k pairs of PoPs, 10 ms apart inside a pair and 40 ms across, with 3
+    VNFs at each pair's first PoP that only the pair can manage (bounds
+    15/45 ms) and, when ``bridged``, one VNF at PoP 0 that every PoP can
+    manage (45/45 ms). Manager capacity 2, orchestrator capacity 31.
+
+    With PoP 0 heading every PoP, each pair needs 2 managers: the optimum is
+    2k against a ``⌈VNFs/2⌉`` floor of about 1.5k. Unbridged, the pairs share
+    no host and are placed one by one; the bridging VNF joins them into one
+    part, on which the manager search is exponential in k."""
+    n = 2 * k
+    delays = [[0.0 if i == j else 10.0 if i // 2 == j // 2 else 40.0 for j in range(n)]
+              for i in range(n)]
+    locs = [2 * i for i in range(k) for _ in range(3)] + [0] * bridged
+    bounds = [(15.0, 45.0)] * (3 * k) + [(45.0, 45.0)] * bridged
+    return make_instance(delays, tuple(locs), vnfm_capacity=2, nfvo_capacity=31,
+                         vnf_bounds=bounds)
+
+
+@pytest.fixture
+def bridged_pairs():
+    """``pairs_instance(10)``: placing its first plan's one domain takes far
+    longer than a test can wait."""
+    return pairs_instance(10)
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import json
 import shlex
 import subprocess
 import sys
+import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -271,12 +273,15 @@ class TestSolve:
         assert "status=budget_exceeded" in out
         assert err == "manoplace: no solution: budget_exceeded after 2 nodes\n"
 
-    def test_exact_time_limit_covers_manager_placement(self, capsys, tmp_path, slow_domain,
+    def test_exact_time_limit_covers_manager_placement(self, capsys, tmp_path, bridged_pairs,
                                                        alarm):
         path = tmp_path / "slow.json"
-        save_problem(slow_domain, path)
+        save_problem(bridged_pairs, path)
         alarm(10)
+        start = time.monotonic()
         assert cli_main(["solve-exact", str(path), "--time-limit", "1"]) == 2
+        # The solver reports an alarm's TimeoutError as its own budget hit.
+        assert time.monotonic() - start < 3.0
         out, err = capsys.readouterr()
         assert out == "status=budget_exceeded nodes_explored=2\n"
         assert err == "manoplace: no solution: budget_exceeded after 2 nodes\n"
@@ -317,6 +322,16 @@ class TestExportLp:
         lp_path = tmp_path / "tiny.lp"
         assert lp_path.exists()
         assert check_lp_file(lp_path) == []
+
+    def test_bundled_instance_writes_to_the_current_directory(self, capsys, tmp_path,
+                                                              monkeypatch):
+        data = resources.files("manoplace") / "data"
+        before = sorted(p.name for p in data.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["export-lp", "bundled:pop8"]) == 0
+        assert capsys.readouterr().out.endswith("\nwrote pop8.lp\n")
+        assert check_lp_file(tmp_path / "pop8.lp") == []
+        assert sorted(p.name for p in data.iterdir()) == before
 
     def test_explicit_output_path(self, capsys, tmp_path, line3_file):
         target = tmp_path / "model.lp"

@@ -6,14 +6,15 @@ domain can manage must agree with a per-VNF recount on arbitrary head
 assignments. For any subset of orchestrators the GSO can reach, the exact
 solver's enumeration must yield, in order, the assignments of a product
 over each PoP's heads in reach that pass the capacity and look-ahead
-recounts, with their manager floors. Along random walks of search moves
-every incrementally scored neighbour must equal a full rescore. The MILP
-solver on the exported LP must reach the exact optimum, instance and
-solution files must round-trip exactly, and on exports with one character
-or line edited the LP check must equal the token parse. Every input file
-with one value swapped for one of another JSON kind must exit 0, 1 or 2,
-never 3, and an exit 2 prints one stderr line. Examples are derandomized,
-so every run checks the same instances.
+recounts, with their manager floors. On random plans every domain's
+manager count must equal an exhaustive max-flow minimum. Along random
+walks of search moves every incrementally scored neighbour must equal a
+full rescore. The MILP solver on the exported LP must reach the exact
+optimum, instance and solution files must round-trip exactly, and on
+exports with one character or line edited the LP check must equal the
+token parse. Every input file with one value swapped for one of another
+JSON kind must exit 0, 1 or 2, never 3, and an exit 2 prints one stderr
+line. Examples are derandomized, so every run checks the same instances.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 
 from manoplace import (
     GeneratorConfig,
+    InfeasibleDomain,
     NoFeasiblePlan,
     OracleStatus,
     TabuParams,
@@ -53,11 +55,11 @@ from manoplace.lp_export import _check_lines, _token_lines
 from manoplace.model import DomainPlan, Solution, VnfmAssignment
 from manoplace.oracle import _feasible_assignments
 from manoplace.tabu import _Position, _start, penalty_parts
-from manoplace.vnfm import domains_of
+from manoplace.vnfm import domains_of, place_domain
 
 from test_lp_export import _solve_lp
 from test_tabu import check_neighbour, naive_look_ahead, tables
-from test_vnfm import by_member, eligibility, runnable
+from test_vnfm import by_member, eligibility, flow_minimum, runnable
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
@@ -136,6 +138,22 @@ def test_enumeration_matches_a_product_over_reachable_heads(instance, data):
     ticks = []
     assert list(_feasible_assignments(instance, heads, lambda: ticks.append(1))) == expected
     assert len(ticks) == fits
+
+
+@SMALL
+@given(mixed_bounds(6, max_vnfs=10), st.data())
+def test_manager_placement_matches_the_flow_minimum(instance, data):
+    n = instance.pop_count
+    nfvo_at = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    head_of = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    for dom in domains_of(instance, DomainPlan.make(nfvo_at, head_of)):
+        members = [q for q in range(n) if head_of[q] == dom.head]
+        expected = flow_minimum(instance, dom.head, members)
+        if expected is None:
+            with pytest.raises(InfeasibleDomain):
+                place_domain(instance, dom)
+        else:
+            assert len(place_domain(instance, dom)) == expected
 
 
 @SMALL

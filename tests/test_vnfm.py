@@ -4,7 +4,7 @@
 managers to open per host (smallest total first) and asks a max-flow
 feasibility question for each candidate, so it cannot miss a better
 packing. It reads the manager hosts straight from the delays, sharing no
-code with the placer. The branch and bound must match it exactly.
+code with the placer. The placer's manager count must match it exactly.
 
 The step-2 golden corpus pins the bytes of two-step and exact solutions on
 generated instances whose VNF ids are shuffled and whose VNFs carry their
@@ -31,16 +31,19 @@ from manoplace import (
     check_feasibility,
     generate_instance,
     load_instance_ref,
+    load_solution,
+    save_problem,
     solve_exact,
     two_step_place,
     two_step_place_detailed,
 )
+from manoplace.cli import cli_main
 from manoplace.model import DomainPlan, solution_to_data
 from manoplace.tabu import _bits
 from manoplace.topology import with_uniform_vnfs
-from manoplace.vnfm import EXACT_THRESHOLD, DomainView, domains_of, place_domain
+from manoplace.vnfm import DomainView, domains_of, place_domain
 
-from conftest import make_instance
+from conftest import make_instance, pairs_instance, symmetric
 
 
 def eligibility(instance, head, members):
@@ -185,6 +188,17 @@ class TestPlaceDomain:
         assert len(placed) == 2
         assert flow_minimum(inst, *whole(inst)) == 2
 
+    def test_beats_the_covering_greedy(self):
+        # PoP 0 can run v0, v1 and v2, PoP 1 v1 and v3, PoP 2 v0 and v2. The
+        # covering greedy fills PoP 0 with v0 and v1, then needs two more
+        # managers for v2 and v3; v1 belongs with v3 at PoP 1.
+        inst = make_instance(symmetric(3, {(0, 1): 20, (0, 2): 20, (1, 2): 40}),
+                             vnf_locs=(2, 1, 2, 1), vnfm_capacity=2,
+                             vnf_bounds=[(25.0, 45.0)] * 3 + [(15.0, 45.0)])
+        placed = place_domain(inst, single_domain(inst))
+        assert [(m.location, m.managed) for m in placed] == [(0, (0, 2)), (1, (1, 3))]
+        assert flow_minimum(inst, *whole(inst)) == 2
+
     def test_many_vnfs_at_one_pop_chunk_into_capacity_managers(self):
         inst = make_instance([[0, 10], [10, 0]], vnf_locs=(0,) * 5,
                              vnfm_capacity=2)
@@ -204,18 +218,38 @@ class TestPlaceDomain:
         assert err.value.vnf_id == 0
         assert err.value.head == 0
 
-    def test_greedy_fallback_still_covers(self):
-        inst = generate_instance(GeneratorConfig(pop_count=5, vnf_count=14,
-                                                 seed=6, vnfm_capacity=3))
-        domain = single_domain(inst)
-        exact = place_domain(inst, domain)
-        greedy = place_domain(inst, domain, exact_threshold=1)
-        covered = sorted(v for m in greedy for v in m.managed)
-        assert covered == sorted(domain.vnf_ids)
-        assert len(greedy) >= len(exact)
+    def test_slow_domain_places_its_optimum(self, slow_domain, alarm):
+        alarm(10)
+        placed = place_domain(slow_domain, single_domain(slow_domain))
+        alarm(0)
+        # flow_minimum's count here; it takes seconds to find it, the placer
+        # a fraction of a millisecond.
+        assert len(placed) == 10
+
+    def test_parts_that_share_no_host_are_placed_apart(self, alarm):
+        # Searched as one part, this domain took 25 s.
+        inst = pairs_instance(10, bridged=False)
+        alarm(5)
+        assert len(place_domain(inst, single_domain(inst))) == 20
 
 
 class TestTwoStep:
+    def test_slow_domain_is_placed_exactly(self, slow_domain, alarm, tmp_path, capsys):
+        alarm(10)
+        solution = two_step_place(slow_domain, TabuParams(seed=0))
+        path = tmp_path / "slow.json"
+        save_problem(slow_domain, path)
+        alarm(10)
+        assert cli_main(["solve-tsp", str(path), "--output", str(tmp_path / "sol.json")]) == 0
+        alarm(0)
+        assert load_solution(tmp_path / "sol.json") == solution
+        assert check_feasibility(slow_domain, solution).ok
+        head_of = solution.plan.head_of
+        managers = Counter(head_of[m.location] for m in solution.vnfms)
+        for domain in domains_of(slow_domain, solution.plan):
+            members = [q for q, h in enumerate(head_of) if h == domain.head]
+            assert managers[domain.head] == flow_minimum(slow_domain, domain.head, members)
+
     def test_solution_is_feasible_and_consistent(self, four_pop_clusters):
         result = two_step_place_detailed(four_pop_clusters, TabuParams(seed=0))
         sol = result.solution
@@ -258,8 +292,9 @@ def digest(data) -> str:
 # Step-2 outputs recorded before the manager placer moved to bitmasks:
 # (pops, vnfs, seed, phi_vnfm, phi_nfvo, largest tsp domain, sha256 prefix
 # of the tsp solution file data, and of the exact one with its status and
-# node count, or None above 8 PoPs). Domains above EXACT_THRESHOLD VNFs ran
-# the greedy fallback in the tsp pipeline; the exact solver never does.
+# node count, or None above 8 PoPs). The tsp digests of the rows whose
+# largest domain is above 20 VNFs were re-recorded when exact placement
+# replaced a covering greedy there.
 STEP2_GOLDEN = [
     (8, 16, 0, 5, 20, 16, "ac8fec8fefb2ce16", "f044dec06ffa1342"),
     (5, 8, 1, 10, 20, 8, "fa135579dd474562", "99e60e951c450cd0"),
@@ -269,7 +304,7 @@ STEP2_GOLDEN = [
     (8, 36, 5, 5, 40, 19, "854f2261111b1593", "3d5f3b064df40c25"),
     (7, 8, 6, 5, 20, 8, "0a4af901edec3d90", "0567aafb70196d05"),
     (5, 16, 7, 10, 20, 16, "d0121e0ab937b6f9", "ab6f83b2aa34ef49"),
-    (10, 24, 8, 3, 40, 24, "f2137654631d698b", None),
+    (10, 24, 8, 3, 40, 24, "f6e709b6424f5fa7", None),
     (6, 16, 9, 3, 20, 9, "481fff5efc7ff7c1", "62b8de57b4f87751"),
     (12, 24, 10, 3, 20, 19, "db0920ba33b6970d", None),
     (7, 12, 11, 5, 40, 12, "f34a07c88a45a62c", "a74e307bdc05e5d3"),
@@ -277,21 +312,21 @@ STEP2_GOLDEN = [
     (8, 36, 13, 10, 40, 17, "11311eb082ddfafc", "68f73d74dbba3279"),
     (10, 8, 14, 5, 20, 8, "fceacee427681040", None),
     (5, 24, 15, 10, 40, 24, "0384ddfa09878736", "f89faf7b75c0d238"),
-    (7, 36, 16, 5, 40, 36, "7525fd0957e7d924", "5adec3804250f7c2"),
+    (7, 36, 16, 5, 40, 36, "3c43b365e47dd5d0", "5adec3804250f7c2"),
     (8, 12, 17, 3, 40, 12, "c594f1f5dfd2d057", "a959bf3f4fefd46e"),
-    (8, 36, 18, 3, 40, 36, "f70fdc70f72217a6", "bfbcea553eeda229"),
+    (8, 36, 18, 3, 40, 36, "74c8da00526cac44", "bfbcea553eeda229"),
     (5, 12, 19, 3, 40, 10, "4df969cf45073288", "3a992e4205148d94"),
     (5, 16, 20, 5, 20, 16, "51a29506326e0add", "7565f5a1dcc771c7"),
     (10, 24, 21, 3, 20, 17, "970a409a76c7fb62", None),
-    (6, 36, 22, 5, 40, 36, "ffb072972dd33460", "50df3b313adba2e1"),
-    (8, 24, 23, 3, 40, 24, "0377e37aa64da864", "2be6ad387f2dc366"),
-    (5, 24, 24, 5, 40, 24, "15f7cdf5b8015a0a", "4abcbd069cd42c5c"),
+    (6, 36, 22, 5, 40, 36, "1ecf44e50940c7ad", "50df3b313adba2e1"),
+    (8, 24, 23, 3, 40, 24, "f8c5d1536082e776", "2be6ad387f2dc366"),
+    (5, 24, 24, 5, 40, 24, "1b55e7f6b40db60f", "4abcbd069cd42c5c"),
     (6, 8, 25, 3, 20, 5, "4fff6fa5984afb55", "0f37339c07509a42"),
     (5, 24, 26, 5, 40, 20, "410b5c599a0d3938", "92fda4266005c039"),
     (5, 8, 27, 10, 20, 8, "258a880d83ff6aef", "f89a12b78554f4ff"),
-    (8, 36, 28, 5, 40, 36, "178b2388e9d1006b", "d7e5adb3a4c3bab9"),
-    (10, 36, 29, 10, 40, 36, "ac42bb3ceff070bf", None),
-    (5, 36, 30, 3, 40, 36, "856f3c842d717b41", "6dbe5aa1785ae27f"),
+    (8, 36, 28, 5, 40, 36, "6c5969a98130319a", "d7e5adb3a4c3bab9"),
+    (10, 36, 29, 10, 40, 36, "49bf2fccb7524c2f", None),
+    (5, 36, 30, 3, 40, 36, "abe128a31b9ca435", "6dbe5aa1785ae27f"),
     (12, 8, 31, 5, 20, 8, "5855b9b4330ca0f2", None),
 ]
 
@@ -310,15 +345,11 @@ def test_step2_golden(pops, vnfs, seed, phi_vnfm, phi_nfvo, largest, tsp, exact)
             "status": result.status.value, "nodes_explored": result.nodes_explored})) == exact
 
 
-def test_step2_golden_runs_the_greedy_fallback():
-    assert sum(g[5] > EXACT_THRESHOLD for g in STEP2_GOLDEN) >= 9
-
-
 def test_step2_golden_single_domains():
     # The whole instance as one domain headed by PoP 0, on 216 instances with
     # shuffled ids and per-VNF bounds; 87 of them raise InfeasibleDomain.
-    # Ordering the branch and bound's hosts by their coverage of all the
-    # domain's VNFs, not of those still to branch on, changes 3 placements.
+    # Re-recorded when a matching search replaced the branch and bound:
+    # 4 placements changed, with the same manager counts.
     placed = []
     for pops, vnfs, cap, seed in product([4, 6, 8], [10, 16], [2, 3, 4], range(12)):
         inst = mixed_instance(pops, vnfs, seed, cap, 20)
@@ -327,4 +358,4 @@ def test_step2_golden_single_domains():
                            for m in place_domain(inst, single_domain(inst))])
         except InfeasibleDomain as exc:
             placed.append([exc.vnf_id, exc.head])
-    assert digest(placed) == "a5a55307a541fa40"
+    assert digest(placed) == "6535a3969c6d8dea"
