@@ -24,10 +24,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import partial
 
 from .errors import (
-    InfeasibleDomain,
     InstanceFormatError,
     InstanceValidationError,
     NoFeasiblePlan,
@@ -60,17 +58,22 @@ class _UsageError(Exception):
     pass
 
 
+def _named_by_flag(message: str, flags: dict[str, tuple[str, object]], prefix: str = "") -> str:
+    """``message``, which names a settings field after ``prefix``, naming the
+    field's flag instead when ``flags`` (``{flag: (field, value)}``) has one."""
+    for flag, (name, _value) in flags.items():
+        if message.startswith(f"{prefix}{name} "):
+            return flag + message[len(prefix) + len(name):]
+    return message
+
+
 def _from_flags(cls, flags: dict[str, tuple[str, object]], **fixed):
     """Build a settings dataclass from ``{flag: (field, value)}`` and ``fixed``
     fields; a value it rejects is a usage error that names the flag typed."""
     try:
         return cls(**fixed, **dict(flags.values()))
-    except ValueError as exc:
-        message = str(exc)  # the settings classes name the field first
-        for flag, (name, _value) in flags.items():
-            if message.startswith(f"{name} "):
-                message = flag + message[len(name):]
-        raise _UsageError(message) from None
+    except ValueError as exc:  # the settings classes name the field first
+        raise _UsageError(_named_by_flag(str(exc), flags)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,13 +90,12 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a synthetic instance")
     gen.add_argument("--pops", type=int, help="number of PoPs")
     gen.add_argument("--vnfs", type=int, help="number of VNFs")
-    gen.add_argument("--seed", type=int, help="overrides the configuration's seed")
-    gen.add_argument("--area-km", type=float, default=GeneratorConfig.area_side_km)
-    gen.add_argument("--delay-per-km", type=float,
-                     default=GeneratorConfig.delay_per_km)
-    gen.add_argument("--jitter", type=float,
-                     default=GeneratorConfig.delay_jitter_fraction)
-    gen.add_argument("--config", help="generator configuration file (JSON)")
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--area-km", type=float)
+    gen.add_argument("--delay-per-km", type=float)
+    gen.add_argument("--jitter", type=float)
+    gen.add_argument("--config", help="generator configuration file (JSON); "
+                                      "the flags given override its values")
     gen.add_argument("--output", required=True, help="instance file to write")
 
     val = sub.add_parser("validate", help="validate an instance file")
@@ -131,18 +133,24 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    if args.config is not None:
-        config = parse_config(GeneratorConfig, read_json(args.config), args.config)
-        if args.seed is not None:
-            config = _from_flags(partial(replace, config), {"--seed": ("seed", args.seed)})
-    else:
-        if args.pops is None or args.vnfs is None:
-            raise _UsageError("gen requires --pops and --vnfs (or --config)")
-        config = parse_config(GeneratorConfig, {
-            "pop_count": args.pops, "vnf_count": args.vnfs,
-            "seed": GeneratorConfig.seed if args.seed is None else args.seed,
-            "area_side_km": args.area_km, "delay_per_km": args.delay_per_km,
-            "delay_jitter_fraction": args.jitter}, "gen")
+    if args.config is None and (args.pops is None or args.vnfs is None):
+        raise _UsageError("gen requires --pops and --vnfs (or --config)")
+    flags = {"--pops": ("pop_count", args.pops), "--vnfs": ("vnf_count", args.vnfs),
+             "--seed": ("seed", args.seed), "--area-km": ("area_side_km", args.area_km),
+             "--delay-per-km": ("delay_per_km", args.delay_per_km),
+             "--jitter": ("delay_jitter_fraction", args.jitter)}
+    given = {flag: pair for flag, pair in flags.items() if pair[1] is not None}
+    # The file's values, each flag given laid on top.
+    data = {} if args.config is None else read_json(args.config)
+    if isinstance(data, dict):  # parse_config reports anything else
+        data = {**data, **dict(given.values())}
+    where = args.config or "gen"
+    try:
+        config = parse_config(GeneratorConfig, data, where)
+    except InstanceFormatError as exc:
+        # Over a file, a rejected flag value is named by its flag, not the file's key.
+        raise _UsageError(_named_by_flag(str(exc), given if args.config else {},
+                                         f"{where}: ")) from None
     instance = generate_instance(config)
     save_problem(instance, args.output)
     print(f"wrote {args.output}: {instance.pop_count} pops, "
@@ -272,9 +280,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except NoFeasiblePlan as exc:
         print(f"manoplace: no feasible plan: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except InfeasibleDomain as exc:
-        print(f"manoplace: infeasible domain: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except Exception as exc:  # pragma: no cover - safety net
         print(f"manoplace: internal error: {exc}", file=sys.stderr)

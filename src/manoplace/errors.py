@@ -45,10 +45,8 @@ class NoFeasiblePlan(ManoPlaceError):
 class InfeasibleDomain(ManoPlaceError):
     """A domain contains a VNF with no PoP satisfying both manager delay bounds."""
 
-    def __init__(self, vnf_id: int, head: int, message: str | None = None):
+    def __init__(self, vnf_id: int, head: int):
         self.vnf_id = vnf_id
         self.head = head
         super().__init__(
-            message
-            or f"VNF {vnf_id} has no eligible manager host in the domain headed by PoP {head}"
-        )
+            f"VNF {vnf_id} has no eligible manager host in the domain headed by PoP {head}")

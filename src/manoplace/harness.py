@@ -19,9 +19,10 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
-from .errors import InfeasibleDomain, NoFeasiblePlan
+from .errors import NoFeasiblePlan
 from .model import Solution, save_solution
 from .oracle import OracleBudget, OracleStatus, solve_exact
 from .tabu import TabuParams
@@ -83,6 +84,9 @@ class ExperimentConfig:
                            ("wall_clock", bool), ("vnfm_delay_bound", float),
                            ("nfvo_vnfm_delay_bound", float)):
             check_type(name, getattr(self, name), kind)
+        if self.solutions_dir is not None and not self.emit_solutions:
+            raise ValueError("solutions_dir is set but emit_solutions is not: "
+                             "no solution would be written")
         for name in ("vnf_counts", "algorithms"):  # a sweep file gives lists
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for count in self.vnf_counts:
@@ -160,8 +164,6 @@ def _run_tsp(config: ExperimentConfig, instance: ProblemInstance,
         result = two_step_place_detailed(instance, config.tabu_params(seed))
     except NoFeasiblePlan:
         return "no_feasible_plan", None, None
-    except InfeasibleDomain:
-        return "infeasible_domain", None, None
     return STATUS_OK, result.solution, result.search.iterations
 
 
@@ -235,14 +237,8 @@ def write_csv(records: list[RunRecord], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        groups: list[tuple[tuple[int, str], list[RunRecord]]] = []
-        for record in records:
-            key = (record.vnfs, record.algorithm)
-            if groups and groups[-1][0] == key:
-                groups[-1][1].append(record)
-            else:
-                groups.append((key, [record]))
-        for _key, group in groups:
+        for _key, rows in groupby(records, key=lambda r: (r.vnfs, r.algorithm)):
+            group = list(rows)
             for r in group:
                 writer.writerow([
                     r.instance, r.pops, r.vnfs, r.algorithm, r.seed,

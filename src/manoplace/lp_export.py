@@ -228,10 +228,12 @@ def export_lp(instance: ProblemInstance, path: str | Path) -> LpSummary:
 # ---------------------------------------------------------------------------
 # Grammar check
 
-_VAR_RE = re.compile(
-    r"^(h_\d+|r_\d+_\d+|x_\d+_\d+|y_\d+_\d+_\d+|z_\d+_\d+_\d+_\d+)$")
+# Both parses' number syntax (.5 too) and names; without re.ASCII, \d is Unicode.
+_NUM = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
+_VAR = r"(?:h_\d+|[rx]_\d+_\d+|y_\d+_\d+_\d+|z_\d+_\d+_\d+_\d+)"
+_VAR_RE = re.compile(rf"{_VAR}$")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-_NUM_RE = re.compile(r"^\d+(\.\d+)?([eE][+-]?\d+)?$|^\.\d+([eE][+-]?\d+)?$")
+_NUM_RE = re.compile(rf"{_NUM}$")
 _TOKEN_RE = re.compile(r"<=|>=|=|\+|-|:|[A-Za-z][A-Za-z0-9_]*|\d[\w.+-]*|\.\d[\w.+-]*|\S")
 
 
@@ -313,8 +315,6 @@ def check_lp_file(path: str | Path) -> list[str]:
 # Compiled with re.ASCII, each accepts a strict subset of what the token parse
 # accepts without a diagnostic: numbers and names end where _TOKEN_RE's greedy
 # tokens end, row names cannot be keywords, and inf or nan does not match.
-_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-_VAR = r"(?:h_\d+|[rx]_\d+_\d+|y_\d+_\d+_\d+|z_\d+_\d+_\d+_\d+)"
 _TERMS = rf"(?:{_NUM} )?{_VAR}(?: [+-] (?:{_NUM} )?{_VAR})*"
 _CLOSE = rf"(?: (<=|>=|=) -?{_NUM})?\n"
 _LINE_FORMS = (rf" obj: ((?:- )?{_TERMS})\n",

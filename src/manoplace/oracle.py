@@ -125,7 +125,10 @@ def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
             yield from rec(i + 1)
             masks[p] = saved
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # it refers to itself: left alone, the pair is cyclic garbage
 
 
 def solve_exact(instance: ProblemInstance,

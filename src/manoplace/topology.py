@@ -7,8 +7,8 @@ delay bounds), and the global MANO parameters (component capacities, the
 GSO location and the GSO/VIM delay bounds).
 
 Instances are plain frozen dataclasses. Constructing one does not validate
-it; ``validate_instance`` reports every broken invariant as data, and
-``load_problem`` refuses files whose instances validate non-empty.
+it; ``validate_instance`` returns one finding per broken invariant, and
+``load_problem`` refuses files whose instances have any.
 
 File format (JSON, strict: unknown keys are rejected)::
 
@@ -142,17 +142,6 @@ def _bitmasks(block: np.ndarray) -> tuple[int, ...]:
                  for row in np.packbits(block, axis=1, bitorder="little"))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Validator output: one human-readable entry per broken invariant."""
-
-    entries: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.entries
-
-
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
                str: "a string", list: "a list", dict: "an object"}
 _ACCEPTED = {float: (int, float), list: (list, tuple)}
@@ -233,8 +222,9 @@ class GeneratorConfig:
             raise ValueError("area_side_km and delay_per_km make the delays overflow")
 
 
-def validate_instance(instance: ProblemInstance) -> ValidationReport:
-    """Check every instance invariant; violations come back as report entries.
+def validate_instance(instance: ProblemInstance) -> tuple[str, ...]:
+    """Check every instance invariant: one human-readable finding per broken
+    invariant, none for a well-formed instance.
 
     Constructing a :class:`ProblemInstance` never raises on bad content, so
     this is the one place that decides whether an instance is well formed.
@@ -295,7 +285,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     if not 0 <= pr.gso_location < n:
         entries.append(f"params: GSO location {pr.gso_location} is not a valid PoP id")
 
-    return ValidationReport(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +376,9 @@ def load_problem(path: str | Path) -> ProblemInstance:
     invariant) for well-formed files describing an invalid instance.
     """
     instance = parse_problem(read_json(path))
-    report = validate_instance(instance)
-    if not report.ok:
-        raise InstanceValidationError(*report.entries)
+    findings = validate_instance(instance)
+    if findings:
+        raise InstanceValidationError(*findings)
     return instance
 
 
@@ -465,19 +455,15 @@ def with_uniform_vnfs(instance: ProblemInstance, count: int, seed: int,
 # Bundled data
 
 
-def bundled_instance_path(name: str) -> Path:
-    """Path of a topology shipped with the package (``pop8`` or ``pop16``)."""
-    base = resources.files("manoplace") / "data" / f"{name}.json"
-    with resources.as_file(base) as p:
-        return Path(p)
-
-
 def resolve_instance_path(ref: str | Path) -> Path:
-    """Resolve a CLI/config instance reference; ``bundled:<name>`` maps to package data."""
+    """Resolve a CLI/config instance reference; ``bundled:<name>`` is the
+    topology ``<name>`` shipped with the package (``pop8`` or ``pop16``)."""
     s = str(ref)
-    if s.startswith("bundled:"):
-        return bundled_instance_path(s.split(":", 1)[1])
-    return Path(s)
+    if not s.startswith("bundled:"):
+        return Path(s)
+    data = resources.files("manoplace") / "data" / f"{s.split(':', 1)[1]}.json"
+    with resources.as_file(data) as p:
+        return Path(p)
 
 
 def load_instance_ref(ref: str | Path) -> ProblemInstance:

@@ -13,9 +13,11 @@ bounds it.
 
 A domain is read from the masks step 1 keeps: its member PoPs and the VNFs
 ``located`` on them. A manager at member p can run the VNFs
-``vnfs_served[head][p] & located``; a VNF no member can run is the search's
-look-ahead (``located & ~once``) and raises :class:`InfeasibleDomain`. Host
-coverage is a popcount over the VNFs still to place.
+``runs[p] = vnfs_served[head][p] & located``; a VNF none can run raises
+:class:`InfeasibleDomain`, which the pipelines never meet (a plan reaches
+step 2 only with a zero look-ahead). A placement is one VNF mask per host
+(bit i stands for ``instance.vnfs[i]``), and a host's managers are its VNF
+ids, ascending, cut into runs of the capacity.
 
 ``two_step_place`` chains the orchestrator search and the per-domain
 manager placement into a full solution.
@@ -67,21 +69,21 @@ def _host_order(instance: ProblemInstance, head: int, runs: dict[int, int], host
 
 
 def _greedy_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
-                   order: list[int]) -> list[tuple[int, list[int]]]:
+                   order: list[int]) -> dict[int, int]:
     """Covering greedy: open a manager at the member that can run the most
     unassigned VNFs (``runs[p]`` holds those of member p) and give it up to
-    its capacity of them, in ``order``."""
+    its capacity of them, in ``order``. Returns the VNFs each host got."""
     cap = instance.params.vnfm_capacity
     unassigned = sum(1 << i for i in order)
-    managers: list[tuple[int, list[int]]] = []
+    held: dict[int, int] = {}
     while unassigned:
         host = _host_order(instance, head, runs,
                            [p for p in runs if runs[p] & unassigned], unassigned)[0]
         pool = runs[host] & unassigned
-        taken = [i for i in order if pool >> i & 1][:cap]
-        managers.append((host, taken))
-        unassigned &= ~sum(1 << i for i in taken)
-    return managers
+        taken = sum(1 << i for i in [i for i in order if pool >> i & 1][:cap])
+        held[host] = held.get(host, 0) | taken
+        unassigned &= ~taken
+    return held
 
 
 def _augment(runs: dict[int, int], slots: dict[int, int], held: dict[int, int],
@@ -112,7 +114,8 @@ def _match(runs: dict[int, int], slots: dict[int, int], held: dict[int, int],
 
 def _exact_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
                   order: list[int], deadline: float) -> dict[int, int]:
-    """Minimum-manager host for each VNF in ``order``, one part of a domain.
+    """The VNFs in ``order``, one part of a domain, placed on the fewest
+    managers: the VNFs each host gets.
 
     The covering greedy is the answer unless fewer managers will do. For
     each count t from ``⌈n/φ⌉`` up to one below the greedy's, t managers are
@@ -124,11 +127,7 @@ def _exact_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
     :class:`TimeoutError` once ``time.monotonic()`` passes ``deadline``.
     """
     cap = instance.params.vnfm_capacity
-    floor = math.ceil(len(order) / cap)
     greedy = _greedy_assign(instance, head, runs, order)
-    greedy_map = {i: host for host, taken in greedy for i in taken}
-    if len(greedy) == floor:
-        return greedy_map
     vnfs = sum(1 << i for i in order)
     hosts = _host_order(instance, head, runs, [p for p in runs if runs[p] & vnfs], vnfs)
     most = [math.ceil(runs[p].bit_count() / cap) for p in hosts]
@@ -157,23 +156,16 @@ def _exact_assign(instance: ProblemInstance, head: int, runs: dict[int, int],
         slots.pop(hosts[j], None)
         return None
 
-    for t in range(floor, len(greedy)):
-        held = spread(0, t, {})
-        if held is not None:
-            return {i: p for p, mask in held.items() for i in _bits(mask)}
-    return greedy_map
-
-
-def _chunk_hosts(host_map: dict[int, int], cap: int) -> list[VnfmAssignment]:
-    by_host: dict[int, list[int]] = {}
-    for v, h in sorted(host_map.items()):
-        by_host.setdefault(h, []).append(v)
-    out = []
-    for host in sorted(by_host):
-        ids = by_host[host]
-        for start in range(0, len(ids), cap):
-            out.append(VnfmAssignment(host, tuple(ids[start:start + cap])))
-    return out
+    # The greedy fills every manager but a host's last: ⌈|mask|/φ⌉ per host.
+    greedy_count = sum(math.ceil(mask.bit_count() / cap) for mask in greedy.values())
+    try:
+        for t in range(math.ceil(len(order) / cap), greedy_count):
+            held = spread(0, t, {})
+            if held is not None:
+                return held
+        return greedy
+    finally:
+        del spread  # it refers to itself: left alone, the pair is cyclic garbage
 
 
 def _parts(runs: dict[int, int]) -> list[int]:
@@ -194,20 +186,22 @@ def place_domain(instance: ProblemInstance, domain: DomainView,
     delay bounds, and :class:`TimeoutError` when the search runs past
     ``deadline`` (a ``time.monotonic()`` reading)."""
     ids = dict(zip(_bits(domain.located), domain.vnf_ids))
-    _, _, once, _ = _domain(instance, domain.head, domain.members)
-    unserved = domain.located & ~once
-    if unserved:
-        raise InfeasibleDomain(ids[next(_bits(unserved))], domain.head)
     serves = instance.vnfs_served[domain.head]
     runs = {p: serves[p] & domain.located for p in _bits(domain.members)}
+    parts = _parts(runs)
+    unserved = domain.located & ~sum(parts)  # parts are disjoint: their sum is their union
+    if unserved:
+        raise InfeasibleDomain(ids[next(_bits(unserved))], domain.head)
     # Most-constrained VNF first: fewest hosts, then lowest id.
     order = sorted(ids, key=lambda i: (sum(mask >> i & 1 for mask in runs.values()), ids[i]))
-    host_map = {}
-    for part in _parts(runs):
-        host_map.update(_exact_assign(instance, domain.head, runs,
-                                      [i for i in order if part >> i & 1], deadline))
-    return tuple(_chunk_hosts({ids[i]: h for i, h in host_map.items()},
-                              instance.params.vnfm_capacity))
+    held: dict[int, int] = {}
+    for part in parts:  # parts share no host, so their placements merge
+        held.update(_exact_assign(instance, domain.head, runs,
+                                  [i for i in order if part >> i & 1], deadline))
+    cap = instance.params.vnfm_capacity
+    managed = {host: sorted(ids[i] for i in _bits(mask)) for host, mask in sorted(held.items())}
+    return tuple(VnfmAssignment(host, tuple(vnfs[k:k + cap]))
+                 for host, vnfs in managed.items() for k in range(0, len(vnfs), cap))
 
 
 @dataclass(frozen=True)
@@ -223,11 +217,9 @@ def two_step_place_detailed(instance: ProblemInstance,
     if result.plan is None:
         raise NoFeasiblePlan(result.best_score.penalty,
                              penalty_parts(instance, result.best_plan))
-    plan = result.plan
-    vnfms: list[VnfmAssignment] = []
-    for domain in domains_of(instance, plan):
-        vnfms.extend(place_domain(instance, domain))
-    return TwoStepResult(Solution(plan, tuple(vnfms)), result)
+    vnfms = tuple(m for domain in domains_of(instance, result.plan)
+                  for m in place_domain(instance, domain))
+    return TwoStepResult(Solution(result.plan, vnfms), result)
 
 
 def two_step_place(instance: ProblemInstance,

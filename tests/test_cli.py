@@ -87,6 +87,7 @@ class TestParsing:
           ({"emit_solutions": "no"}, "emit_solutions must be a boolean"),
           ({"output": 5}, "output must be a string"),
           ({"solutions_dir": 5, "emit_solutions": True}, "solutions_dir must be a string"),
+          ({"solutions_dir": "sols"}, "solutions_dir is set but emit_solutions is not"),
           ({"vnfm_delay_bound": "x"}, "vnfm_delay_bound must be a number"),
           ({"vnfm_delay_bound": -5}, "vnfm_delay_bound must be > 0"),
           ({"nfvo_vnfm_delay_bound": -5}, "nfvo_vnfm_delay_bound must be > 0"),
@@ -105,6 +106,9 @@ class TestParsing:
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3}'},
      ["gen", "--config", "gen.json", "--seed", "-1", "--output", "i.json"],
      "--seed must be >= 0"),
+    ({"gen.json": '{"pop_count": 4, "vnf_count": 3}'},
+     ["gen", "--config", "gen.json", "--jitter", "2", "--output", "i.json"],
+     "--jitter must be in [0, 1)"),
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3, "area_side_km": true}'},
      ["gen", "--config", "gen.json", "--output", "i.json"], "area_side_km must be a number"),
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3, "area_side_km": Infinity}'},
@@ -129,12 +133,13 @@ class TestParsing:
         "exact-zero-time", "exact-nan-time", "gen-float-pops", "gen-bool-pops",
         "sweep-float-seed", "sweep-float-runs", "sweep-float-count", "sweep-bool-count",
         "sweep-float-samples", "sweep-string-flag", "sweep-int-output",
-        "sweep-int-solutions-dir", "sweep-string-bound", "sweep-negative-bound",
-        "sweep-negative-manager-bound", "sweep-nan-bound", "sweep-bool-time-limit",
-        "sweep-negative-seed", "sweep-negative-generator-seed",
+        "sweep-int-solutions-dir", "sweep-solutions-dir-without-emit", "sweep-string-bound",
+        "sweep-negative-bound", "sweep-negative-manager-bound", "sweep-nan-bound",
+        "sweep-bool-time-limit", "sweep-negative-seed", "sweep-negative-generator-seed",
         "sweep-generator-manager-bound", "sweep-bound-without-generator-bound",
-        "gen-negative-seed", "gen-config-negative-seed", "gen-bool-area", "gen-infinite-area",
-        "gen-overflowing-delays", "gen-overflowing-area", "sweep-overflowing-generator",
+        "gen-negative-seed", "gen-config-negative-seed", "gen-config-bad-jitter",
+        "gen-bool-area", "gen-infinite-area", "gen-overflowing-delays", "gen-overflowing-area",
+        "sweep-overflowing-generator",
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
@@ -184,6 +189,27 @@ class TestGen:
             assert cli_main(["gen", *argv, "--output", str(tmp_path / name)]) == 0
         read = {name: (tmp_path / name).read_bytes() for name in runs}
         assert read["flag"] == read["plain"] != read["config"]
+
+    def test_flags_override_the_config_file(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"pop_count": 4, "vnf_count": 5, "seed": 3}))
+        flags = ["--pops", "9", "--vnfs", "30", "--area-km", "10",
+                 "--delay-per-km", "0.5", "--jitter", "0.2"]
+        runs = {"over": ["--config", str(cfg), *flags], "plain": [*flags, "--seed", "3"]}
+        for name, argv in runs.items():
+            assert cli_main(["gen", *argv, "--output", str(tmp_path / name)]) == 0
+        assert (tmp_path / "over").read_bytes() == (tmp_path / "plain").read_bytes()
+        inst = load_problem(tmp_path / "over")
+        assert (inst.pop_count, inst.vnf_count) == (9, 30)
+
+    def test_flags_complete_a_partial_config_file(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        out = tmp_path / "i.json"
+        assert cli_main(["gen", "--config", str(cfg), "--pops", "4", "--vnfs", "5",
+                         "--output", str(out)]) == 0
+        inst = load_problem(out)
+        assert (inst.pop_count, inst.vnf_count) == (4, 5)
 
 
 class TestValidate:

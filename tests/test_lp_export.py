@@ -146,6 +146,14 @@ class TestGrammarCheck:
         assert check_against_the_token_parse(path, fast=False) == [
             "duplicate constraint name 'c17_0'"]
 
+    def test_numbers_may_start_at_the_point(self, tmp_path):
+        # Both parses share one number syntax, so a point-first coefficient
+        # and right-hand side are clean in the line-form check too.
+        path = tmp_path / "tiny.lp"
+        export_lp(tiny_instance(), path)
+        path.write_text(path.read_text().replace("10 h_1 <= 80", ".5 h_1 <= .8e2"))
+        assert check_against_the_token_parse(path, fast=True) == []
+
     @pytest.mark.parametrize("edit", [
         lambda t: t.replace("\n", "\r\n"),
         lambda t: "\f" + t,

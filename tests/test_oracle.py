@@ -8,6 +8,7 @@ instances is strong evidence the pruned search is exact.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from itertools import combinations, product
@@ -23,6 +24,7 @@ from manoplace import (
     solve_exact,
 )
 from manoplace.oracle import OracleResult, _feasible_assignments
+from manoplace.topology import with_uniform_vnfs
 
 from conftest import make_instance
 
@@ -212,6 +214,22 @@ class TestSolveExact:
     def test_budget_rejects_nonpositive_limits(self, kwargs):
         with pytest.raises(ValueError):
             OracleBudget(**kwargs)
+
+
+def test_solving_leaves_no_cyclic_garbage():
+    # A recursive closure refers to itself: unless the solver breaks that
+    # cycle, every call leaves garbage only the cycle collector frees.
+    instance = with_uniform_vnfs(
+        generate_instance(GeneratorConfig(pop_count=10, vnf_count=10, seed=2)), 30, seed=32)
+    instance.vnfs_served, instance.vnfs_at  # cached before the count
+    gc.collect()
+    gc.disable()
+    try:
+        result = solve_exact(instance)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert result.status is OracleStatus.OPTIMAL
 
 
 class TestMinFeasibleCount:

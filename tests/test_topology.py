@@ -17,9 +17,9 @@ from manoplace import (
     save_problem,
 )
 from manoplace.topology import (
-    bundled_instance_path,
     parse_problem,
     problem_to_data,
+    resolve_instance_path,
     validate_instance,
     with_uniform_vnfs,
 )
@@ -96,7 +96,7 @@ class TestParsing:
         with pytest.raises(InstanceValidationError) as err:
             load_problem(path)
         # The error carries the validator's whole report, first entry as message.
-        entries = validate_instance(parse_problem(data)).entries
+        entries = validate_instance(parse_problem(data))
         assert err.value.entries == entries
         assert len(entries) == 2
         assert str(err.value) == entries[0]
@@ -108,7 +108,7 @@ class TestParsing:
 
 class TestValidation:
     def test_good_instance_is_clean(self, line3):
-        assert validate_instance(line3).ok
+        assert validate_instance(line3) == ()
 
     @pytest.mark.parametrize("build, fragment", [
         (lambda: make_instance([[0, 10], [10, 0]], vnf_locs=(5,)), "location"),
@@ -124,9 +124,9 @@ class TestValidation:
                                vnf_bounds=[(0.0, 45.0)]), "bound"),
     ])
     def test_defects_are_reported(self, build, fragment):
-        report = validate_instance(build())
-        assert not report.ok
-        assert any(fragment in entry for entry in report.entries), report.entries
+        findings = validate_instance(build())
+        assert findings
+        assert any(fragment in entry for entry in findings), findings
 
     def test_ragged_matrix_is_a_validation_error(self, tmp_path):
         data = good_data()
@@ -141,8 +141,8 @@ class TestValidation:
         vnfs = (inst.vnfs[0], inst.vnfs[0])
         bad = type(inst)(pops=inst.pops, delays=inst.delays, vnfs=vnfs,
                          params=inst.params)
-        report = validate_instance(bad)
-        assert any("duplicate" in e for e in report.entries), report.entries
+        findings = validate_instance(bad)
+        assert any("duplicate" in e for e in findings), findings
 
 
 class TestGenerator:
@@ -162,7 +162,7 @@ class TestGenerator:
         assert np.all(np.diag(d) == 0.0)
         off = d[~np.eye(10, dtype=bool)]
         assert np.all(off > 0.0)
-        assert validate_instance(inst).ok
+        assert validate_instance(inst) == ()
 
     def test_gso_is_a_one_center(self):
         inst = generate_instance(GeneratorConfig(pop_count=12, vnf_count=5, seed=7))
@@ -218,13 +218,13 @@ class TestBundled:
         inst = load_instance_ref(f"bundled:{name}")
         assert inst.pop_count == pops
         assert inst.vnf_count == 10
-        assert validate_instance(inst).ok
+        assert validate_instance(inst) == ()
 
     @pytest.mark.parametrize("name", ["pop8", "pop16"])
     def test_bundled_files_are_in_canonical_form(self, tmp_path, name):
         # Catches a key map that renames or reorders keys: the files keep
         # the order and names they were written with.
-        path = bundled_instance_path(name)
+        path = resolve_instance_path(f"bundled:{name}")
         save_problem(load_problem(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 

@@ -14,6 +14,7 @@ there.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -231,6 +232,18 @@ class TestPlaceDomain:
         inst = pairs_instance(10, bridged=False)
         alarm(5)
         assert len(place_domain(inst, single_domain(inst))) == 20
+
+    def test_placement_leaves_no_cyclic_garbage(self):
+        # The manager search recurses through a closure that refers to itself.
+        inst = pairs_instance(6)
+        domain = single_domain(inst)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(place_domain(inst, domain)) == 12
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTwoStep:
