@@ -148,9 +148,8 @@ def _cmd_gen(args) -> int:
     try:
         config = parse_config(GeneratorConfig, data, where)
     except InstanceFormatError as exc:
-        # Over a file, a rejected flag value is named by its flag, not the file's key.
-        raise _UsageError(_named_by_flag(str(exc), given if args.config else {},
-                                         f"{where}: ")) from None
+        # A rejected flag value is named by its flag, not the settings field.
+        raise _UsageError(_named_by_flag(str(exc), given, f"{where}: ")) from None
     instance = generate_instance(config)
     save_problem(instance, args.output)
     print(f"wrote {args.output}: {instance.pop_count} pops, "

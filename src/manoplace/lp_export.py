@@ -30,37 +30,31 @@ file in the writer's own line form line by line, one regular expression per
 line; any other file it parses token by token, and that parse alone words
 the diagnostics.
 
-Neither direction holds the model in memory: ``write_lp_model`` writes each
-row as ``LpModel.rows`` generates it, and ``check_lp_file`` reads the file a
-line at a time.
+Neither direction holds the model in memory: ``write_lp_model`` renders the
+rows as text one block at a time, a block being one constraint family's rows
+for one PoP, manager slot or VNF, and ``check_lp_file`` reads the file a line
+at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 from .topology import ProblemInstance
-
-_Term = tuple[float, str]
-
-
-class LpRow(NamedTuple):
-    name: str
-    terms: tuple[_Term, ...]
-    sense: str  # "<=", ">=", "="
-    rhs: float
 
 
 @dataclass(frozen=True)
 class LpModel:
     """The instance's integer program, generated on demand.
 
-    Nothing but the instance is stored: variables, objective terms and rows
-    are yielded in file order, so a writer needs memory O(1) in rows.
-    Managers are provisioned one slot per VNF, which is always enough.
+    Nothing but the instance is stored: variables and objective terms are
+    yielded in file order, and ``write_lp_model`` renders the rows a block at
+    a time, so a writer needs memory O(1) in rows. Managers are provisioned
+    one slot per VNF, which is always enough.
     """
 
     instance: ProblemInstance
@@ -75,90 +69,11 @@ class LpModel:
         yield from (f"z_{v}_{m}_{q}_{p}" for v in range(V) for m in range(M)
                     for q in range(P) for p in range(P))
 
-    def objective(self) -> Iterator[_Term]:
+    def objective(self) -> Iterator[tuple[float, str]]:
         P = self.instance.pop_count
         M = self.instance.vnf_count
         yield from ((1.0, f"h_{p}") for p in range(P))
         yield from ((1.0, f"x_{m}_{p}") for m in range(M) for p in range(P))
-
-    def rows(self) -> Iterator[LpRow]:
-        # One generator expression per family: besides reading well, a
-        # small code object keeps tracemalloc's per-allocation line lookup
-        # cheap, which a single function holding every loop does not.
-        instance = self.instance
-        P = instance.pop_count
-        V = M = instance.vnf_count
-        params = instance.params
-        d = instance.delays
-        cap_nfvo = float(params.nfvo_capacity)
-        cap_vnfm = float(params.vnfm_capacity)
-        gso = params.gso_location
-        loc = [v.location for v in instance.vnfs]
-
-        # c2: each PoP in exactly one domain.
-        yield from (LpRow(f"c2_{q}", tuple((1.0, f"r_{q}_{p}") for p in range(P)), "=", 1.0)
-                    for q in range(P))
-        # c3: domains only around open orchestrators.
-        yield from (LpRow(f"c3_{q}_{p}", ((1.0, f"r_{q}_{p}"), (-1.0, f"h_{p}")), "<=", 0.0)
-                    for q in range(P) for p in range(P))
-        # c4: an open orchestrator heads its own PoP, and only then.
-        yield from (LpRow(f"c4_{p}", ((1.0, f"r_{p}_{p}"), (-1.0, f"h_{p}")), "=", 0.0)
-                    for p in range(P))
-        # c5: a manager slot sits on at most one PoP.
-        yield from (LpRow(f"c5_{m}", tuple((1.0, f"x_{m}_{p}") for p in range(P)), "<=", 1.0)
-                    for m in range(M))
-        # c6: every VNF run by exactly one manager slot.
-        yield from (LpRow(f"c6_{v}", tuple((1.0, f"y_{v}_{m}_{p}")
-                                           for m in range(M) for p in range(P)), "=", 1.0)
-                    for v in range(V))
-        # c7: assignment only to an open slot at that PoP.
-        yield from (LpRow(f"c7_{v}_{m}_{p}", ((1.0, f"y_{v}_{m}_{p}"), (-1.0, f"x_{m}_{p}")),
-                          "<=", 0.0)
-                    for v in range(V) for m in range(M) for p in range(P))
-        # c10/c11: slot load within [1, manager capacity].
-        yield from (LpRow(f"c10_{m}_{p}", tuple((1.0, f"y_{v}_{m}_{p}") for v in range(V))
-                          + ((-cap_vnfm, f"x_{m}_{p}"),), "<=", 0.0)
-                    for m in range(M) for p in range(P))
-        yield from (LpRow(f"c11_{m}_{p}", ((1.0, f"x_{m}_{p}"),)
-                          + tuple((-1.0, f"y_{v}_{m}_{p}") for v in range(V)), "<=", 0.0)
-                    for m in range(M) for p in range(P))
-        # c12: orchestrators within reach of the GSO (GSO position substituted).
-        yield from (LpRow(f"c12_{q}", ((d[gso][q], f"h_{q}"),), "<=",
-                          params.gso_nfvo_delay_bound)
-                    for q in range(P) if q != gso)
-        # c13: member PoPs within reach of their head.
-        yield from (LpRow(f"c13_{p}_{q}", ((d[p][q], f"r_{q}_{p}"),), "<=",
-                          params.nfvo_vim_delay_bound)
-                    for p in range(P) for q in range(P) if p != q)
-        # c14: manager within the VNF's own delay bound (VNF location substituted).
-        yield from (LpRow(f"c14_{v}_{m}_{q}", ((d[loc[v]][q], f"y_{v}_{m}_{q}"),), "<=",
-                          instance.vnfs[v].vnfm_delay_bound)
-                    for v in range(V) for m in range(M) for q in range(P) if q != loc[v])
-        # c16: the VNF's location lies in the same domain as its manager.
-        yield from (LpRow(f"c16_{v}_{m}_{q}_{p}",
-                          ((1.0, f"z_{v}_{m}_{q}_{p}"), (-1.0, f"r_{loc[v]}_{p}")), "<=", 0.0)
-                    for v in range(V) for m in range(M) for q in range(P) for p in range(P))
-        # c17: per-domain VNF count within orchestrator capacity.
-        yield from (LpRow(f"c17_{p}", tuple((1.0, f"z_{v}_{m}_{q}_{p}") for v in range(V)
-                                            for m in range(M) for q in range(P))
-                          + ((-cap_nfvo, f"h_{p}"),), "<=", 0.0)
-                    for p in range(P))
-        # c18: manager within the VNF's orchestrator delay bound of the head.
-        yield from (LpRow(f"c18_{v}_{m}_{q}_{p}", ((d[p][q], f"z_{v}_{m}_{q}_{p}"),), "<=",
-                          instance.vnfs[v].nfvo_vnfm_delay_bound)
-                    for v in range(V) for m in range(M) for p in range(P) for q in range(P)
-                    if p != q)
-        # c19/c20/c21: pin z to the product of y and r (diagonal included).
-        yield from (LpRow(f"c19_{v}_{m}_{q}_{p}",
-                          ((1.0, f"z_{v}_{m}_{q}_{p}"), (-1.0, f"y_{v}_{m}_{q}")), "<=", 0.0)
-                    for v in range(V) for m in range(M) for q in range(P) for p in range(P))
-        yield from (LpRow(f"c20_{v}_{m}_{q}_{p}",
-                          ((1.0, f"z_{v}_{m}_{q}_{p}"), (-1.0, f"r_{q}_{p}")), "<=", 0.0)
-                    for v in range(V) for m in range(M) for q in range(P) for p in range(P))
-        yield from (LpRow(f"c21_{v}_{m}_{q}_{p}",
-                          ((1.0, f"y_{v}_{m}_{q}"), (1.0, f"r_{q}_{p}"),
-                           (-1.0, f"z_{v}_{m}_{q}_{p}")), "<=", 1.0)
-                    for v in range(V) for m in range(M) for q in range(P) for p in range(P))
 
 
 @dataclass(frozen=True)
@@ -172,7 +87,7 @@ class LpSummary:
 
 
 def build_lp_model(instance: ProblemInstance) -> LpModel:
-    """The instance's model; its rows are generated when it is written."""
+    """The instance's model; its rows are rendered when it is written."""
     return LpModel(instance)
 
 
@@ -182,40 +97,143 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_terms(terms: Iterable[_Term], per_line: int = 8) -> list[str]:
+def _coef(coef: float) -> str:
+    """The text before a first term's name: ``- `` when the coefficient is
+    negative, then its magnitude and a space unless the magnitude is 1."""
+    mag = abs(coef)
+    text = "" if mag == 1.0 else f"{_fmt_num(mag)} "
+    return f"- {text}" if coef < 0 else text
+
+
+def _fmt_terms(terms: Iterable[tuple[float, str]], per_line: int = 8) -> list[str]:
     """Render terms as one or more lines (continuations keep the file diffable)."""
-    pieces: list[str] = []
-    for i, (coef, var) in enumerate(terms):
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = var if mag == 1.0 else f"{_fmt_num(mag)} {var}"
-        if i == 0:
-            pieces.append(body if coef >= 0 else f"- {body}")
-        else:
-            pieces.append(f"{sign} {body}")
-    lines = []
-    for start in range(0, len(pieces), per_line):
-        lines.append(" ".join(pieces[start:start + per_line]))
-    return lines
+    pieces = [f"{_coef(coef)}{var}" if i == 0 or coef < 0 else f"+ {_coef(coef)}{var}"
+              for i, (coef, var) in enumerate(terms)]
+    return [" ".join(pieces[start:start + per_line])
+            for start in range(0, len(pieces), per_line)]
+
+
+def _row(name: str, terms: Iterable[tuple[float, str]], close: str) -> str:
+    """A row of any length: its terms 8 to a line, then ``close``, the sense
+    and right-hand side."""
+    return f" {name}: " + "\n      ".join(_fmt_terms(terms)) + f" {close}\n"
+
+
+def _row_blocks(instance: ProblemInstance) -> Iterator[tuple[str, list[str]]]:
+    """The rows as text in file order, as ``(family, rows)`` blocks.
+
+    A block holds the rows of one value of its family's outermost index (one
+    PoP, manager slot or VNF), so the writer's memory is bounded by the
+    largest block, not the model. Rows of one to three terms are written
+    whole from one f-string; the long rows go through ``_row``.
+    """
+    P = instance.pop_count
+    V = M = instance.vnf_count
+    params = instance.params
+    d = instance.delays
+    gso = params.gso_location
+    pops = range(P)
+    slots = range(M)
+
+    # c2: each PoP in exactly one domain.
+    for q in pops:
+        yield "c2", [_row(f"c2_{q}", [(1.0, f"r_{q}_{p}") for p in pops], "= 1")]
+    # c3: domains only around open orchestrators.
+    for q in pops:
+        yield "c3", [f" c3_{q}_{p}: r_{q}_{p} - h_{p} <= 0\n" for p in pops]
+    # c4: an open orchestrator heads its own PoP, and only then.
+    yield "c4", [f" c4_{p}: r_{p}_{p} - h_{p} = 0\n" for p in pops]
+    # c5: a manager slot sits on at most one PoP.
+    for m in slots:
+        yield "c5", [_row(f"c5_{m}", [(1.0, f"x_{m}_{p}") for p in pops], "<= 1")]
+    # c6: every VNF run by exactly one manager slot.
+    for v in range(V):
+        yield "c6", [_row(f"c6_{v}", [(1.0, f"y_{v}_{m}_{p}") for m in slots for p in pops],
+                          "= 1")]
+    # c7: assignment only to an open slot at that PoP.
+    for v in range(V):
+        yield "c7", [f" c7_{v}_{m}_{p}: y_{v}_{m}_{p} - x_{m}_{p} <= 0\n"
+                     for m in slots for p in pops]
+    # c10/c11: slot load within [1, manager capacity].
+    for m in slots:
+        yield "c10", [_row(f"c10_{m}_{p}", [*((1.0, f"y_{v}_{m}_{p}") for v in range(V)),
+                                             (-params.vnfm_capacity, f"x_{m}_{p}")], "<= 0")
+                      for p in pops]
+    for m in slots:
+        yield "c11", [_row(f"c11_{m}_{p}", [(1.0, f"x_{m}_{p}"),
+                                             *((-1.0, f"y_{v}_{m}_{p}") for v in range(V))],
+                           "<= 0")
+                      for p in pops]
+    # c12: orchestrators within reach of the GSO (GSO position substituted).
+    bound = _fmt_num(params.gso_nfvo_delay_bound)
+    yield "c12", [f" c12_{q}: {_coef(d[gso][q])}h_{q} <= {bound}\n"
+                  for q in pops if q != gso]
+    # c13: member PoPs within reach of their head.
+    bound = _fmt_num(params.nfvo_vim_delay_bound)
+    for p in pops:
+        yield "c13", [f" c13_{p}_{q}: {_coef(d[p][q])}r_{q}_{p} <= {bound}\n"
+                      for q in pops if q != p]
+    # The families below index (v, m) and then q or (q, p). Their names reuse
+    # the index text: "v_m" is formatted once per slot and "q_p" once.
+    slot_keys = [[f"{v}_{m}" for m in slots] for v in range(V)]
+    grid = [(str(q), f"{q}_{p}", str(p)) for q in pops for p in pops]
+    # c14: manager within the VNF's own delay bound (VNF location substituted).
+    for keys, vnf in zip(slot_keys, instance.vnfs):
+        bound = _fmt_num(vnf.vnfm_delay_bound)
+        near = [(q, _coef(d[vnf.location][q])) for q in pops if q != vnf.location]
+        yield "c14", [f" c14_{vm}_{q}: {coef}y_{vm}_{q} <= {bound}\n"
+                      for vm in keys for q, coef in near]
+    # c16: the VNF's location lies in the same domain as its manager.
+    for keys, vnf in zip(slot_keys, instance.vnfs):
+        yield "c16", [f" c16_{vm}_{qp}: z_{vm}_{qp} - r_{vnf.location}_{p} <= 0\n"
+                      for vm in keys for _, qp, p in grid]
+    # c17: per-domain VNF count within orchestrator capacity.
+    for p in pops:
+        yield "c17", [_row(f"c17_{p}", [*((1.0, f"z_{vm}_{q}_{p}") for keys in slot_keys
+                                          for vm in keys for q in pops),
+                                        (-params.nfvo_capacity, f"h_{p}")], "<= 0")]
+    # c18: manager within the VNF's orchestrator delay bound of the head.
+    delays = [(f"{q}_{p}", _coef(d[p][q])) for p in pops for q in pops if p != q]
+    for keys, vnf in zip(slot_keys, instance.vnfs):
+        bound = _fmt_num(vnf.nfvo_vnfm_delay_bound)
+        yield "c18", [f" c18_{vm}_{qp}: {coef}z_{vm}_{qp} <= {bound}\n"
+                      for vm in keys for qp, coef in delays]
+    # c19/c20/c21: pin z to the product of y and r (diagonal included).
+    for keys in slot_keys:
+        yield "c19", [f" c19_{vm}_{qp}: z_{vm}_{qp} - y_{vm}_{q} <= 0\n"
+                      for vm in keys for q, qp, _ in grid]
+    for keys in slot_keys:
+        yield "c20", [f" c20_{vm}_{qp}: z_{vm}_{qp} - r_{qp} <= 0\n"
+                      for vm in keys for _, qp, _ in grid]
+    for keys in slot_keys:
+        yield "c21", [f" c21_{vm}_{qp}: y_{vm}_{q} + r_{qp} - z_{vm}_{qp} <= 1\n"
+                      for vm in keys for q, qp, _ in grid]
+
+
+# Binary names written at a time.
+_BINARY_BLOCK = 2048
 
 
 def write_lp_model(model: LpModel, path: str | Path) -> LpSummary:
-    """Write the model to ``path`` one row at a time; returns what was written."""
+    """Write the model to ``path`` a block of rows at a time; returns what was
+    written."""
     family_rows: dict[str, int] = {}
     variables = 0
     with open(path, "w") as out:
         out.write("\\ placement model: minimise orchestrators plus managers\nMinimize\n")
         out.write(" obj: " + "\n      ".join(_fmt_terms(model.objective())) + "\n")
         out.write("Subject To\n")
-        for row in model.rows():
-            body = "\n      ".join(_fmt_terms(row.terms))
-            out.write(f" {row.name}: {body} {row.sense} {_fmt_num(row.rhs)}\n")
-            family = row.name.split("_", 1)[0]
-            family_rows[family] = family_rows.get(family, 0) + 1
+        for family, rows in _row_blocks(model.instance):
+            if not rows:
+                continue
+            out.write("".join(rows))
+            family_rows[family] = family_rows.get(family, 0) + len(rows)
+            del rows  # not held while the next block is rendered
         out.write("Binary\n")
-        for name in model.variables():
-            out.write(f" {name}\n")
-            variables += 1
+        names = model.variables()
+        while block := list(islice(names, _BINARY_BLOCK)):
+            out.write("".join(f" {name}\n" for name in block))
+            variables += len(block)
         out.write("End\n")
     return LpSummary(variables, sum(family_rows.values()), family_rows)
 

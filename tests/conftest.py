@@ -56,6 +56,70 @@ def symmetric(n, entries, fill=10.0):
     return d.tolist()
 
 
+def _parse_lp(path):
+    """Minimal reader for the written dialect; independent of the package.
+
+    Returns the objective as ``{var: coef}``, the rows as
+    ``(name, {var: coef}, sense, rhs)`` in file order, and the Binary names.
+    """
+    with open(path) as file:
+        lines = [ln.strip() for ln in file if ln.strip()
+                 and not ln.strip().startswith("\\")]
+    # Continuation lines were indented with 6 spaces before strip; rejoin by
+    # gluing any line that does not open a section or a named row.
+    joined = []
+    for ln in lines:
+        if (ln in ("Minimize", "Subject To", "Binary", "End")
+                or ":" in ln.split(" ", 1)[0] or ln.endswith(":")
+                or (joined and joined[-1] in ("Binary",))
+                and ":" not in ln):
+            joined.append(ln)
+        elif joined and joined[-1] not in ("Minimize", "Subject To", "Binary", "End") \
+                and ":" not in ln:
+            joined[-1] += " " + ln
+        else:
+            joined.append(ln)
+
+    section = None
+    objective = None
+    rows = []
+    binaries = []
+    for ln in joined:
+        if ln in ("Minimize", "Subject To", "Binary", "End"):
+            section = ln
+            continue
+        if section == "Minimize":
+            objective = ln.split(":", 1)[1]
+        elif section == "Subject To":
+            name, rest = ln.split(":", 1)
+            for sense in ("<=", ">=", "="):
+                if sense in rest:
+                    expr, rhs = rest.split(sense, 1)
+                    rows.append((name.strip(), expr, sense, float(rhs)))
+                    break
+        elif section == "Binary":
+            binaries.extend(ln.split())
+
+    def terms(expr):
+        out = {}
+        sign = 1.0
+        coef = None
+        for tok in expr.replace("+", " + ").replace("-", " - ").split():
+            if tok == "+":
+                sign, coef = 1.0, None
+            elif tok == "-":
+                sign, coef = -1.0, None
+            else:
+                try:
+                    coef = float(tok)
+                except ValueError:
+                    out[tok] = out.get(tok, 0.0) + sign * (1.0 if coef is None else coef)
+                    sign, coef = 1.0, None
+        return out
+
+    return terms(objective), [(n, terms(e), s, r) for n, e, s, r in rows], binaries
+
+
 @pytest.fixture
 def line3():
     """Three PoPs on a line: 0 -10ms- 1 -10ms- 2, ends 20ms apart."""

@@ -61,7 +61,7 @@ class TestParsing:
     ({"gen.json": "{not json"},
      ["gen", "--config", "gen.json", "--output", "i.json"], "not valid JSON"),
     ({}, ["gen", "--pops", "0", "--vnfs", "3", "--output", "i.json"],
-     "pop_count must be >= 1"),
+     "error: --pops must be >= 1"),
     ({"sweep.json": json.dumps({"generator": {"pop_count": 4, "vnf_count": 4},
                                 "stop_patience": 0, "output": "r.csv"})},
      ["experiment", "--config", "sweep.json"], "stop_patience must be >= 1"),
@@ -102,7 +102,7 @@ class TestParsing:
             "nfvo_vnfm_delay_bound": 1.0, "vnfm_delay_bound": 20.0},
            "generator.vnfm_delay_bound (30.0) differs from vnfm_delay_bound (20.0)")]),
     ({}, ["gen", "--pops", "3", "--vnfs", "2", "--seed", "-1", "--output", "i.json"],
-     "seed must be >= 0"),
+     "error: --seed must be >= 0"),
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3}'},
      ["gen", "--config", "gen.json", "--seed", "-1", "--output", "i.json"],
      "--seed must be >= 0"),

@@ -1,9 +1,10 @@
-"""LP model construction, the writer, the grammar check, and a solver cross-check.
+"""The LP writer, the grammar check, and a solver cross-check.
 
-The cross-check at the bottom re-parses the exported file with a small
-parser written here (sharing nothing with the package's reader) and hands
-the matrix to scipy's MILP solver; its optimum must match the exact
-enumerative solver on the same instance.
+Rows are read back from the exported file by ``conftest._parse_lp``, a small
+parser that shares nothing with the package's reader, so the counts and
+names checked here are those of the bytes written. The cross-check at the
+bottom hands the parsed matrix to scipy's MILP solver; its optimum must
+match the exact enumerative solver on the same instance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from manoplace import (
 )
 from manoplace.lp_export import _check_lines, _is_clean_export, _token_lines, build_lp_model
 
-from conftest import make_instance
+from conftest import _parse_lp, make_instance
 
 TINY = [[0, 10], [10, 0]]
 
@@ -39,6 +40,15 @@ def p8_v12_instance():
     return generate_instance(GeneratorConfig(pop_count=8, vnf_count=12, seed=1))
 
 
+def edge_coefficients_instance():
+    """Coefficients at the writer's special cases: an off-diagonal delay of 0,
+    delays of exactly 1 (a bare name) and 12.5, a manager capacity of 1, and
+    fractional delay bounds."""
+    return make_instance([[0, 0, 12.5], [0, 0, 1.0], [12.5, 1.0, 0]], vnf_locs=(1, 2),
+                         nfvo_capacity=3, vnfm_capacity=1, gso_nfvo_bound=12.5,
+                         nfvo_vim_bound=1.0, vnf_bounds=[(22.5, 37.25), (1.0, 0.5)])
+
+
 def check_against_the_token_parse(path, fast):
     """``check_lp_file`` equals the token parse, the reference, on ``path``;
     ``fast`` says whether the line-form check must accept the file."""
@@ -49,6 +59,11 @@ def check_against_the_token_parse(path, fast):
     diags = check_lp_file(path)
     assert diags == reference
     return diags
+
+
+def family_counts(rows):
+    """Rows per family, as read back from a file."""
+    return dict(Counter(name.split("_", 1)[0] for name, *_ in rows))
 
 
 class TestModelCounts:
@@ -65,38 +80,81 @@ class TestModelCounts:
         "c16": 4, "c17": 2, "c18": 2, "c19": 4, "c20": 4, "c21": 4,
     }
 
-    def test_frozen_counts(self):
-        model = build_lp_model(tiny_instance())
-        assert len(list(model.variables())) == 14
-        families = Counter(row.name.split("_", 1)[0] for row in model.rows())
-        assert sum(families.values()) == 40
-        assert families == self.FAMILIES
+    @staticmethod
+    def closed_forms(P, V):
+        """The comment's formulas: (variables, rows per family)."""
+        M = V
+        rows = {"c2": P, "c3": P * P, "c4": P, "c5": M, "c6": V, "c7": V * M * P,
+                "c10": M * P, "c11": M * P, "c12": P - 1, "c13": P * (P - 1),
+                "c14": V * M * (P - 1), "c16": V * M * P * P, "c17": P,
+                "c18": V * M * P * (P - 1), "c19": V * M * P * P, "c20": V * M * P * P,
+                "c21": V * M * P * P}
+        return P + P * P + M * P + V * M * P + V * M * P * P, rows
+
+    def test_frozen_counts(self, tmp_path):
+        path = tmp_path / "tiny.lp"
+        export_lp(tiny_instance(), path)
+        _objective, rows, binaries = _parse_lp(path)
+        assert len(binaries) == 14
+        assert len(rows) == 40
+        assert family_counts(rows) == self.FAMILIES
+        assert self.closed_forms(2, 1) == (14, self.FAMILIES)
 
     def test_summary_line(self, tmp_path):
         summary = export_lp(tiny_instance(), tmp_path / "tiny.lp")
         assert summary.line() == "variables=14 constraints=40"
         assert summary.family_rows == self.FAMILIES
 
-    def test_linearization_rows_cover_the_diagonal(self):
+    @pytest.mark.parametrize("pops", range(2, 7))
+    def test_summary_and_file_match_the_closed_forms(self, tmp_path, pops):
+        # The summary counts rows a block at a time; the file is read back
+        # by the independent parser. Both must equal the formulas.
+        for vnfs in range(1, 9):
+            inst = generate_instance(GeneratorConfig(pop_count=pops, vnf_count=vnfs,
+                                                     seed=pops * 10 + vnfs))
+            path = tmp_path / f"p{pops}_v{vnfs}.lp"
+            summary = export_lp(inst, path)
+            _objective, rows, binaries = _parse_lp(path)
+            variables, families = self.closed_forms(pops, vnfs)
+            assert summary.family_rows == family_counts(rows) == families, (pops, vnfs)
+            assert summary.variables == len(binaries) == variables
+            assert summary.constraints == len(rows) == sum(families.values())
+
+    def test_one_pop_writes_no_empty_family(self, tmp_path):
+        # With one PoP the delay families c12, c13, c14 and c18 have no rows,
+        # so the summary names them no more than the file does.
+        path = tmp_path / "one.lp"
+        summary = export_lp(make_instance([[0]], vnf_locs=(0, 0)), path)
+        _objective, rows, _binaries = _parse_lp(path)
+        assert summary.family_rows == family_counts(rows)
+        assert not {"c12", "c13", "c14", "c18"} & set(summary.family_rows)
+        assert check_lp_file(path) == []
+
+    def test_linearization_rows_cover_the_diagonal(self, tmp_path):
         # z_{v,m,p,p} must be pinned to y*r like every other entry, or the
         # capacity row can be bypassed by zeroing the diagonal. Guard the
         # full index set of the pinning families.
-        model = build_lp_model(tiny_instance())
-        names = {r.name for r in model.rows()}
+        path = tmp_path / "tiny.lp"
+        export_lp(tiny_instance(), path)
+        names = {name for name, *_ in _parse_lp(path)[1]}
         for fam in ("c19", "c20", "c21"):
             for q in range(2):
                 for p in range(2):
                     assert f"{fam}_0_0_{q}_{p}" in names
 
-    def test_gso_row_excluded_from_c12(self):
-        model = build_lp_model(tiny_instance())
-        c12 = [r.name for r in model.rows() if r.name.startswith("c12_")]
-        assert c12 == ["c12_1"]
+    def test_gso_row_excluded_from_c12(self, tmp_path):
+        path = tmp_path / "tiny.lp"
+        export_lp(tiny_instance(), path)
+        c12 = [row for row in _parse_lp(path)[1] if row[0].startswith("c12_")]
+        assert c12 == [("c12_1", {"h_1": 10.0}, "<=", 80.0)]
 
-    def test_objective_is_h_plus_x(self):
+    def test_objective_is_h_plus_x(self, tmp_path):
         model = build_lp_model(tiny_instance())
         assert sorted(model.objective()) == [
             (1.0, "h_0"), (1.0, "h_1"), (1.0, "x_0_0"), (1.0, "x_0_1")]
+        path = tmp_path / "tiny.lp"
+        export_lp(tiny_instance(), path)
+        assert _parse_lp(path)[0] == {"h_0": 1.0, "h_1": 1.0, "x_0_0": 1.0, "x_0_1": 1.0}
 
 
 class TestGrammarCheck:
@@ -180,25 +238,29 @@ class TestGrammarCheck:
 
 class TestWriter:
     # sha256 of each exported file, recorded when the whole model was built
-    # in memory before writing; the streaming writer must not change a byte.
+    # in memory before writing; "edges" was recorded from the row-at-a-time
+    # writer, before rows were rendered as text a block at a time. No writer
+    # may change a byte.
     GOLDEN = {
         "tiny": "9986324abd5feeec568848eece032a6b3ecc69f5e97a2b419379c0c650b98dd2",
         "line3": "0919d6733970daa88e12af33d467099e12516d9f981261b8659048aa6b2989d5",
         "two_clusters": "a8602533aa3de775bdfef5b19ed6bf276ab0fa8ab7a2631fafe12b3757c089b2",
         "p8_v12": "2fc71a8e6ed229e041c96b5314b1f535bf1fd62ca8d2a42a6454d0dcb2729d39",
+        "edges": "95269ab32fc39e5f148a9ff9c87fdfb0a357892fca110b9380dd90e3ec04d997",
     }
 
     def test_exported_bytes_match_the_recorded_digests(self, tmp_path, line3, two_clusters):
         instances = {"tiny": tiny_instance(), "line3": line3, "two_clusters": two_clusters,
-                     "p8_v12": p8_v12_instance()}
+                     "p8_v12": p8_v12_instance(), "edges": edge_coefficients_instance()}
         for name, inst in instances.items():
             path = tmp_path / f"{name}.lp"
             export_lp(inst, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[name], name
 
     def test_export_memory_is_a_small_fraction_of_the_file(self, tmp_path):
-        # Rows stream to the file: the traced peak is one row's terms and
-        # the file buffer, not the 47,455 rows of this 2.3 MB model.
+        # Rows go to the file a block at a time: the traced peak is the
+        # longest row's terms (a c17 row, 1,153 terms) and the file buffer,
+        # not the 47,455 rows of this 2.3 MB model.
         inst = p8_v12_instance()
         path = tmp_path / "p8_v12.lp"
         tracemalloc.start()
@@ -212,65 +274,6 @@ class TestWriter:
 
 # ---------------------------------------------------------------------------
 # Independent re-parse plus MILP solve
-
-
-def _parse_lp(path):
-    """Minimal reader for the written dialect; independent of the package."""
-    lines = [ln.strip() for ln in open(path) if ln.strip()
-             and not ln.strip().startswith("\\")]
-    # Continuation lines were indented with 6 spaces before strip; rejoin by
-    # gluing any line that does not open a section or a named row.
-    joined = []
-    for ln in lines:
-        if (ln in ("Minimize", "Subject To", "Binary", "End")
-                or ":" in ln.split(" ", 1)[0] or ln.endswith(":")
-                or (joined and joined[-1] in ("Binary",))
-                and ":" not in ln):
-            joined.append(ln)
-        elif joined and joined[-1] not in ("Minimize", "Subject To", "Binary", "End") \
-                and ":" not in ln:
-            joined[-1] += " " + ln
-        else:
-            joined.append(ln)
-
-    section = None
-    objective = None
-    rows = []
-    binaries = []
-    for ln in joined:
-        if ln in ("Minimize", "Subject To", "Binary", "End"):
-            section = ln
-            continue
-        if section == "Minimize":
-            objective = ln.split(":", 1)[1]
-        elif section == "Subject To":
-            name, rest = ln.split(":", 1)
-            for sense in ("<=", ">=", "="):
-                if sense in rest:
-                    expr, rhs = rest.split(sense, 1)
-                    rows.append((name.strip(), expr, sense, float(rhs)))
-                    break
-        elif section == "Binary":
-            binaries.extend(ln.split())
-
-    def terms(expr):
-        out = {}
-        sign = 1.0
-        coef = None
-        for tok in expr.replace("+", " + ").replace("-", " - ").split():
-            if tok == "+":
-                sign, coef = 1.0, None
-            elif tok == "-":
-                sign, coef = -1.0, None
-            else:
-                try:
-                    coef = float(tok)
-                except ValueError:
-                    out[tok] = out.get(tok, 0.0) + sign * (1.0 if coef is None else coef)
-                    sign, coef = 1.0, None
-        return out
-
-    return terms(objective), [(n, terms(e), s, r) for n, e, s, r in rows], binaries
 
 
 def _solve_lp(path):

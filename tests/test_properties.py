@@ -10,7 +10,10 @@ recounts, with their manager floors. On random plans every domain's
 manager count must equal an exhaustive max-flow minimum. Along random
 walks of search moves every incrementally scored neighbour must equal a
 full rescore. The MILP solver on the exported LP must reach the exact
-optimum, instance and solution files must round-trip exactly, and on
+optimum, and on a drawn domain plan the rows read back from the exported
+file must hold, with each z set to its product, exactly for the manager
+assignments that satisfy the products themselves. Instance and solution
+files must round-trip exactly, and on
 exports with one character or line edited the LP check must equal the
 token parse. Every input file with one value swapped for one of another
 JSON kind must exit 0, 1 or 2, never 3, and an exit 2 prints one stderr
@@ -57,6 +60,8 @@ from manoplace.oracle import _feasible_assignments
 from manoplace.tabu import _Position, _start, penalty_parts
 from manoplace.vnfm import domains_of, place_domain
 
+from conftest import _parse_lp
+from test_acceptance import hand_feasible, model_holds, plug_z, structured_assignments
 from test_lp_export import _solve_lp
 from test_tabu import check_neighbour, naive_look_ahead, tables
 from test_vnfm import by_member, eligibility, flow_minimum, runnable
@@ -213,6 +218,27 @@ def test_milp_on_the_exported_lp_reaches_the_exact_optimum(instance, gso_bound):
     assert res.success == (exact.status is OracleStatus.OPTIMAL), res.message
     if res.success:
         assert round(res.fun) == exact.objective
+
+
+@SMALL
+@given(mixed_bounds(3, max_vnfs=2), st.sampled_from([15.0, 30.0, 80.0]), st.integers(1, 2),
+       st.data())
+def test_exported_rows_hold_exactly_where_the_products_do(instance, gso_bound, nfvo_capacity,
+                                                         data):
+    # Criterion 4 on generated instances. Each example draws one head per PoP
+    # (most draws are no valid plan) and compares every one-hot manager slot
+    # and VNF assignment under it. Capacity 1 makes the c17 rows bind.
+    params = replace(instance.params, gso_nfvo_delay_bound=gso_bound,
+                     nfvo_capacity=nfvo_capacity)
+    instance = replace(instance, params=params)
+    n = instance.pop_count
+    heads = data.draw(st.tuples(*[st.integers(0, n - 1)] * n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.lp"
+        export_lp(instance, path)
+        _objective, rows, variables = _parse_lp(path)
+    for a in structured_assignments(n, instance.vnf_count, [heads]):
+        assert model_holds(rows, plug_z(a, variables)) == hand_feasible(instance, a)
 
 
 # What an edit may insert: separators, line ends and the characters of the
