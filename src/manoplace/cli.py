@@ -59,12 +59,14 @@ class _UsageError(Exception):
 
 
 def _named_by_flag(message: str, flags: dict[str, tuple[str, object]], prefix: str = "") -> str:
-    """``message``, which names a settings field after ``prefix``, naming the
-    field's flag instead when ``flags`` (``{flag: (field, value)}``) has one."""
-    for flag, (name, _value) in flags.items():
-        if message.startswith(f"{prefix}{name} "):
-            return flag + message[len(prefix) + len(name):]
-    return message
+    """``message``, which names settings fields after ``prefix``, naming each
+    field that ``flags`` (``{flag: (field, value)}``) has by its flag; a
+    message that then opens with a flag drops ``prefix``."""
+    if not message.startswith(prefix):
+        return message
+    flag_of = {name: flag for flag, (name, _value) in flags.items()}
+    words = [flag_of.get(word, word) for word in message[len(prefix):].split(" ")]
+    return " ".join(words) if words[0] in flags else prefix + " ".join(words)
 
 
 def _from_flags(cls, flags: dict[str, tuple[str, object]], **fixed):

@@ -25,15 +25,16 @@ Dialect (kept deliberately small): comment lines start with a backslash;
 sections are ``Minimize``, ``Subject To``, ``Binary``, ``End`` in that
 order; each constraint row is
 ``name: [sign] [coef] var {+|- [coef] var} (<=|>=|=) number``. All
-variables are declared in the Binary section. ``check_lp_file`` checks a
-file in the writer's own line form line by line, one regular expression per
-line; any other file it parses token by token, and that parse alone words
-the diagnostics.
+variables are declared in the Binary section. ``check_lp_file`` accepts a
+file in the writer's own line form by the shape of its lines (the line with
+every digit read as 0), matching each distinct shape once against the
+writer's forms; any other file it parses token by token, and that parse
+alone words the diagnostics.
 
 Neither direction holds the model in memory: ``write_lp_model`` renders the
 rows as text one block at a time, a block being one constraint family's rows
-for one PoP, manager slot or VNF, and ``check_lp_file`` reads the file a line
-at a time.
+for one PoP, manager slot or VNF, and ``check_lp_file`` reads the file 256
+KiB at a time, or a line at a time when it parses tokens.
 """
 
 from __future__ import annotations
@@ -317,10 +318,11 @@ def _parse_expression(tokens: list[str], i: int, lines: Iterator[list[str]], use
 def check_lp_file(path: str | Path) -> list[str]:
     """Re-parse an exported LP file; returns diagnostics (empty means clean).
 
-    A file in the exact line form ``write_lp_model`` emits is checked line by
-    line; any other file is parsed token by token, and every diagnostic comes
-    from that parse. Both read the file a line at a time, so memory grows
-    only with the sets of row and variable names.
+    A file in the exact line form ``write_lp_model`` emits is accepted a
+    block of lines at a time by the shape of each line; any other file is
+    parsed token by token, and every diagnostic comes from that parse.
+    Neither holds the file, so memory grows only with the sets of row and
+    variable names.
     """
     with open(path) as file:
         if _is_clean_export(file):
@@ -329,16 +331,31 @@ def check_lp_file(path: str | Path) -> list[str]:
         return _check_lines(_token_lines(file))
 
 
-# The writer's line forms: objective, row, continuation and Binary lines.
-# Compiled with re.ASCII, each accepts a strict subset of what the token parse
-# accepts without a diagnostic: numbers and names end where _TOKEN_RE's greedy
-# tokens end, row names cannot be keywords, and inf or nan does not match.
+# The check reads the file in blocks of this many characters, each completed
+# to a line end.
+_BLOCK = 256 * 1024
+
+# Each digit read as 0, so a line's shape fits a form exactly when the line does.
+_SHAPE = bytes.maketrans(b"123456789", b"000000000")
+# The writer's line forms by letter: the keywords M, S, N and E, the
+# objective J, a row R closed on its line or O continued, a continuation C
+# open or K closing its row, and a Binary declaration B. With ASCII digits,
+# each accepts a strict subset of what the token parse accepts without a
+# diagnostic: numbers and names end where _TOKEN_RE's greedy tokens end, row
+# names cannot be keywords, and inf or nan does not match.
 _TERMS = rf"(?:{_NUM} )?{_VAR}(?: [+-] (?:{_NUM} )?{_VAR})*"
-_CLOSE = rf"(?: (<=|>=|=) -?{_NUM})?\n"
-_LINE_FORMS = (rf" obj: ((?:- )?{_TERMS})\n",
-               rf" (c\d+(?:_\d+)*): ((?:- )?{_TERMS}){_CLOSE}",
-               rf"      ([+-] {_TERMS}){_CLOSE}",
-               rf" ({_VAR})\n")
+_CLOSE = rf" (?:<=|>=|=) -?{_NUM}"
+_ROW = rf" c\d+(?:_\d+)*: (?:- )?{_TERMS}"
+_MORE = rf"      [+-] {_TERMS}"
+_FORMS = {"M": "Minimize", "J": rf" obj: (?:- )?{_TERMS}", "S": "Subject To",
+          "R": _ROW + _CLOSE, "O": _ROW, "K": _MORE + _CLOSE, "C": _MORE,
+          "N": "Binary", "B": f" {_VAR}", "E": "End"}
+# The letters must spell M J C* S (R|OC*K)* N B* E. A repeated group would
+# hold re's backtracking state for every row, so the rows are read as
+# [ROCK]* and checked locally: (R|OC*K)* holds exactly when every O and C is
+# followed by C or K and every C and K is preceded by O or C.
+_GRAMMAR = rb"MJC*S[ROCK]*NB*E"
+_BROKEN_ROW = rb"[OC][^CK]|[^OC][CK]"
 
 
 def _is_clean_export(file: IO[str]) -> bool:
@@ -347,61 +364,51 @@ def _is_clean_export(file: IO[str]) -> bool:
 
     False means only that this check cannot tell: the token parse decides.
     """
-    # Compiled on the first check, not at import; re caches them after that.
-    obj_line, row_line, cont_line, binary_line = (
-        re.compile(form, re.ASCII).fullmatch for form in _LINE_FORMS)
-    lines = iter(file)
-    comment = next(lines, "")
     # A form feed or other line separator inside a comment line would end the
     # comment for the token parse.
+    comment = file.readline()
     if not (comment.startswith("\\") and len(comment.splitlines()) == 1):
         return False
-    if next(lines, "") != "Minimize\n":
-        return False
-    objective = obj_line(next(lines, ""))
-    if objective is None:
-        return False
-    used = set(objective[1].split())
-    line = next(lines, "")
-    while (more := cont_line(line)) is not None and more[2] is None:
-        used.update(more[1].split())
-        line = next(lines, "")
-    if line != "Subject To\n":
-        return False
-
-    names: set[str] = set()
-    rows = 0
-    for line in lines:
-        row = row_line(line)
-        if row is None:
-            break
-        names.add(row[1])
-        rows += 1
-        used.update(row[2].split())
-        closed = row[3]
-        while closed is None:
-            more = cont_line(next(lines, ""))
-            if more is None:
+    # Compiled on the first check, not at import; re caches them after that.
+    forms = [(ord(letter), re.compile(form.encode()).fullmatch)
+             for letter, form in _FORMS.items()]
+    row_names = re.compile(rb"\n (c[\d_]+):").findall
+    variables = re.compile(rb"[hrxyz]_[\d_]+").findall
+    letter_of: dict[bytes, int] = {}
+    letters = bytearray()
+    names: set[bytes] = set()
+    used: set[bytes] = set()
+    declared: set[bytes] = set()
+    declaring = False
+    while block := file.read(_BLOCK):
+        block += file.readline()
+        if not (block.isascii() and block.endswith("\n")):
+            return False
+        data = block.encode()
+        shapes = data.translate(_SHAPE).split(b"\n")
+        del shapes[-1]  # empty: the block ends at a line end
+        for shape in set(shapes).difference(letter_of):
+            letter = next((letter for letter, fits in forms if fits(shape)), None)
+            if letter is None:
                 return False
-            used.update(more[1].split())
-            closed = more[2]
-    if line != "Binary\n":
+            letter_of[shape] = letter
+        letters += bytes(map(letter_of.__getitem__, shapes))
+        # Every line fits a form, so these tokens are exactly the row names,
+        # the variables used and the declarations.
+        if not declaring:
+            head, binary, data = data.partition(b"Binary\n")
+            names.update(row_names(b"\n" + head))  # a block starts a line
+            used.update(variables(head))
+            declaring = bool(binary)
+        declared.update(data.split())
+    # Every line must end in a bare \n: reading translates CR and CRLF line
+    # ends, and file.newlines records them. The rows lie between S and N.
+    if (file.newlines not in (None, "\n") or re.fullmatch(_GRAMMAR, letters) is None
+            or re.compile(_BROKEN_ROW).search(letters, letters.index(b"S"))):
         return False
-
-    declared: set[str] = set()
-    count = 0
-    for line in lines:
-        var = binary_line(line)
-        if var is None:
-            break
-        declared.add(var[1])
-        count += 1
-    # Nothing may follow End, and every line must end in a bare \n: reading
-    # translates CR and CRLF line ends, and file.newlines records them.
-    if line != "End\n" or next(lines, None) is not None or file.newlines not in (None, "\n"):
-        return False
-    used = {token for token in used if token[0].isalpha()}
-    return len(names) == rows and len(declared) == count and used == declared
+    declared.discard(b"End")
+    return (len(names) == letters.count(b"R") + letters.count(b"O")
+            and len(declared) == letters.count(b"B") and used == declared)
 
 
 def _check_lines(lines: Iterator[list[str]]) -> list[str]:

@@ -114,9 +114,12 @@ class TestParsing:
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3, "area_side_km": Infinity}'},
      ["gen", "--config", "gen.json", "--output", "i.json"], "area_side_km must be > 0 and finite"),
     ({}, ["gen", "--pops", "3", "--vnfs", "2", "--area-km", "1e308", "--delay-per-km", "1e308",
-          "--output", "i.json"], "make the delays overflow"),
+          "--output", "i.json"], "--area-km and --delay-per-km make the delays overflow"),
     ({}, ["gen", "--pops", "3", "--vnfs", "2", "--area-km", "1e200", "--delay-per-km", "1e-200",
           "--output", "i.json"], "make the delays overflow"),
+    ({"gen.json": '{"pop_count": 3, "vnf_count": 2, "area_side_km": 1e308}'},
+     ["gen", "--config", "gen.json", "--delay-per-km", "1e308", "--output", "i.json"],
+     "gen.json: area_side_km and --delay-per-km make the delays overflow"),
     ({"sweep.json": json.dumps({"generator": {"pop_count": 3, "vnf_count": 2,
                                               "area_side_km": 1e308, "delay_per_km": 1e308},
                                 "output": "r.csv"})},
@@ -139,7 +142,7 @@ class TestParsing:
         "sweep-generator-manager-bound", "sweep-bound-without-generator-bound",
         "gen-negative-seed", "gen-config-negative-seed", "gen-config-bad-jitter",
         "gen-bool-area", "gen-infinite-area", "gen-overflowing-delays", "gen-overflowing-area",
-        "sweep-overflowing-generator",
+        "gen-config-overflowing-delays", "sweep-overflowing-generator",
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here

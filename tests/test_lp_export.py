@@ -23,6 +23,7 @@ from manoplace import (
     check_lp_file,
     export_lp,
     generate_instance,
+    lp_export,
     solve_exact,
 )
 from manoplace.lp_export import _check_lines, _is_clean_export, _token_lines, build_lp_model
@@ -51,7 +52,7 @@ def edge_coefficients_instance():
 
 def check_against_the_token_parse(path, fast):
     """``check_lp_file`` equals the token parse, the reference, on ``path``;
-    ``fast`` says whether the line-form check must accept the file."""
+    ``fast`` says whether the check by line shape must accept the file."""
     with open(path) as file:
         reference = _check_lines(_token_lines(file))
     with open(path) as file:
@@ -204,9 +205,21 @@ class TestGrammarCheck:
         assert check_against_the_token_parse(path, fast=False) == [
             "duplicate constraint name 'c17_0'"]
 
+    @pytest.mark.parametrize("block", [1, 7, 97])
+    def test_blocks_of_a_few_characters(self, tmp_path, monkeypatch, line3, two_clusters, block):
+        # Each block is completed to a line end, so a block of one character
+        # holds one line, and a long row's lines fall into different blocks.
+        monkeypatch.setattr(lp_export, "_BLOCK", block)
+        long_rows = generate_instance(GeneratorConfig(pop_count=3, vnf_count=12, seed=6))
+        for i, inst in enumerate((tiny_instance(), line3, two_clusters, p8_v12_instance(),
+                                  long_rows)):
+            path = tmp_path / f"m{i}.lp"
+            export_lp(inst, path)
+            assert check_against_the_token_parse(path, fast=True) == []
+
     def test_numbers_may_start_at_the_point(self, tmp_path):
         # Both parses share one number syntax, so a point-first coefficient
-        # and right-hand side are clean in the line-form check too.
+        # and right-hand side are clean in the check by line shape too.
         path = tmp_path / "tiny.lp"
         export_lp(tiny_instance(), path)
         path.write_text(path.read_text().replace("10 h_1 <= 80", ".5 h_1 <= .8e2"))
@@ -224,10 +237,17 @@ class TestGrammarCheck:
         lambda t: t.replace("\\ placement", "\\ placement\fBinary", 1),
         lambda t: t.replace("End\n", "End"),
         lambda t: t.replace("h_1", "h_\u0661"),
+        lambda t: t.replace(" c4_0:", "Binary\n c4_0:"),
+        lambda t: t.replace(" x_0_0\n", "Binary\n x_0_0\n"),
+        lambda t: t.replace(" + x_0_0 + x_0_1\n", "\n      + x_0_0 + x_0_1 <= 1\n", 1),
+        lambda t: t.replace("Subject To\n", "Subject To\n      + h_0\n"),
+        lambda t: t + "End",
     ], ids=["crlf", "form-feed-comment", "comment-mid-file", "blank-line",
             "comment-after-end", "maximize-binaries", "row-broken-at-operator",
             "inf-coefficient", "form-feed-in-comment", "no-final-newline",
-            "non-ascii-digit"])
+            "non-ascii-digit", "binary-among-rows", "second-binary",
+            "closed-continuation-under-objective", "continuation-after-subject-to",
+            "end-twice-without-final-newline"])
     def test_other_forms_are_left_to_the_token_parse(self, tmp_path, edit):
         path = tmp_path / "tiny.lp"
         export_lp(tiny_instance(), path)
@@ -270,6 +290,22 @@ class TestWriter:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * path.stat().st_size
+
+    def test_check_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        # The check holds the row names, the variables used and the
+        # declarations, and reads a block of 256 KiB at a time: 7.5 MB traced
+        # for this 2.3 MB file, 47,455 rows. Joining one letter per line over
+        # the whole file, or matching the rows' letters as a repeated group,
+        # would add about 6 MB.
+        path = tmp_path / "p8_v12.lp"
+        export_lp(p8_v12_instance(), path)
+        tracemalloc.start()
+        try:
+            assert check_lp_file(path) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
