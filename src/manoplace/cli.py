@@ -58,15 +58,18 @@ class _UsageError(Exception):
     pass
 
 
-def _named_by_flag(message: str, flags: dict[str, tuple[str, object]], prefix: str = "") -> str:
+def _named_by_flag(message: str, flags: dict[str, tuple[str, object]], prefix: str = "",
+                   read: frozenset[str] = frozenset()) -> str:
     """``message``, which names settings fields after ``prefix``, naming each
     field that ``flags`` (``{flag: (field, value)}``) has by its flag; a
-    message that then opens with a flag drops ``prefix``."""
+    message that then opens with a flag drops ``prefix``, unless it still
+    names a field of ``read``, the fields read from the file ``prefix`` names."""
     if not message.startswith(prefix):
         return message
     flag_of = {name: flag for flag, (name, _value) in flags.items()}
     words = [flag_of.get(word, word) for word in message[len(prefix):].split(" ")]
-    return " ".join(words) if words[0] in flags else prefix + " ".join(words)
+    flagged = words[0] in flags and read.isdisjoint(words)
+    return " ".join(words) if flagged else prefix + " ".join(words)
 
 
 def _from_flags(cls, flags: dict[str, tuple[str, object]], **fixed):
@@ -144,14 +147,16 @@ def _cmd_gen(args) -> int:
     given = {flag: pair for flag, pair in flags.items() if pair[1] is not None}
     # The file's values, each flag given laid on top.
     data = {} if args.config is None else read_json(args.config)
+    read = frozenset()
     if isinstance(data, dict):  # parse_config reports anything else
+        read = frozenset(data) - {name for name, _value in given.values()}
         data = {**data, **dict(given.values())}
     where = args.config or "gen"
     try:
         config = parse_config(GeneratorConfig, data, where)
     except InstanceFormatError as exc:
         # A rejected flag value is named by its flag, not the settings field.
-        raise _UsageError(_named_by_flag(str(exc), given, f"{where}: ")) from None
+        raise _UsageError(_named_by_flag(str(exc), given, f"{where}: ", read)) from None
     instance = generate_instance(config)
     save_problem(instance, args.output)
     print(f"wrote {args.output}: {instance.pop_count} pops, "

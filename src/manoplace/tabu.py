@@ -22,11 +22,12 @@ search stops after ``stop_patience`` consecutive iterations without
 improving the best-found score.
 
 The penalty is a sum of per-PoP terms and per-domain terms, so a neighbour
-is scored from the few PoPs and domains its move changes. Bitmask tables
-built once per instance (``ProblemInstance.vnfs_at`` and ``vnfs_served``)
-make a domain's term a handful of big-int operations: each domain keeps the
-VNFs its members can manage once and twice over, so removing or adding a
-member needs no rescan of the others.
+is scored from its move alone: the few PoPs and domains the move changes.
+Bitmask tables built once per instance (``ProblemInstance.vnfs_at`` and
+``vnfs_served``) make a domain's term a handful of big-int operations: each
+domain keeps the VNFs its members can manage once and twice over, so
+removing or adding a member needs no rescan of the others. A neighbour's
+plan is built only when it is chosen, by moving the position to it.
 """
 
 from __future__ import annotations
@@ -107,18 +108,6 @@ def _domain(instance: ProblemInstance, h: int, members: int) -> tuple[int, int, 
     return members, located, once, twice
 
 
-def _pop_term(instance: ProblemInstance, nfvo_at, head_of, q: int) -> int:
-    """Rules broken at PoP ``q``: its head is not an active orchestrator,
-    activation vs self-heading mismatch, an orchestrator out of the GSO's
-    reach, and ``q`` out of its head's reach."""
-    d = instance.delays
-    params = instance.params
-    h = head_of[q]
-    return ((not nfvo_at[h]) + ((h == q) != nfvo_at[q])
-            + (nfvo_at[q] and d[params.gso_location][q] > params.gso_nfvo_delay_bound)
-            + (d[h][q] > params.nfvo_vim_delay_bound))
-
-
 def _domain_term(instance: ProblemInstance, located: int, served: int) -> int:
     """Rules broken by a domain whose member PoPs hold the VNFs ``located``
     and can manage the VNFs ``served``: the look-ahead count, plus one if the
@@ -128,38 +117,83 @@ def _domain_term(instance: ProblemInstance, located: int, served: int) -> int:
 
 
 class _Candidate(NamedTuple):
-    """A scored neighbour; ``attribute`` is what the tabu list remembers of
-    the move that produced it: ``("toggle", pop)`` or
-    ``("reassign", pop, new_head)``."""
+    """A scored neighbour, held as its move on the plan ``base`` it was drawn
+    from. Its own plan is built only when asked for, which the search does
+    only for the neighbour it chooses, as ``_Position.move_to`` moves to it.
+
+    ``attribute`` is what the tabu list remembers of the move:
+    ``("toggle", pop)`` or ``("reassign", pop, new_head)``. ``flipped`` is the
+    PoP whose orchestrator the move toggles, or -1; ``moves`` holds the
+    ``(pop, new_head)`` pairs it re-homes."""
 
     attribute: tuple
-    nfvo_at: tuple[bool, ...]
-    head_of: tuple[int, ...]
     score: Score
+    base: DomainPlan
+    flipped: int
+    moves: tuple[tuple[int, int], ...]
+
+    @property
+    def nfvo_at(self) -> tuple[bool, ...]:
+        if self.flipped < 0:
+            return self.base.nfvo_at
+        nfvo_at = list(self.base.nfvo_at)
+        nfvo_at[self.flipped] = not nfvo_at[self.flipped]
+        return tuple(nfvo_at)
+
+    @property
+    def head_of(self) -> tuple[int, ...]:
+        head_of = list(self.base.head_of)
+        for q, h in self.moves:
+            head_of[q] = h
+        return tuple(head_of)
 
 
 class _Position:
-    """A plan with the tables that score its neighbours incrementally.
+    """A plan with the tables that score its neighbours from their moves alone.
 
     Per PoP it keeps the PoP's term; per head ``h`` the domain's masks
     ``(members, located, once, twice)`` and its term. ``once`` holds the VNFs
     that at least one member can manage under ``h``, ``twice`` those that at
     least two can, so removing a member needs no rescan of the others.
+    ``active`` lists the orchestrators in PoP order, and ``by_delay[q]`` every
+    PoP by its delay from ``q`` (ties on the lower id), so the first active PoP
+    in it is ``q``'s nearest orchestrator. A neighbour's plan is not built
+    unless asked for (see ``_Candidate``).
     """
 
     def __init__(self, instance: ProblemInstance, nfvo_at, head_of):
         n = instance.pop_count
+        d = instance.delays
+        params = instance.params
         self.instance = instance
-        self.nfvo_at = tuple(nfvo_at)
-        self.head_of = tuple(head_of)
-        self.pop_terms = [_pop_term(instance, self.nfvo_at, self.head_of, q)
-                          for q in range(n)]
+        self.plan = DomainPlan(tuple(nfvo_at), tuple(head_of))
+        self.gso_far = [d[params.gso_location][q] > params.gso_nfvo_delay_bound
+                        for q in range(n)]
+        self.by_delay = [sorted(range(n), key=d[q].__getitem__) for q in range(n)]
+        self.pop_terms = [self._term(q, h, self.nfvo_at[q], self.nfvo_at[h])
+                          for q, h in enumerate(self.head_of)]
         self.domains = [_domain(instance, h, m)
                         for h, m in enumerate(_members(n, self.head_of))]
         self.domain_terms = [_domain_term(instance, located, once)
                              for _, located, once, _ in self.domains]
         self.active = [p for p in range(n) if self.nfvo_at[p]]
         self.score = Score(sum(self.pop_terms) + sum(self.domain_terms), len(self.active))
+
+    @property
+    def nfvo_at(self) -> tuple[bool, ...]:
+        return self.plan.nfvo_at
+
+    @property
+    def head_of(self) -> tuple[int, ...]:
+        return self.plan.head_of
+
+    def _term(self, q: int, h: int, q_on: bool, h_on: bool) -> int:
+        """Rules broken at PoP ``q`` when its head is ``h`` and ``q_on`` and
+        ``h_on`` say whether ``q`` and ``h`` host orchestrators: the head is not
+        an active orchestrator, activation vs self-heading mismatch, an
+        orchestrator out of the GSO's reach, and ``q`` out of its head's reach."""
+        return ((not h_on) + ((h == q) != q_on) + (q_on and self.gso_far[q])
+                + (self.instance.delays[h][q] > self.instance.params.nfvo_vim_delay_bound))
 
     def _leave(self, h: int, q: int) -> int:
         """Change of domain ``h``'s term when member ``q`` leaves it."""
@@ -178,77 +212,76 @@ class _Position:
             once |= serves[q]
         return _domain_term(self.instance, located, once) - self.domain_terms[h]
 
-    def _rescored(self, nfvo_at, head_of, pops) -> int:
-        """Change of the PoP terms of ``pops`` in the plan ``nfvo_at``/``head_of``."""
-        return sum(_pop_term(self.instance, nfvo_at, head_of, q) - self.pop_terms[q]
-                   for q in pops)
-
     def reassigned(self, pop: int, target: int) -> _Candidate:
         """Neighbour that moves ``pop`` into the domain headed by ``target``."""
-        head_of = list(self.head_of)
-        old = head_of[pop]
-        head_of[pop] = target
-        penalty = (self.score.penalty + self._rescored(self.nfvo_at, head_of, (pop,))
-                   + self._leave(old, pop) + self._join(target, (pop,)))
-        return _Candidate(("reassign", pop, target), self.nfvo_at, tuple(head_of),
-                          Score(penalty, self.score.nfvo_count))
+        nfvo_at = self.plan.nfvo_at
+        penalty = (self.score.penalty + self._leave(self.plan.head_of[pop], pop)
+                   + self._join(target, (pop,))
+                   + self._term(pop, target, nfvo_at[pop], nfvo_at[target])
+                   - self.pop_terms[pop])
+        return _Candidate(("reassign", pop, target), Score(penalty, self.score.nfvo_count),
+                          self.plan, -1, ((pop, target),))
 
     def toggled(self, pop: int) -> _Candidate | None:
         """Neighbour that toggles ``pop``'s orchestrator; None when that would
         remove the last one. Switching one off re-homes its members to their
         nearest surviving orchestrator (ties on the lowest PoP id); switching
         one on makes it head itself."""
-        nfvo_at = list(self.nfvo_at)
-        head_of = list(self.head_of)
+        nfvo_at, head_of = self.plan.nfvo_at, self.plan.head_of
+        pop_terms = self.pop_terms
         members = self.domains[pop][0]
         penalty = self.score.penalty
+        moves: list[tuple[int, int]] = []
         if nfvo_at[pop]:
-            remaining = [c for c in self.active if c != pop]
-            if not remaining:
+            if len(self.active) == 1:
                 return None
-            nfvo_at[pop] = False
-            d = self.instance.delays
             joining: dict[int, list[int]] = {}
             for q in _bits(members):
-                head_of[q] = min(remaining, key=d[q].__getitem__)
-                joining.setdefault(head_of[q], []).append(q)
+                for h in self.by_delay[q]:
+                    if nfvo_at[h] and h != pop:
+                        break
+                moves.append((q, h))
+                joining.setdefault(h, []).append(q)
+                penalty += self._term(q, h, nfvo_at[q] and q != pop, True) - pop_terms[q]
             penalty -= self.domain_terms[pop]
             for h, pops in joining.items():
                 penalty += self._join(h, pops)
+            if not members >> pop & 1:  # pop sits in another domain: only its activation changes
+                h = head_of[pop]
+                penalty += self._term(pop, h, False, nfvo_at[h]) - pop_terms[pop]
             count = self.score.nfvo_count - 1
         else:
-            nfvo_at[pop] = True
             old = head_of[pop]
-            head_of[pop] = pop
             if old != pop:
                 penalty += self._leave(old, pop) + self._join(pop, (pop,))
+                moves.append((pop, pop))
+            for q in _bits(members & ~(1 << pop)):
+                penalty += self._term(q, pop, nfvo_at[q], True) - pop_terms[q]
+            penalty += self._term(pop, pop, True, True) - pop_terms[pop]
             count = self.score.nfvo_count + 1
-        penalty += self._rescored(nfvo_at, head_of, _bits(members | 1 << pop))
-        return _Candidate(("toggle", pop), tuple(nfvo_at), tuple(head_of),
-                          Score(penalty, count))
+        return _Candidate(("toggle", pop), Score(penalty, count), self.plan, pop, tuple(moves))
 
     def move_to(self, cand: _Candidate) -> None:
         """Make ``cand`` the position, rebuilding only what its move touched."""
-        n = self.instance.pop_count
-        old_nfvo, old_head = self.nfvo_at, self.head_of
-        self.nfvo_at, self.head_of = cand.nfvo_at, cand.head_of
-        moved = [q for q in range(n) if cand.head_of[q] != old_head[q]]
-        members = [dom[0] for dom in self.domains]
-        touched = set()
-        for q in moved:
-            members[old_head[q]] &= ~(1 << q)
-            members[cand.head_of[q]] |= 1 << q
-            touched.update((old_head[q], cand.head_of[q]))
-        for h in touched:
-            self.domains[h] = _domain(self.instance, h, members[h])
+        old_head = self.plan.head_of
+        self.plan = DomainPlan(cand.nfvo_at, cand.head_of)
+        nfvo_at, head_of = self.plan.nfvo_at, self.plan.head_of
+        members: dict[int, int] = {}  # new member masks of the touched heads
+        for q, h in cand.moves:
+            old = old_head[q]
+            members[old] = members.get(old, self.domains[old][0]) & ~(1 << q)
+            members[h] = members.get(h, self.domains[h][0]) | 1 << q
+        rescore = [q for q, _ in cand.moves]
+        pop = cand.flipped
+        if pop >= 0:
+            self.active = [p for p, on in enumerate(nfvo_at) if on]
+            rescore.extend(_bits(members.get(pop, self.domains[pop][0]) | 1 << pop))
+        for h, mask in members.items():
+            self.domains[h] = _domain(self.instance, h, mask)
             self.domain_terms[h] = _domain_term(self.instance, *self.domains[h][1:3])
-        rescore = set(moved)
-        for p in range(n):
-            if cand.nfvo_at[p] != old_nfvo[p]:
-                rescore.update(_bits(members[p] | 1 << p))
-        self.active = [p for p in range(n) if self.nfvo_at[p]]
         for q in rescore:
-            self.pop_terms[q] = _pop_term(self.instance, self.nfvo_at, self.head_of, q)
+            h = head_of[q]
+            self.pop_terms[q] = self._term(q, h, nfvo_at[q], nfvo_at[h])
         self.score = cand.score
 
 
@@ -275,19 +308,30 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
     ``iteration``, unless its result would beat ``best_score`` (aspiration).
     """
     n = position.instance.pop_count
-    head_of = position.head_of
+    nfvo_at, head_of = position.nfvo_at, position.head_of
+    active = position.active
+    # The position is fixed, so a toggle drawn again is the same neighbour.
+    toggles: dict[int, _Candidate | None] = {}
     out: list[_Candidate] = []
     for _ in range(samples):
         if rng.random() < 0.5:
-            cand = position.toggled(rng.randrange(n))
+            pop = rng.randrange(n)
+            if pop not in toggles:
+                toggles[pop] = position.toggled(pop)
+            cand = toggles[pop]
             if cand is None:
                 continue
         else:
+            # The target is drawn from the active PoPs other than the head,
+            # skipping the head in place rather than building that list.
             pop = rng.randrange(n)
-            targets = [c for c in position.active if c != head_of[pop]]
-            if not targets:
+            h = head_of[pop]
+            others = len(active) - nfvo_at[h]
+            if not others:
                 continue
-            cand = position.reassigned(pop, targets[rng.randrange(len(targets))])
+            i = rng.randrange(others)
+            target = active[i] if not nfvo_at[h] or active[i] < h else active[i + 1]
+            cand = position.reassigned(pop, target)
         if tabu.get(cand.attribute, -1) >= iteration and not cand.score < best_score:
             continue  # tabu, and not good enough for aspiration
         out.append(cand)
@@ -319,7 +363,7 @@ def search(instance: ProblemInstance, params: TabuParams | None = None) -> Searc
     patience, tenure, samples = params.resolved(instance.pop_count)
     rng = random.Random(params.seed)
     position = _start(instance)
-    best = DomainPlan(position.nfvo_at, position.head_of)
+    best = position.plan
     best_score = position.score
     tabu: dict[tuple, int] = {}
     iteration = no_improvement = last_improvement = 0
@@ -344,7 +388,7 @@ def search(instance: ProblemInstance, params: TabuParams | None = None) -> Searc
         tabu[chosen.attribute] = iteration + tenure
 
         if chosen.score < best_score:
-            best = DomainPlan(chosen.nfvo_at, chosen.head_of)
+            best = position.plan
             best_score = chosen.score
             no_improvement = 0
             last_improvement = iteration

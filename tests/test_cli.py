@@ -120,6 +120,9 @@ class TestParsing:
     ({"gen.json": '{"pop_count": 3, "vnf_count": 2, "area_side_km": 1e308}'},
      ["gen", "--config", "gen.json", "--delay-per-km", "1e308", "--output", "i.json"],
      "gen.json: area_side_km and --delay-per-km make the delays overflow"),
+    ({"gen.json": '{"pop_count": 3, "vnf_count": 2, "delay_per_km": 1e308}'},
+     ["gen", "--config", "gen.json", "--area-km", "1e308", "--output", "i.json"],
+     "gen.json: --area-km and delay_per_km make the delays overflow"),
     ({"sweep.json": json.dumps({"generator": {"pop_count": 3, "vnf_count": 2,
                                               "area_side_km": 1e308, "delay_per_km": 1e308},
                                 "output": "r.csv"})},
@@ -142,7 +145,8 @@ class TestParsing:
         "sweep-generator-manager-bound", "sweep-bound-without-generator-bound",
         "gen-negative-seed", "gen-config-negative-seed", "gen-config-bad-jitter",
         "gen-bool-area", "gen-infinite-area", "gen-overflowing-delays", "gen-overflowing-area",
-        "gen-config-overflowing-delays", "sweep-overflowing-generator",
+        "gen-config-overflowing-delays", "gen-flag-overflowing-config-delays",
+        "sweep-overflowing-generator",
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here

@@ -9,11 +9,12 @@ over each PoP's heads in reach that pass the capacity and look-ahead
 recounts, with their manager floors. On random plans every domain's
 manager count must equal an exhaustive max-flow minimum. Along random
 walks of search moves every incrementally scored neighbour must equal a
-full rescore. The MILP solver on the exported LP must reach the exact
-optimum, and on a drawn domain plan the rows read back from the exported
-file must hold, with each z set to its product, exactly for the manager
-assignments that satisfy the products themselves. Instance and solution
-files must round-trip exactly, and on
+full rescore, and from equal random states on arbitrary plans the sampled
+neighbourhood must equal one drawn and built plan by plan. The MILP solver
+on the exported LP must reach the exact optimum, and on a drawn domain plan
+the rows read back from the exported file must hold, with each z set to its
+product, exactly for the manager assignments that satisfy the products
+themselves. Instance and solution files must round-trip exactly, and on
 exports with one character or line edited the LP check must equal the
 token parse. Every input file with one value swapped for one of another
 JSON kind must exit 0, 1 or 2, never 3, and an exit 2 prints one stderr
@@ -27,6 +28,7 @@ import io
 import itertools
 import json
 import math
+import random
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -57,13 +59,14 @@ from manoplace.cli import cli_main
 from manoplace.lp_export import _check_lines, _token_lines
 from manoplace.model import DomainPlan, Solution, VnfmAssignment
 from manoplace.oracle import _feasible_assignments
-from manoplace.tabu import _Position, _start, penalty_parts
+from manoplace.tabu import Score, _Position, _propose_candidates, _start, penalty_parts
 from manoplace.vnfm import domains_of, place_domain
 
 from conftest import _parse_lp
 from test_acceptance import hand_feasible, model_holds, plug_z, structured_assignments
 from test_lp_export import _solve_lp
-from test_tabu import check_neighbour, naive_look_ahead, tables
+from test_tabu import (check_neighbour, naive_capacity, naive_look_ahead, naive_penalty,
+                       random_plan, tables)
 from test_vnfm import by_member, eligibility, flow_minimum, runnable
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -201,6 +204,77 @@ def test_incremental_scores_match_a_full_rescore(instance, walk):
         chosen = moves[pick % len(moves)]
         position.move_to(chosen)
         assert tables(position) == tables(_Position(instance, chosen.nfvo_at, chosen.head_of))
+
+
+def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration, best_score,
+                            rng):
+    """The sampled neighbourhood drawn and built plan by plan: a filtered list
+    of reassignment targets, the nearest surviving orchestrator by ``min``,
+    and each neighbour scored by the per-VNF restatement of the rules."""
+    n = instance.pop_count
+    d = instance.delays
+    active = [p for p in range(n) if nfvo_at[p]]
+    out = []
+    for _ in range(samples):
+        nfvo, heads = list(nfvo_at), list(head_of)
+        if rng.random() < 0.5:
+            pop = rng.randrange(n)
+            attribute = ("toggle", pop)
+            if nfvo[pop]:
+                remaining = [c for c in active if c != pop]
+                if not remaining:
+                    continue
+                nfvo[pop] = False
+                for q in range(n):
+                    if head_of[q] == pop:
+                        heads[q] = min(remaining, key=d[q].__getitem__)
+            else:
+                nfvo[pop] = True
+                heads[pop] = pop
+        else:
+            pop = rng.randrange(n)
+            targets = [c for c in active if c != head_of[pop]]
+            if not targets:
+                continue
+            heads[pop] = targets[rng.randrange(len(targets))]
+            attribute = ("reassign", pop, heads[pop])
+        plan = DomainPlan.make(nfvo, heads)
+        score = Score(naive_penalty(instance, plan) + naive_capacity(instance, plan.head_of),
+                      sum(nfvo))
+        if tabu.get(attribute, -1) >= iteration and not score < best_score:
+            continue
+        out.append((attribute, score, plan.nfvo_at, plan.head_of))
+    return out
+
+
+@SMALL
+@given(mixed_bounds(8), st.sampled_from([0, 20, 60]), st.integers(0, 2**32 - 1))
+def test_neighbourhood_draw_matches_the_plan_by_plan_reference(instance, grid, seed):
+    n = instance.pop_count
+    if grid:  # delays rounded to the grid, so PoPs tie for the nearest orchestrator
+        instance = replace(instance, delays=tuple(tuple(grid * round(x / grid) for x in row)
+                                                  for row in instance.delays))
+    rng = random.Random(seed)
+    for _ in range(10):
+        # Heads are drawn freely, so some are inactive and some PoPs head others.
+        plan = random_plan(rng, n)
+        nfvo_at = plan.nfvo_at
+        if rng.random() < 0.25:
+            one = rng.randrange(n)
+            nfvo_at = [p == one for p in range(n)]
+        tabu = {("toggle", rng.randrange(n)): rng.randrange(4) for _ in range(n)}
+        tabu.update({("reassign", rng.randrange(n), rng.randrange(n)): rng.randrange(4)
+                     for _ in range(n * n // 2)})
+        best_score = Score(rng.randrange(7), rng.randrange(n + 1))
+        samples = rng.randint(1, 4 * n)
+        position = _Position(instance, nfvo_at, plan.head_of)
+        reference_rng = random.Random()
+        reference_rng.setstate(rng.getstate())
+        got = _propose_candidates(position, samples, tabu, 2, best_score, rng)
+        assert [(c.attribute, c.score, c.nfvo_at, c.head_of) for c in got] == (
+            reference_neighbourhood(instance, position.nfvo_at, position.head_of, samples,
+                                    tabu, 2, best_score, reference_rng))
+        assert rng.getstate() == reference_rng.getstate()
 
 
 @SMALL
