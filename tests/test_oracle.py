@@ -9,6 +9,8 @@ instances is strong evidence the pruned search is exact.
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import math
 import time
 from itertools import combinations, product
@@ -23,6 +25,7 @@ from manoplace import (
     generate_instance,
     solve_exact,
 )
+from manoplace.model import solution_to_data
 from manoplace.oracle import OracleResult, _feasible_assignments
 from manoplace.topology import with_uniform_vnfs
 
@@ -214,6 +217,43 @@ class TestSolveExact:
     def test_budget_rejects_nonpositive_limits(self, kwargs):
         with pytest.raises(ValueError):
             OracleBudget(**kwargs)
+
+
+# Sweep points at the benchmark's scale: 10 PoPs, the topology of
+# ``gen --pops 10 --vnfs 10 --seed T`` with its VNFs redrawn as a sweep does
+# (``with_uniform_vnfs`` seeded T + V). Each point is solved in full and with
+# half its node budget. Recorded before the oracle counted, rather than
+# walked, the subsets that cannot beat its incumbent.
+GOLDEN_SWEEP_POINTS = [
+    # (T, V, max_nodes, status, objective, nodes_explored, solution digest)
+    (0, 25, None, "optimal", 5, 8875, "5c0c5cb7ab295bf7"),
+    (0, 25, 4437, "budget_exceeded", 5, 4438, "5c0c5cb7ab295bf7"),
+    (0, 40, None, "optimal", 6, 664, "5240bb08651d9d4d"),
+    (0, 40, 332, "budget_exceeded", 6, 333, "5240bb08651d9d4d"),
+    (1, 30, None, "optimal", 5, 9028, "dc68d7bc853dcf0c"),
+    (1, 30, 4514, "budget_exceeded", 5, 4515, "dc68d7bc853dcf0c"),
+    (1, 35, None, "optimal", 6, 4507, "5dab804821e3b0b9"),
+    (1, 35, 2253, "budget_exceeded", 6, 2254, "5dab804821e3b0b9"),
+    (2, 25, None, "optimal", 5, 10959, "c6d4d6f6acd5f71c"),
+    (2, 25, 5479, "budget_exceeded", 5, 5480, "c6d4d6f6acd5f71c"),
+    (2, 40, None, "optimal", 6, 769, "2fa54009f70f348e"),
+    (2, 40, 384, "budget_exceeded", 6, 385, "2fa54009f70f348e"),
+    (3, 30, None, "optimal", 5, 8310, "b09cc545f55e73a7"),
+    (3, 30, 4155, "budget_exceeded", 5, 4156, "b09cc545f55e73a7"),
+    (3, 35, None, "optimal", 6, 4704, "be4e1eb65e7e89bb"),
+    (3, 35, 2352, "budget_exceeded", 6, 2353, "be4e1eb65e7e89bb"),
+]
+
+
+@pytest.mark.parametrize("topology_seed, vnfs, max_nodes, status, objective, nodes, digest",
+                         GOLDEN_SWEEP_POINTS)
+def test_golden_sweep_points(topology_seed, vnfs, max_nodes, status, objective, nodes, digest):
+    base = generate_instance(GeneratorConfig(pop_count=10, vnf_count=10, seed=topology_seed))
+    instance = with_uniform_vnfs(base, vnfs, seed=topology_seed + vnfs)
+    result = solve_exact(instance, OracleBudget(max_nodes=max_nodes) if max_nodes else None)
+    data = json.dumps(solution_to_data(result.solution)).encode()
+    assert (result.status.value, result.objective, result.nodes_explored,
+            hashlib.sha256(data).hexdigest()[:16]) == (status, objective, nodes, digest)
 
 
 def test_solving_leaves_no_cyclic_garbage():

@@ -6,8 +6,11 @@ domain can manage must agree with a per-VNF recount on arbitrary head
 assignments. For any subset of orchestrators the GSO can reach, the exact
 solver's enumeration must yield, in order, the assignments of a product
 over each PoP's heads in reach that pass the capacity and look-ahead
-recounts, with their manager floors. On random plans every domain's
-manager count must equal an exhaustive max-flow minimum. Along random
+recounts, with their manager floors, and its forward count must equal the
+number of assignments the enumeration ticks. With any node budget, the
+exact solver, which counts the subsets that cannot beat its incumbent, must
+return what a search that walks every subset returns. On random plans every
+domain's manager count must equal an exhaustive max-flow minimum. Along random
 walks of search moves every incrementally scored neighbour must equal a
 full rescore, and from equal random states on arbitrary plans the sampled
 neighbourhood must equal one drawn and built plan by plan. The MILP solver
@@ -18,7 +21,8 @@ themselves. Instance and solution files must round-trip exactly, and on
 exports with one character or line edited the LP check must equal the
 token parse. Every input file with one value swapped for one of another
 JSON kind must exit 0, 1 or 2, never 3, and an exit 2 prints one stderr
-line. Examples are derandomized, so every run checks the same instances.
+line. Examples are derandomized, so every run checks the same instances;
+a check bounds the share of 2-PoP instances among one test's examples.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from manoplace import (
     GeneratorConfig,
     InfeasibleDomain,
     NoFeasiblePlan,
+    OracleBudget,
     OracleStatus,
     TabuParams,
     check_feasibility,
@@ -58,7 +63,7 @@ from manoplace import (
 from manoplace.cli import cli_main
 from manoplace.lp_export import _check_lines, _token_lines
 from manoplace.model import DomainPlan, Solution, VnfmAssignment
-from manoplace.oracle import _feasible_assignments
+from manoplace.oracle import OracleResult, _feasible_assignments, _fitting_count
 from manoplace.tabu import Score, _Position, _propose_candidates, _start, penalty_parts
 from manoplace.vnfm import domains_of, place_domain
 
@@ -75,7 +80,9 @@ SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=Non
 def generated(max_pops, max_vnfs=12):
     return st.builds(
         GeneratorConfig,
-        pop_count=st.integers(2, max_pops),
+        # Largest first: derandomized examples repeat a strategy's simplest value,
+        # which for sizes drawn smallest first is the 2-PoP instance.
+        pop_count=st.sampled_from(range(max_pops, 1, -1)),
         vnf_count=st.integers(1, max_vnfs),
         area_side_km=st.sampled_from([1500.0, 3000.0, 4500.0]),
         nfvo_capacity=st.integers(2, 20),
@@ -148,6 +155,78 @@ def test_enumeration_matches_a_product_over_reachable_heads(instance, data):
     ticks = []
     assert list(_feasible_assignments(instance, heads, lambda: ticks.append(1))) == expected
     assert len(ticks) == fits
+    assert _fitting_count(instance, heads, math.inf) == fits
+
+
+def walked_solve(instance, max_nodes):
+    """The exact search with no subset counted: every subset is walked
+    through ``_feasible_assignments`` one node at a time and every domain is
+    placed afresh. Returns its result and the node count at which the first
+    subset that cannot beat the incumbent starts (None if none does)."""
+    params, d, n = instance.params, instance.delays, instance.pop_count
+    reach = [p for p in range(n) if d[params.gso_location][p] <= params.gso_nfvo_delay_bound]
+    vnfm_floor = math.ceil(instance.vnf_count / params.vnfm_capacity)
+    nodes, best, best_solution, first_counted = 0, None, None, None
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise TimeoutError
+
+    try:
+        for k in range(1, n + 1):
+            if best is not None and k + vnfm_floor >= best:
+                break
+            for heads in itertools.combinations(reach, k):
+                if first_counted is None and best is not None and k + vnfm_floor >= best:
+                    first_counted = nodes + 1
+                tick()
+                for head_of, floor in _feasible_assignments(instance, heads, tick):
+                    if best is not None and k + floor >= best:
+                        continue
+                    plan = DomainPlan(tuple(p in heads for p in range(n)), head_of)
+                    vnfms = tuple(m for dom in domains_of(instance, plan)
+                                  for m in place_domain(instance, dom))
+                    if best is None or k + len(vnfms) < best:
+                        best, best_solution = k + len(vnfms), Solution(plan, vnfms)
+    except TimeoutError:
+        return OracleResult(OracleStatus.BUDGET_EXCEEDED, best_solution, best, nodes), None
+    status = OracleStatus.INFEASIBLE if best is None else OracleStatus.OPTIMAL
+    return OracleResult(status, best_solution, best, nodes), first_counted
+
+
+@SMALL
+@given(mixed_bounds(7), st.booleans(), st.data())
+def test_counted_subsets_keep_the_walked_results(instance, in_counted, data):
+    # Half the budgets start inside the subsets the solver counts, so that
+    # they bind there.
+    full, first_counted = walked_solve(instance, math.inf)
+    assert solve_exact(instance) == full
+    low = first_counted if in_counted and first_counted is not None else 1
+    max_nodes = data.draw(st.integers(low, full.nodes_explored + 1))
+    expected, _ = walked_solve(instance, max_nodes)
+    assert solve_exact(instance, OracleBudget(max_nodes=max_nodes)) == expected
+
+
+def test_generated_instances_are_mostly_not_two_pop():
+    # Instances of 2 PoPs have one or two orchestrator subsets: an oracle or
+    # domain test learns little from them. Shown under -s.
+    sizes = Counter()
+
+    @SMALL
+    @given(mixed_bounds(8), st.data())
+    def draw(instance, data):
+        n = instance.pop_count
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        sizes[n] += 1
+
+    draw()
+    share = sum(c for n, c in sizes.items() if n >= 4) / sum(sizes.values())
+    print(f"mixed_bounds(8) PoP counts {sorted(sizes.items())}, "
+          f"{share:.0%} with at least 4 PoPs")
+    assert share >= 0.6
+    assert sizes[2] <= 0.2 * sum(sizes.values())
 
 
 @SMALL
