@@ -189,8 +189,8 @@ def _cmd_solve_tsp(args) -> int:
     instance = load_instance_ref(args.instance)
     params = _from_flags(TabuParams, {"--patience": ("stop_patience", args.patience),
                                       "--tenure": ("tabu_tenure", args.tenure),
-                                      "--samples": ("neighborhood_samples", args.samples)},
-                         seed=args.seed)
+                                      "--samples": ("neighborhood_samples", args.samples),
+                                      "--seed": ("seed", args.seed)})
     result = two_step_place_detailed(instance, params)
     _print_solution(result.solution)
     print(f"iterations={result.search.iterations}")

@@ -62,6 +62,9 @@ class TabuParams:
                 check_type(name, value, int)
                 if value < 1:
                     raise ValueError(f"{name} must be >= 1")
+        # random.Random seeds from abs(seed): -5 would search as 5 does.
+        if check_type("seed", self.seed, int) < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolved(self, pop_count: int) -> tuple[int, int, int]:
         patience = self.stop_patience if self.stop_patience is not None else 4 * pop_count

@@ -33,18 +33,22 @@ value, and both ``parse_problem`` and ``problem_to_data`` read it.
 Every input file (instances, solutions, generator and sweep settings) is
 read with the same checks: ``read_json`` decodes it, ``check_keys`` rejects
 unknown and missing keys and ``check_type`` the values of the wrong kind.
+
+The solvers read the delays in one form, ``delays``, from which
+``ProblemInstance.vnfs_served`` builds its table with prefix masks and
+``bisect``. Only the generator (``generate_instance``, ``with_uniform_vnfs``)
+imports numpy, whose PCG64 streams fix every generated instance.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .errors import InstanceFormatError, InstanceValidationError
 
@@ -117,14 +121,26 @@ class ProblemInstance:
         """``vnfs_served[h][p]``: the VNFs that a manager at PoP p could run in
         the domain headed by h, that is each VNF v with
         ``delays[v.location][p] <= v.vnfm_delay_bound`` and
-        ``delays[p][h] <= v.nfvo_vnfm_delay_bound``."""
-        d = np.asarray(self.delays)
-        loc = np.array([v.location for v in self.vnfs], dtype=int)
-        omega = np.array([v.vnfm_delay_bound for v in self.vnfs])
-        big_omega = np.array([v.nfvo_vnfm_delay_bound for v in self.vnfs])
-        near = np.ascontiguousarray((d[loc] <= omega[:, None]).T)  # [p, i]
-        # One head at a time keeps the arrays P x V.
-        return tuple(_bitmasks(near & (d[:, h:h + 1] <= big_omega))
+        ``delays[p][h] <= v.nfvo_vnfm_delay_bound``.
+
+        The first rule gives ``near[p]``, the VNFs close enough to PoP p, in
+        one pass over the VNFs. For the second, the VNFs are sorted by
+        orchestrator bound, largest first, with ``prefix[k]`` the first k of
+        them: the VNFs whose bound is at least ``delays[p][h]`` are the
+        prefix that ``bisect_right`` finds for that delay."""
+        vnfs = self.vnfs
+        near = [0] * self.pop_count
+        for i, v in enumerate(vnfs):
+            for p, x in enumerate(self.delays[v.location]):
+                if x <= v.vnfm_delay_bound:
+                    near[p] |= 1 << i
+        order = sorted(range(len(vnfs)), key=lambda i: -vnfs[i].nfvo_vnfm_delay_bound)
+        negated = [-vnfs[i].nfvo_vnfm_delay_bound for i in order]
+        prefix = [0]
+        for i in order:
+            prefix.append(prefix[-1] | 1 << i)
+        return tuple(tuple(near[p] & prefix[bisect_right(negated, -row[h])]
+                           for p, row in enumerate(self.delays))
                      for h in range(self.pop_count))
 
     @cached_property
@@ -134,12 +150,6 @@ class ProblemInstance:
         for i, v in enumerate(self.vnfs):
             masks[v.location] |= 1 << i
         return tuple(masks)
-
-
-def _bitmasks(block: np.ndarray) -> tuple[int, ...]:
-    """Read the rows of a 2-d boolean array as ints (entry i is bit i)."""
-    return tuple(int.from_bytes(row.tobytes(), "little")
-                 for row in np.packbits(block, axis=1, bitorder="little"))
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
@@ -395,10 +405,11 @@ def save_problem(instance: ProblemInstance, path: str | Path) -> None:
 # Generation
 
 
-def _uniform_vnfs(rng: np.random.Generator, pop_count: int, count: int,
+def _uniform_vnfs(rng, pop_count: int, count: int,
                   vnfm_delay_bound: float, nfvo_vnfm_delay_bound: float,
                   ) -> tuple[VnfInstance, ...]:
-    """VNFs 0..count-1 at uniformly drawn PoPs, all with the given bounds."""
+    """VNFs 0..count-1 at PoPs drawn uniformly from numpy generator ``rng``,
+    all with the given bounds."""
     locations = rng.integers(0, pop_count, size=count)
     return tuple(VnfInstance(id=i, location=int(loc), vnfm_delay_bound=vnfm_delay_bound,
                              nfvo_vnfm_delay_bound=nfvo_vnfm_delay_bound)
@@ -407,6 +418,7 @@ def _uniform_vnfs(rng: np.random.Generator, pop_count: int, count: int,
 
 def generate_instance(config: GeneratorConfig) -> ProblemInstance:
     """Generate a synthetic instance; identical configs give identical instances."""
+    import numpy as np  # only the generators need it, for its PCG64 streams
     rng = np.random.default_rng(config.seed)
     n = config.pop_count
     coords = rng.uniform(0.0, config.area_side_km, size=(n, 2))
@@ -446,6 +458,7 @@ def with_uniform_vnfs(instance: ProblemInstance, count: int, seed: int,
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    import numpy as np
     vnfs = _uniform_vnfs(np.random.default_rng(seed), instance.pop_count, count,
                          vnfm_delay_bound, nfvo_vnfm_delay_bound)
     return ProblemInstance(instance.pops, instance.delays, vnfs, instance.params)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -106,6 +107,7 @@ class TestParsing:
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3}'},
      ["gen", "--config", "gen.json", "--seed", "-1", "--output", "i.json"],
      "--seed must be >= 0"),
+    ({}, ["solve-tsp", "bundled:pop8", "--seed", "-1"], "error: --seed must be >= 0"),
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3}'},
      ["gen", "--config", "gen.json", "--jitter", "2", "--output", "i.json"],
      "--jitter must be in [0, 1)"),
@@ -143,7 +145,8 @@ class TestParsing:
         "sweep-negative-bound", "sweep-negative-manager-bound", "sweep-nan-bound",
         "sweep-bool-time-limit", "sweep-negative-seed", "sweep-negative-generator-seed",
         "sweep-generator-manager-bound", "sweep-bound-without-generator-bound",
-        "gen-negative-seed", "gen-config-negative-seed", "gen-config-bad-jitter",
+        "gen-negative-seed", "gen-config-negative-seed", "tsp-negative-seed",
+        "gen-config-bad-jitter",
         "gen-bool-area", "gen-infinite-area", "gen-overflowing-delays", "gen-overflowing-area",
         "gen-config-overflowing-delays", "gen-flag-overflowing-config-delays",
         "sweep-overflowing-generator",
@@ -411,6 +414,39 @@ def test_module_entry_point_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+NUMPY_FREE_RUNS = [["validate", "bundled:pop8"],
+                   ["solve-tsp", "bundled:pop8", "--output", "s.json"],
+                   ["check", "bundled:pop8", "s.json"],
+                   ["solve-exact", "bundled:pop8"],
+                   ["export-lp", "bundled:pop8"]]
+
+
+def test_loading_solving_and_exporting_need_no_numpy(capsys, monkeypatch, tmp_path):
+    # None in sys.modules makes every ``import numpy`` raise ImportError.
+    script = ("import contextlib, io, json, sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from manoplace import check_lp_file\n"
+              "from manoplace.cli import cli_main\n"
+              "runs = []\n"
+              f"for argv in {NUMPY_FREE_RUNS!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "        runs.append((cli_main(argv), out.getvalue()))\n"
+              "print(json.dumps([runs, check_lp_file('pop8.lp')]))\n")
+    src = str(Path(resources.files("manoplace")).parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    (tmp_path / "bare").mkdir()
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path / "bare", env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    runs, findings = json.loads(proc.stdout)
+    assert findings == []
+    monkeypatch.chdir(tmp_path)
+    for argv, (code, out) in zip(NUMPY_FREE_RUNS, runs, strict=True):
+        assert code == 0, argv
+        assert cli_main(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
 
 
 def readme_transcript():

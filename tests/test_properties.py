@@ -22,7 +22,8 @@ exports with one character or line edited the LP check must equal the
 token parse. Every input file with one value swapped for one of another
 JSON kind must exit 0, 1 or 2, never 3, and an exit 2 prints one stderr
 line. Examples are derandomized, so every run checks the same instances;
-a check bounds the share of 2-PoP instances among one test's examples.
+one check bounds the share of 2-PoP instances among one test's examples,
+another the share of one-domain plans among drawn plans.
 """
 
 from __future__ import annotations
@@ -229,12 +230,43 @@ def test_generated_instances_are_mostly_not_two_pop():
     assert sizes[2] <= 0.2 * sum(sizes.values())
 
 
+@st.composite
+def domain_plans(draw, n):
+    """``(nfvo_at, head_of)`` of a plan on n PoPs: the heads are drawn first,
+    at least one, each heads itself, and every other PoP draws its head
+    among them."""
+    # One head last: derandomized examples repeat a strategy's simplest
+    # value, and one head makes a one-domain plan.
+    count = draw(st.sampled_from([*range(2, n + 1), 1]))
+    heads = sorted(draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count,
+                                 unique=True)))
+    head_of = [q if q in heads else draw(st.sampled_from(heads)) for q in range(n)]
+    return [q in heads for q in range(n)], head_of
+
+
+def test_drawn_plans_are_mostly_multi_domain():
+    # A plan of one domain checks no domain against another. Shown under -s.
+    domains = Counter()
+
+    @SMALL
+    @given(mixed_bounds(8), st.data())
+    def draw(instance, data):
+        nfvo_at, _ = data.draw(domain_plans(instance.pop_count))
+        domains[sum(nfvo_at)] += 1
+
+    draw()
+    share = sum(c for k, c in domains.items() if k >= 2) / sum(domains.values())
+    print(f"domain_plans domain counts {sorted(domains.items())}, "
+          f"{share:.0%} with at least 2 domains")
+    assert domains[0] == 0
+    assert share >= 0.8
+
+
 @SMALL
 @given(mixed_bounds(6, max_vnfs=10), st.data())
 def test_manager_placement_matches_the_flow_minimum(instance, data):
     n = instance.pop_count
-    nfvo_at = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    head_of = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    nfvo_at, head_of = data.draw(domain_plans(n))
     for dom in domains_of(instance, DomainPlan.make(nfvo_at, head_of)):
         members = [q for q in range(n) if head_of[q] == dom.head]
         expected = flow_minimum(instance, dom.head, members)
@@ -249,8 +281,7 @@ def test_manager_placement_matches_the_flow_minimum(instance, data):
 @given(mixed_bounds(8), st.data())
 def test_domain_hosts_match_the_per_vnf_recount(instance, data):
     n = instance.pop_count
-    nfvo_at = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    head_of = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    nfvo_at, head_of = data.draw(domain_plans(n))
     plan = DomainPlan.make(nfvo_at, head_of)
     domains = domains_of(instance, plan)
     assert [dom.head for dom in domains] == [p for p in range(n) if nfvo_at[p]]

@@ -119,6 +119,14 @@ class TestParams:
         with pytest.raises(ValueError):
             TabuParams(**kwargs)
 
+    def test_rejects_a_negative_or_non_integer_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TabuParams(seed=-5)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            TabuParams(seed="abc")
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            TabuParams(seed=True)
+
 
 class TestScoreAndMove:
     def test_score_orders_penalty_first(self):

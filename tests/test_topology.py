@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +212,61 @@ class TestRedraw:
                                     nfvo_vnfm_delay_bound=24.0)
         assert all(v.vnfm_delay_bound == 12.0 for v in redrawn.vnfs)
         assert all(v.nfvo_vnfm_delay_bound == 24.0 for v in redrawn.vnfs)
+
+
+def served_per_vnf(instance):
+    """``vnfs_served`` written out rule by rule, one VNF at a time."""
+    d, n = instance.delays, instance.pop_count
+    return tuple(tuple(sum(1 << i for i, v in enumerate(instance.vnfs)
+                           if d[v.location][p] <= v.vnfm_delay_bound
+                           and d[p][h] <= v.nfvo_vnfm_delay_bound)
+                       for p in range(n))
+                 for h in range(n))
+
+
+def bounds_on_the_delays():
+    """Delays 10, 20 and 30; every bound equals a delay, and VNFs 0-2 and
+    3-4 share an orchestrator-manager bound."""
+    d = [[0.0, 10.0, 20.0], [10.0, 0.0, 30.0], [20.0, 30.0, 0.0]]
+    return make_instance(d, (0, 1, 2, 0, 2), vnf_bounds=[
+        (10.0, 20.0), (20.0, 20.0), (10.0, 20.0), (30.0, 10.0), (20.0, 10.0)])
+
+
+def mixed_on_a_topology():
+    """A generated topology whose VNFs take their bounds from its delays."""
+    base = generate_instance(GeneratorConfig(pop_count=9, vnf_count=40, seed=3))
+    rng = random.Random(3)
+    flat = sorted({x for row in base.delays for x in row if x > 0})
+    vnfs = tuple(replace(v, vnfm_delay_bound=rng.choice(flat[:12]),
+                         nfvo_vnfm_delay_bound=rng.choice(flat[::8]))
+                 for v in base.vnfs)
+    return replace(base, vnfs=vnfs)
+
+
+class TestServedTable:
+    @pytest.mark.parametrize("build", [
+        bounds_on_the_delays,
+        mixed_on_a_topology,
+        lambda: generate_instance(GeneratorConfig(pop_count=12, vnf_count=45, seed=2)),
+    ], ids=["bounds-equal-delays", "mixed-bounds", "generated"])
+    def test_matches_the_rules_per_vnf(self, build):
+        instance = build()
+        assert instance.vnfs_served == served_per_vnf(instance)
+
+    def test_a_delay_equal_to_a_bound_is_within_it(self):
+        # Near each PoP: 0 has VNFs {0, 1, 3, 4}, VNF 4 at delay 20 = omega;
+        # 1 has {0, 1, 3}, VNF 0 at delay 10 = omega; 2 has {2, 3, 4}. Head 0
+        # keeps VNF 3 at PoP 1 (delay 10 = Omega), and head 2 keeps VNFs 0
+        # and 1 at PoP 0 (delay 20 = Omega).
+        assert bounds_on_the_delays().vnfs_served == (
+            (0b11011, 0b01011, 0b00100),
+            (0b11011, 0b01011, 0b00000),
+            (0b00011, 0b00000, 0b11100))
+
+    def test_empty_and_single_pop_tables(self):
+        empty = with_uniform_vnfs(generate_instance(GeneratorConfig(6, 4, seed=1)), 0, seed=1)
+        assert empty.vnfs_served == ((0,) * 6,) * 6
+        assert make_instance([[0.0]], (0, 0)).vnfs_served == ((0b11,),)
 
 
 class TestBundled:
