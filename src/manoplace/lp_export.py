@@ -106,12 +106,12 @@ def _coef(coef: float) -> str:
     return f"- {text}" if coef < 0 else text
 
 
-def _fmt_terms(terms: Iterable[tuple[float, str]], per_line: int = 8) -> list[str]:
+def _fmt_terms(terms: Iterable[tuple[float, str]]) -> list[str]:
     """Render terms as one or more lines (continuations keep the file diffable)."""
     pieces = [f"{_coef(coef)}{var}" if i == 0 or coef < 0 else f"+ {_coef(coef)}{var}"
               for i, (coef, var) in enumerate(terms)]
-    return [" ".join(pieces[start:start + per_line])
-            for start in range(0, len(pieces), per_line)]
+    return [" ".join(pieces[start:start + _TERMS_PER_LINE])
+            for start in range(0, len(pieces), _TERMS_PER_LINE)]
 
 
 def _row(name: str, terms: Iterable[tuple[float, str]], close: str) -> str:
@@ -211,6 +211,8 @@ def _row_blocks(instance: ProblemInstance) -> Iterator[tuple[str, list[str]]]:
                       for vm in keys for q, qp, _ in grid]
 
 
+# Terms written on one line of a row or the objective.
+_TERMS_PER_LINE = 8
 # Binary names written at a time.
 _BINARY_BLOCK = 2048
 
@@ -324,7 +326,8 @@ def check_lp_file(path: str | Path) -> list[str]:
     Neither holds the file, so memory grows only with the sets of row and
     variable names.
     """
-    with open(path) as file:
+    # A byte that is not UTF-8 reaches the token parse as a stray character.
+    with open(path, encoding="utf-8", errors="surrogateescape") as file:
         if _is_clean_export(file):
             return []
         file.seek(0)

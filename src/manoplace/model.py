@@ -118,9 +118,6 @@ class ViolationReport:
     def ok(self) -> bool:
         return not self.entries
 
-    def families(self) -> set[str]:
-        return {e.family for e in self.entries}
-
 
 def _check_indices(instance: ProblemInstance, solution: Solution) -> dict[int, object]:
     n = instance.pop_count

@@ -26,8 +26,9 @@ is scored from its move alone: the few PoPs and domains the move changes.
 Bitmask tables built once per instance (``ProblemInstance.vnfs_at`` and
 ``vnfs_served``) make a domain's term a handful of big-int operations: each
 domain keeps the VNFs its members can manage once and twice over, so
-removing or adding a member needs no rescan of the others. A neighbour's
-plan is built only when it is chosen, by moving the position to it.
+removing or adding a member needs no rescan of the others. A neighbour is
+its move and score alone: the position applies the chosen move in place,
+and a ``DomainPlan`` is built only at the start and when the best improves.
 """
 
 from __future__ import annotations
@@ -120,9 +121,8 @@ def _domain_term(instance: ProblemInstance, located: int, served: int) -> int:
 
 
 class _Candidate(NamedTuple):
-    """A scored neighbour, held as its move on the plan ``base`` it was drawn
-    from. Its own plan is built only when asked for, which the search does
-    only for the neighbour it chooses, as ``_Position.move_to`` moves to it.
+    """A scored neighbour, held as its move alone: no plan is built for it,
+    and the search applies the chosen one's move to the position in place.
 
     ``attribute`` is what the tabu list remembers of the move:
     ``("toggle", pop)`` or ``("reassign", pop, new_head)``. ``flipped`` is the
@@ -131,24 +131,8 @@ class _Candidate(NamedTuple):
 
     attribute: tuple
     score: Score
-    base: DomainPlan
     flipped: int
     moves: tuple[tuple[int, int], ...]
-
-    @property
-    def nfvo_at(self) -> tuple[bool, ...]:
-        if self.flipped < 0:
-            return self.base.nfvo_at
-        nfvo_at = list(self.base.nfvo_at)
-        nfvo_at[self.flipped] = not nfvo_at[self.flipped]
-        return tuple(nfvo_at)
-
-    @property
-    def head_of(self) -> tuple[int, ...]:
-        head_of = list(self.base.head_of)
-        for q, h in self.moves:
-            head_of[q] = h
-        return tuple(head_of)
 
 
 class _Position:
@@ -160,8 +144,8 @@ class _Position:
     least two can, so removing a member needs no rescan of the others.
     ``active`` lists the orchestrators in PoP order, and ``by_delay[q]`` every
     PoP by its delay from ``q`` (ties on the lower id), so the first active PoP
-    in it is ``q``'s nearest orchestrator. A neighbour's plan is not built
-    unless asked for (see ``_Candidate``).
+    in it is ``q``'s nearest orchestrator. ``nfvo_at`` and ``head_of`` are
+    lists that a move updates in place; ``plan`` builds the ``DomainPlan``.
     """
 
     def __init__(self, instance: ProblemInstance, nfvo_at, head_of):
@@ -169,7 +153,8 @@ class _Position:
         d = instance.delays
         params = instance.params
         self.instance = instance
-        self.plan = DomainPlan(tuple(nfvo_at), tuple(head_of))
+        self.nfvo_at = list(nfvo_at)
+        self.head_of = list(head_of)
         self.gso_far = [d[params.gso_location][q] > params.gso_nfvo_delay_bound
                         for q in range(n)]
         self.by_delay = [sorted(range(n), key=d[q].__getitem__) for q in range(n)]
@@ -183,12 +168,8 @@ class _Position:
         self.score = Score(sum(self.pop_terms) + sum(self.domain_terms), len(self.active))
 
     @property
-    def nfvo_at(self) -> tuple[bool, ...]:
-        return self.plan.nfvo_at
-
-    @property
-    def head_of(self) -> tuple[int, ...]:
-        return self.plan.head_of
+    def plan(self) -> DomainPlan:
+        return DomainPlan(tuple(self.nfvo_at), tuple(self.head_of))
 
     def _term(self, q: int, h: int, q_on: bool, h_on: bool) -> int:
         """Rules broken at PoP ``q`` when its head is ``h`` and ``q_on`` and
@@ -217,20 +198,20 @@ class _Position:
 
     def reassigned(self, pop: int, target: int) -> _Candidate:
         """Neighbour that moves ``pop`` into the domain headed by ``target``."""
-        nfvo_at = self.plan.nfvo_at
-        penalty = (self.score.penalty + self._leave(self.plan.head_of[pop], pop)
+        nfvo_at = self.nfvo_at
+        penalty = (self.score.penalty + self._leave(self.head_of[pop], pop)
                    + self._join(target, (pop,))
                    + self._term(pop, target, nfvo_at[pop], nfvo_at[target])
                    - self.pop_terms[pop])
         return _Candidate(("reassign", pop, target), Score(penalty, self.score.nfvo_count),
-                          self.plan, -1, ((pop, target),))
+                          -1, ((pop, target),))
 
     def toggled(self, pop: int) -> _Candidate | None:
         """Neighbour that toggles ``pop``'s orchestrator; None when that would
         remove the last one. Switching one off re-homes its members to their
         nearest surviving orchestrator (ties on the lowest PoP id); switching
         one on makes it head itself."""
-        nfvo_at, head_of = self.plan.nfvo_at, self.plan.head_of
+        nfvo_at, head_of = self.nfvo_at, self.head_of
         pop_terms = self.pop_terms
         members = self.domains[pop][0]
         penalty = self.score.penalty
@@ -262,21 +243,22 @@ class _Position:
                 penalty += self._term(q, pop, nfvo_at[q], True) - pop_terms[q]
             penalty += self._term(pop, pop, True, True) - pop_terms[pop]
             count = self.score.nfvo_count + 1
-        return _Candidate(("toggle", pop), Score(penalty, count), self.plan, pop, tuple(moves))
+        return _Candidate(("toggle", pop), Score(penalty, count), pop, tuple(moves))
 
     def move_to(self, cand: _Candidate) -> None:
-        """Make ``cand`` the position, rebuilding only what its move touched."""
-        old_head = self.plan.head_of
-        self.plan = DomainPlan(cand.nfvo_at, cand.head_of)
-        nfvo_at, head_of = self.plan.nfvo_at, self.plan.head_of
+        """Make ``cand`` the position: apply its move in place and rebuild
+        only what it touched."""
+        nfvo_at, head_of = self.nfvo_at, self.head_of
         members: dict[int, int] = {}  # new member masks of the touched heads
         for q, h in cand.moves:
-            old = old_head[q]
+            old = head_of[q]
             members[old] = members.get(old, self.domains[old][0]) & ~(1 << q)
             members[h] = members.get(h, self.domains[h][0]) | 1 << q
+            head_of[q] = h
         rescore = [q for q, _ in cand.moves]
         pop = cand.flipped
         if pop >= 0:
+            nfvo_at[pop] = not nfvo_at[pop]
             self.active = [p for p, on in enumerate(nfvo_at) if on]
             rescore.extend(_bits(members.get(pop, self.domains[pop][0]) | 1 << pop))
         for h, mask in members.items():

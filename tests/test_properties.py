@@ -23,7 +23,8 @@ token parse. Every input file with one value swapped for one of another
 JSON kind must exit 0, 1 or 2, never 3, and an exit 2 prints one stderr
 line. Examples are derandomized, so every run checks the same instances;
 one check bounds the share of 2-PoP instances among one test's examples,
-another the share of one-domain plans among drawn plans.
+another the share of one-domain plans among drawn plans, and the two
+search-move tests add an example of each PoP count from 2 to 8.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from manoplace import (
@@ -72,7 +73,7 @@ from conftest import _parse_lp
 from test_acceptance import hand_feasible, model_holds, plug_z, structured_assignments
 from test_lp_export import _solve_lp
 from test_tabu import (check_neighbour, naive_capacity, naive_look_ahead, naive_penalty,
-                       random_plan, tables)
+                       neighbour_plan, random_plan, tables)
 from test_vnfm import by_member, eligibility, flow_minimum, runnable
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -93,16 +94,44 @@ def generated(max_pops, max_vnfs=12):
 
 
 instances = generated(6)
+BOUNDS = [15.0, 30.0, 45.0]
 
 
 @st.composite
 def mixed_bounds(draw, max_pops, max_vnfs=12):
     """A generated instance whose VNFs draw their two manager bounds each."""
     instance = draw(generated(max_pops, max_vnfs))
-    bound = st.sampled_from([15.0, 30.0, 45.0])
+    bound = st.sampled_from(BOUNDS)
     vnfs = tuple(replace(v, vnfm_delay_bound=draw(bound), nfvo_vnfm_delay_bound=draw(bound))
                  for v in instance.vnfs)
     return replace(instance, vnfs=vnfs)
+
+
+def every_pop_count(rest):
+    """``@example`` rows for n = 2 to 8 PoPs: a generated instance of 12 VNFs
+    whose manager bounds are drawn per VNF from ``random.Random(n)``, then the
+    test's other arguments, ``rest`` of that generator. Derandomized draws
+    clump on a few PoP counts; these rows give a test each count whatever its
+    draw repeats."""
+    def decorate(test):
+        for n in range(8, 1, -1):
+            rng = random.Random(n)
+            instance = generate_instance(GeneratorConfig(pop_count=n, vnf_count=12,
+                                                         nfvo_capacity=n + 2, seed=n))
+            vnfs = tuple(replace(v, vnfm_delay_bound=rng.choice(BOUNDS),
+                                 nfvo_vnfm_delay_bound=rng.choice(BOUNDS))
+                         for v in instance.vnfs)
+            test = example(replace(instance, vnfs=vnfs), *rest(rng))(test)
+        return test
+    return decorate
+
+
+def check_every_pop_count(prop, sizes: Counter):
+    """Run ``prop``, which counts its examples' PoP counts in ``sizes``; print
+    the histogram (shown under -s) and require every count from 2 to 8."""
+    prop()
+    print(f"{prop.__name__} PoP counts {sorted(sizes.items())}")
+    assert sorted(sizes) == list(range(2, 9))
 
 
 @SMALL
@@ -293,27 +322,36 @@ def test_domain_hosts_match_the_per_vnf_recount(instance, data):
         assert runnable(instance, dom) == by_member(elig, members)
 
 
-@SMALL
-@given(mixed_bounds(8), st.lists(st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 7)),
-                              min_size=1, max_size=12))
-def test_incremental_scores_match_a_full_rescore(instance, walk):
-    n = instance.pop_count
-    position = _start(instance)
-    for toggle, pop, pick in walk:
-        pop %= n
-        neighbours = [position.toggled(p) for p in range(n)]
-        neighbours += [position.reassigned(pop, t) for t in position.active
-                       if t != position.head_of[pop]]
-        for cand in neighbours:
-            if cand is not None:
-                check_neighbour(instance, cand)
-        moves = [c for c in neighbours if c is not None
-                 and (c.attribute[0] == "toggle") == toggle]
-        if not moves:
-            continue
-        chosen = moves[pick % len(moves)]
-        position.move_to(chosen)
-        assert tables(position) == tables(_Position(instance, chosen.nfvo_at, chosen.head_of))
+def test_incremental_scores_match_a_full_rescore():
+    sizes = Counter()
+
+    @SMALL
+    @given(mixed_bounds(8), st.lists(st.tuples(st.booleans(), st.integers(0, 7),
+                                               st.integers(0, 7)), min_size=1, max_size=12))
+    @every_pop_count(lambda rng: [[(rng.random() < 0.5, rng.randrange(8), rng.randrange(8))
+                                   for _ in range(12)]])
+    def walk_from_the_start(instance, walk):
+        n = instance.pop_count
+        sizes[n] += 1
+        position = _start(instance)
+        for toggle, pop, pick in walk:
+            pop %= n
+            neighbours = [position.toggled(p) for p in range(n)]
+            neighbours += [position.reassigned(pop, t) for t in position.active
+                           if t != position.head_of[pop]]
+            for cand in neighbours:
+                if cand is not None:
+                    check_neighbour(position, cand)
+            moves = [c for c in neighbours if c is not None
+                     and (c.attribute[0] == "toggle") == toggle]
+            if not moves:
+                continue
+            chosen = moves[pick % len(moves)]
+            plan = neighbour_plan(position, chosen)
+            position.move_to(chosen)
+            assert tables(position) == tables(_Position(instance, plan.nfvo_at, plan.head_of))
+
+    check_every_pop_count(walk_from_the_start, sizes)
 
 
 def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration, best_score,
@@ -357,34 +395,42 @@ def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration
     return out
 
 
-@SMALL
-@given(mixed_bounds(8), st.sampled_from([0, 20, 60]), st.integers(0, 2**32 - 1))
-def test_neighbourhood_draw_matches_the_plan_by_plan_reference(instance, grid, seed):
-    n = instance.pop_count
-    if grid:  # delays rounded to the grid, so PoPs tie for the nearest orchestrator
-        instance = replace(instance, delays=tuple(tuple(grid * round(x / grid) for x in row)
-                                                  for row in instance.delays))
-    rng = random.Random(seed)
-    for _ in range(10):
-        # Heads are drawn freely, so some are inactive and some PoPs head others.
-        plan = random_plan(rng, n)
-        nfvo_at = plan.nfvo_at
-        if rng.random() < 0.25:
-            one = rng.randrange(n)
-            nfvo_at = [p == one for p in range(n)]
-        tabu = {("toggle", rng.randrange(n)): rng.randrange(4) for _ in range(n)}
-        tabu.update({("reassign", rng.randrange(n), rng.randrange(n)): rng.randrange(4)
-                     for _ in range(n * n // 2)})
-        best_score = Score(rng.randrange(7), rng.randrange(n + 1))
-        samples = rng.randint(1, 4 * n)
-        position = _Position(instance, nfvo_at, plan.head_of)
-        reference_rng = random.Random()
-        reference_rng.setstate(rng.getstate())
-        got = _propose_candidates(position, samples, tabu, 2, best_score, rng)
-        assert [(c.attribute, c.score, c.nfvo_at, c.head_of) for c in got] == (
-            reference_neighbourhood(instance, position.nfvo_at, position.head_of, samples,
-                                    tabu, 2, best_score, reference_rng))
-        assert rng.getstate() == reference_rng.getstate()
+def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
+    sizes = Counter()
+
+    @SMALL
+    @given(mixed_bounds(8), st.sampled_from([0, 20, 60]), st.integers(0, 2**32 - 1))
+    @every_pop_count(lambda rng: [rng.choice([0, 20, 60]), rng.randrange(2**32)])
+    def draw_from_random_states(instance, grid, seed):
+        n = instance.pop_count
+        sizes[n] += 1
+        if grid:  # delays rounded to the grid, so PoPs tie for the nearest orchestrator
+            instance = replace(instance, delays=tuple(tuple(grid * round(x / grid) for x in row)
+                                                      for row in instance.delays))
+        rng = random.Random(seed)
+        for _ in range(10):
+            # Heads are drawn freely, so some are inactive and some PoPs head others.
+            plan = random_plan(rng, n)
+            nfvo_at = plan.nfvo_at
+            if rng.random() < 0.25:
+                one = rng.randrange(n)
+                nfvo_at = [p == one for p in range(n)]
+            tabu = {("toggle", rng.randrange(n)): rng.randrange(4) for _ in range(n)}
+            tabu.update({("reassign", rng.randrange(n), rng.randrange(n)): rng.randrange(4)
+                         for _ in range(n * n // 2)})
+            best_score = Score(rng.randrange(7), rng.randrange(n + 1))
+            samples = rng.randint(1, 4 * n)
+            position = _Position(instance, nfvo_at, plan.head_of)
+            reference_rng = random.Random()
+            reference_rng.setstate(rng.getstate())
+            got = _propose_candidates(position, samples, tabu, 2, best_score, rng)
+            plans = [neighbour_plan(position, c) for c in got]
+            assert [(c.attribute, c.score, p.nfvo_at, p.head_of) for c, p in zip(got, plans)] == (
+                reference_neighbourhood(instance, position.nfvo_at, position.head_of, samples,
+                                        tabu, 2, best_score, reference_rng))
+            assert rng.getstate() == reference_rng.getstate()
+
+    check_every_pop_count(draw_from_random_states, sizes)
 
 
 @SMALL

@@ -71,14 +71,25 @@ def naive_capacity(instance, head_of):
     return sum(1 for c in counts.values() if c > instance.params.nfvo_capacity)
 
 
-def check_neighbour(instance, cand):
+def neighbour_plan(position, cand):
+    """The plan of ``position``'s neighbour ``cand``: its move applied to a
+    fresh position built on the same plan."""
+    fresh = _Position(position.instance, position.nfvo_at, position.head_of)
+    fresh.move_to(cand)
+    return fresh.plan
+
+
+def check_neighbour(position, cand):
     """An incrementally scored neighbour must equal a full rescore of its plan,
-    and the full rescore must equal the per-VNF restatement of the rules."""
-    full = _Position(instance, cand.nfvo_at, cand.head_of).score
+    and the full rescore must equal the per-VNF restatement of the rules.
+    Returns the neighbour's plan."""
+    instance = position.instance
+    plan = neighbour_plan(position, cand)
+    full = _Position(instance, plan.nfvo_at, plan.head_of).score
     assert cand.score == full, cand.attribute
-    plan = DomainPlan(cand.nfvo_at, cand.head_of)
     assert full == Score(naive_penalty(instance, plan) + naive_capacity(instance, plan.head_of),
                          sum(plan.nfvo_at))
+    return plan
 
 
 def tables(position):
@@ -138,8 +149,7 @@ class TestScoreAndMove:
 class TestPenalty:
     def test_initial_plan_is_all_on(self, line3):
         start = _start(line3)
-        assert start.nfvo_at == (True, True, True)
-        assert start.head_of == (0, 1, 2)
+        assert start.plan == DomainPlan((True, True, True), (0, 1, 2))
         assert start.score == Score(0, 3)
 
     def test_matches_naive_recount_on_random_plans(self):
@@ -187,10 +197,10 @@ class TestIncrementalScore:
                              vnf_locs=(0, 1, 1, 2, 3, 4))
         position = _Position(inst, [True, False, False, True, True], [0, 0, 0, 3, 4])
         cand = position.toggled(0)
-        assert cand.head_of == (4, 3, 3, 3, 4)
-        check_neighbour(inst, cand)
+        plan = check_neighbour(position, cand)
+        assert plan.head_of == (4, 3, 3, 3, 4)
         position.move_to(cand)
-        assert tables(position) == tables(_Position(inst, cand.nfvo_at, cand.head_of))
+        assert tables(position) == tables(_Position(inst, plan.nfvo_at, plan.head_of))
 
     def test_reassigning_the_only_server_of_a_group(self):
         # The VNFs at PoP 1 can be managed in head 0's domain from PoP 2 only:
@@ -202,9 +212,9 @@ class TestIncrementalScore:
         assert position.score == Score(0, 2)
         cand = position.reassigned(2, 3)
         assert cand.score == Score(2, 2)  # both VNFs at PoP 1 lose their manager host
-        check_neighbour(inst, cand)
+        plan = check_neighbour(position, cand)
         position.move_to(cand)
-        assert tables(position) == tables(_Position(inst, cand.nfvo_at, cand.head_of))
+        assert tables(position) == tables(_Position(inst, plan.nfvo_at, plan.head_of))
 
 
     def test_switching_on_a_head_that_already_has_members(self, line3):
@@ -212,23 +222,26 @@ class TestIncrementalScore:
         # any plan: switching PoP 1 on clears the inactive-head rule at all three.
         position = _Position(line3, [True, False, False], [1, 1, 1])
         cand = position.toggled(1)
-        check_neighbour(line3, cand)
+        plan = check_neighbour(position, cand)
         position.move_to(cand)
-        assert tables(position) == tables(_Position(line3, cand.nfvo_at, cand.head_of))
+        assert tables(position) == tables(_Position(line3, plan.nfvo_at, plan.head_of))
 
 
 class TestMoves:
     def test_toggle_off_rehomes_members_to_nearest_survivor(self, line3):
-        cand = _start(line3).toggled(1)
+        start = _start(line3)
+        cand = start.toggled(1)
         assert cand is not None
-        assert cand.nfvo_at == (True, False, True)
+        plan = neighbour_plan(start, cand)
+        assert plan.nfvo_at == (True, False, True)
         # PoP 1 is 10 ms from both survivors; the tie goes to the lower id.
-        assert cand.head_of == (0, 0, 2)
+        assert plan.head_of == (0, 0, 2)
 
     def test_toggle_on_self_assigns(self, line3):
-        cand = _Position(line3, [True, False, True], [0, 0, 2]).toggled(1)
-        assert cand.nfvo_at == (True, True, True)
-        assert cand.head_of == (0, 1, 2)
+        position = _Position(line3, [True, False, True], [0, 0, 2])
+        plan = neighbour_plan(position, position.toggled(1))
+        assert plan.nfvo_at == (True, True, True)
+        assert plan.head_of == (0, 1, 2)
 
     def test_last_orchestrator_cannot_be_toggled_off(self, line3):
         assert _Position(line3, [False, True, False], [1, 1, 1]).toggled(1) is None
@@ -246,7 +259,7 @@ class TestMoves:
                 _, pop, new_head = c.attribute
                 assert start.head_of[pop] != new_head
                 assert start.nfvo_at[new_head]
-                assert c.head_of[pop] == new_head
+                assert neighbour_plan(start, c).head_of[pop] == new_head
 
     def test_tabu_filter_and_aspiration(self, line3):
         tabu = {("toggle", 0): 10}  # tabu until iteration 10
