@@ -29,6 +29,14 @@ domain keeps the VNFs its members can manage once and twice over, so
 removing or adding a member needs no rescan of the others. A neighbour is
 its move and score alone: the position applies the chosen move in place,
 and a ``DomainPlan`` is built only at the start and when the best improves.
+
+The search reads a neighbour's penalty only when the neighbour could beat
+the best plan found. The terms are non-negative, so the current penalty
+less the terms a move rewrites bounds the neighbour's penalty from below,
+and a neighbour is scored only when that bound and its orchestrator count
+leave it able to beat the best. The others compete for the
+fewest-orchestrators pick on their count alone, so every draw and every
+choice is the one that scoring all of them would make.
 """
 
 from __future__ import annotations
@@ -121,18 +129,21 @@ def _domain_term(instance: ProblemInstance, located: int, served: int) -> int:
 
 
 class _Candidate(NamedTuple):
-    """A scored neighbour, held as its move alone: no plan is built for it,
+    """A sampled neighbour, held as its move alone: no plan is built for it,
     and the search applies the chosen one's move to the position in place.
 
     ``attribute`` is what the tabu list remembers of the move:
-    ``("toggle", pop)`` or ``("reassign", pop, new_head)``. ``flipped`` is the
-    PoP whose orchestrator the move toggles, or -1; ``moves`` holds the
-    ``(pop, new_head)`` pairs it re-homes."""
+    ``("toggle", pop)`` or ``("reassign", pop, new_head)``. ``nfvo_count`` is
+    the neighbour's orchestrator count. ``score`` is None for a neighbour left
+    unscored because it cannot beat the best plan (``_Position.neighbour``
+    scores it). ``flipped`` is the PoP whose orchestrator the move toggles, or
+    -1; ``moves`` holds the ``(pop, new_head)`` pairs it re-homes."""
 
     attribute: tuple
-    score: Score
-    flipped: int
-    moves: tuple[tuple[int, int], ...]
+    nfvo_count: int
+    score: Score | None
+    flipped: int = -1
+    moves: tuple[tuple[int, int], ...] = ()
 
 
 class _Position:
@@ -203,7 +214,8 @@ class _Position:
                    + self._join(target, (pop,))
                    + self._term(pop, target, nfvo_at[pop], nfvo_at[target])
                    - self.pop_terms[pop])
-        return _Candidate(("reassign", pop, target), Score(penalty, self.score.nfvo_count),
+        count = self.score.nfvo_count
+        return _Candidate(("reassign", pop, target), count, Score(penalty, count),
                           -1, ((pop, target),))
 
     def toggled(self, pop: int) -> _Candidate | None:
@@ -243,7 +255,26 @@ class _Position:
                 penalty += self._term(q, pop, nfvo_at[q], True) - pop_terms[q]
             penalty += self._term(pop, pop, True, True) - pop_terms[pop]
             count = self.score.nfvo_count + 1
-        return _Candidate(("toggle", pop), Score(penalty, count), pop, tuple(moves))
+        return _Candidate(("toggle", pop), count, Score(penalty, count), pop, tuple(moves))
+
+    def neighbour(self, attribute: tuple) -> _Candidate | None:
+        """The scored neighbour that the move ``attribute`` leads to."""
+        if attribute[0] == "toggle":
+            return self.toggled(attribute[1])
+        return self.reassigned(attribute[1], attribute[2])
+
+    def toggle_on_floor(self, pop: int) -> int:
+        """A lower bound on the penalty after switching inactive ``pop`` on:
+        the current penalty less every term the move rewrites, those of
+        ``pop`` and of its domain's members and those of its domain and of
+        its old head's domain."""
+        floor = self.score.penalty - self.domain_terms[pop]
+        old = self.head_of[pop]
+        if old != pop:
+            floor -= self.domain_terms[old]
+        for q in _bits(self.domains[pop][0] | 1 << pop):
+            floor -= self.pop_terms[q]
+        return floor
 
     def move_to(self, cand: _Candidate) -> None:
         """Make ``cand`` the position: apply its move in place and rebuild
@@ -291,10 +322,28 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
 
     A move stays tabu while its attribute's entry in ``tabu`` is at least
     ``iteration``, unless its result would beat ``best_score`` (aspiration).
+
+    Only a neighbour that could beat ``best_score`` is scored: the search
+    reads no other neighbour's penalty. The penalty is a sum of non-negative
+    terms, so the current penalty less the terms a move rewrites bounds the
+    neighbour's penalty from below: for a reassignment the PoP's term and its
+    old and new domain's, for a toggle-on ``_Position.toggle_on_floor``, and
+    for a toggle-off, which re-homes a whole domain, zero. A neighbour whose
+    bound and orchestrator count cannot beat ``best_score`` is kept unscored,
+    or dropped if it is tabu, since it cannot aspire.
     """
     n = position.instance.pop_count
     nfvo_at, head_of = position.nfvo_at, position.head_of
     active = position.active
+    pop_terms, domain_terms = position.pop_terms, position.domain_terms
+    penalty, count = position.score
+    # A neighbour with c orchestrators whose penalty is at least b can beat
+    # best_score only if b <= best_penalty, strictly unless c < best_count:
+    # only if b is at most the limit for its count.
+    best_penalty, best_count = best_score
+    reassign_limit = best_penalty - (count >= best_count)
+    on_limit = best_penalty - (count + 1 >= best_count)
+    off_limit = best_penalty - (count - 1 >= best_count)
     # The position is fixed, so a toggle drawn again is the same neighbour.
     toggles: dict[int, _Candidate | None] = {}
     out: list[_Candidate] = []
@@ -302,7 +351,15 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
         if rng.random() < 0.5:
             pop = rng.randrange(n)
             if pop not in toggles:
-                toggles[pop] = position.toggled(pop)
+                on = nfvo_at[pop]
+                if on and len(active) == 1:
+                    toggles[pop] = None  # the last orchestrator stays on
+                elif (off_limit >= 0 if on  # a toggle-off's bound is zero
+                      else on_limit >= 0 and position.toggle_on_floor(pop) <= on_limit):
+                    toggles[pop] = position.toggled(pop)
+                else:
+                    toggles[pop] = _Candidate(("toggle", pop), count - 1 if on else count + 1,
+                                              None)
             cand = toggles[pop]
             if cand is None:
                 continue
@@ -316,8 +373,12 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
                 continue
             i = rng.randrange(others)
             target = active[i] if not nfvo_at[h] or active[i] < h else active[i + 1]
-            cand = position.reassigned(pop, target)
-        if tabu.get(cand.attribute, -1) >= iteration and not cand.score < best_score:
+            if penalty - pop_terms[pop] - domain_terms[h] - domain_terms[target] <= reassign_limit:
+                cand = position.reassigned(pop, target)
+            else:
+                cand = _Candidate(("reassign", pop, target), count, None)
+        if tabu.get(cand.attribute, -1) >= iteration and (cand.score is None
+                                                          or not cand.score < best_score):
             continue  # tabu, and not good enough for aspiration
         out.append(cand)
     return out
@@ -360,15 +421,18 @@ def search(instance: ProblemInstance, params: TabuParams | None = None) -> Searc
             no_improvement += 1
             continue
 
-        lowest = min(c.score for c in candidates)
+        # An unscored neighbour cannot beat the best, so it is never the lowest.
+        lowest = min((c.score for c in candidates if c.score is not None), default=best_score)
         if lowest < best_score:
             tied = [c for c in candidates if c.score == lowest]
         else:
             # No sampled neighbour improves on the best found: take the one
             # with the fewest orchestrators, feasible or not, and keep moving.
-            min_nfvo = min(c.score.nfvo_count for c in candidates)
-            tied = [c for c in candidates if c.score.nfvo_count == min_nfvo]
+            min_nfvo = min(c.nfvo_count for c in candidates)
+            tied = [c for c in candidates if c.nfvo_count == min_nfvo]
         chosen = tied[rng.randrange(len(tied))]
+        if chosen.score is None:
+            chosen = position.neighbour(chosen.attribute)
         position.move_to(chosen)
         tabu[chosen.attribute] = iteration + tenure
 

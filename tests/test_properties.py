@@ -66,7 +66,8 @@ from manoplace.cli import cli_main
 from manoplace.lp_export import _check_lines, _token_lines
 from manoplace.model import DomainPlan, Solution, VnfmAssignment
 from manoplace.oracle import OracleResult, _feasible_assignments, _fitting_count
-from manoplace.tabu import Score, _Position, _propose_candidates, _start, penalty_parts
+from manoplace.tabu import (Score, SearchResult, TabuParams, _Position, _propose_candidates,
+                            _start, penalty_parts, search)
 from manoplace.vnfm import domains_of, place_domain
 
 from conftest import _parse_lp
@@ -397,6 +398,7 @@ def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration
 
 def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
     sizes = Counter()
+    kept = Counter()  # neighbours scored and left unscored
 
     @SMALL
     @given(mixed_bounds(8), st.sampled_from([0, 20, 60]), st.integers(0, 2**32 - 1))
@@ -424,13 +426,98 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
             reference_rng = random.Random()
             reference_rng.setstate(rng.getstate())
             got = _propose_candidates(position, samples, tabu, 2, best_score, rng)
-            plans = [neighbour_plan(position, c) for c in got]
-            assert [(c.attribute, c.score, p.nfvo_at, p.head_of) for c, p in zip(got, plans)] == (
-                reference_neighbourhood(instance, position.nfvo_at, position.head_of, samples,
-                                        tabu, 2, best_score, reference_rng))
+            want = reference_neighbourhood(instance, position.nfvo_at, position.head_of,
+                                           samples, tabu, 2, best_score, reference_rng)
+            assert [(c.attribute, c.nfvo_count) for c in got] == [
+                (attribute, score.nfvo_count) for attribute, score, _, _ in want]
+            for c, (attribute, score, want_nfvo_at, want_head_of) in zip(got, want):
+                if c.score is None:  # left unscored: it must not be able to beat the best
+                    assert not score < best_score, attribute
+                else:
+                    assert c.score == score, attribute
+                kept[c.score is None] += 1
+                plan = neighbour_plan(position, c)
+                assert (plan.nfvo_at, plan.head_of) == (want_nfvo_at, want_head_of)
             assert rng.getstate() == reference_rng.getstate()
 
     check_every_pop_count(draw_from_random_states, sizes)
+    print(f"neighbours scored {kept[False]}, left unscored {kept[True]}")
+    assert kept[False] and kept[True]
+
+
+@st.composite
+def tight_bounds(draw, max_pops):
+    """A generated instance with tight orchestrator delay bounds and an
+    orchestrator capacity of 3: many have no feasible plan, so the search
+    ends with a best penalty above zero."""
+    instance = draw(generated(max_pops))
+    bound = st.sampled_from([10.0, 20.0, 30.0, 45.0])
+    return replace(instance, params=replace(instance.params, nfvo_capacity=3,
+                                            gso_nfvo_delay_bound=draw(bound),
+                                            nfvo_vim_delay_bound=draw(bound)))
+
+
+def eager_search(instance, params):
+    """``search`` with every sampled neighbour scored: the plan-by-plan
+    reference draw, the same selection rule, and each chosen neighbour's
+    position built afresh from its plan."""
+    patience, tenure, samples = params.resolved(instance.pop_count)
+    rng = random.Random(params.seed)
+    position = _start(instance)
+    best, best_score = position.plan, position.score
+    tabu = {}
+    iteration = no_improvement = last_improvement = 0
+    while no_improvement < patience:
+        iteration += 1
+        candidates = reference_neighbourhood(instance, position.nfvo_at, position.head_of,
+                                             samples, tabu, iteration, best_score, rng)
+        if not candidates:
+            no_improvement += 1
+            continue
+        lowest = min(score for _, score, _, _ in candidates)
+        if lowest < best_score:
+            tied = [c for c in candidates if c[1] == lowest]
+        else:
+            min_nfvo = min(score.nfvo_count for _, score, _, _ in candidates)
+            tied = [c for c in candidates if c[1].nfvo_count == min_nfvo]
+        attribute, score, nfvo_at, head_of = tied[rng.randrange(len(tied))]
+        position = _Position(instance, nfvo_at, head_of)
+        tabu[attribute] = iteration + tenure
+        if score < best_score:
+            best, best_score = position.plan, score
+            no_improvement = 0
+            last_improvement = iteration
+        else:
+            no_improvement += 1
+    return SearchResult(best, best_score, iteration, last_improvement, patience)
+
+
+def test_search_matches_the_eager_search():
+    sizes = Counter()
+    infeasible = Counter()
+
+    @SMALL
+    @given(st.one_of(mixed_bounds(12), tight_bounds(12)), st.integers(0, 3))
+    def search_both_ways(instance, seed):
+        sizes[instance.pop_count] += 1
+        params = TabuParams(seed=seed)
+        result = search(instance, params)
+        assert result == eager_search(instance, params)
+        infeasible[result.best_score.penalty > 0] += 1
+
+    # One row per PoP count, with the tight bounds on every other one.
+    for n in range(12, 1, -1):
+        instance = generate_instance(GeneratorConfig(pop_count=n, vnf_count=2 * n, seed=n))
+        if n % 2:
+            instance = replace(instance, params=replace(
+                instance.params, nfvo_capacity=3, gso_nfvo_delay_bound=30.0,
+                nfvo_vim_delay_bound=20.0))
+        search_both_ways = example(instance, n % 4)(search_both_ways)
+    search_both_ways()
+    print(f"search_both_ways PoP counts {sorted(sizes.items())}; best penalty above zero "
+          f"in {infeasible[True]} of {sum(infeasible.values())}")
+    assert sorted(sizes) == list(range(2, 13))
+    assert infeasible[True] and infeasible[False]
 
 
 @SMALL

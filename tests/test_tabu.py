@@ -73,9 +73,10 @@ def naive_capacity(instance, head_of):
 
 def neighbour_plan(position, cand):
     """The plan of ``position``'s neighbour ``cand``: its move applied to a
-    fresh position built on the same plan."""
+    fresh position built on the same plan. An unscored neighbour is scored
+    first, as the search does when it picks one."""
     fresh = _Position(position.instance, position.nfvo_at, position.head_of)
-    fresh.move_to(cand)
+    fresh.move_to(cand if cand.score is not None else fresh.neighbour(cand.attribute))
     return fresh.plan
 
 
