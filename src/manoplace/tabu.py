@@ -37,6 +37,15 @@ and a neighbour is scored only when that bound and its orchestrator count
 leave it able to beat the best. The others compete for the
 fewest-orchestrators pick on their count alone, so every draw and every
 choice is the one that scoring all of them would make.
+
+A kept neighbour is filed by kind: toggle-offs, reassignments and
+toggle-ons have one orchestrator fewer than the position, as many and one
+more, so the fewest-orchestrators pick is among the first of them that
+holds any. The scored neighbours that beat the best at the lowest score
+are filed aside as well, and an unscored neighbour is its tabu attribute
+alone. Integers are drawn straight from ``getrandbits`` by the rejection
+rule of ``random.Random.randrange``, so the draws are those of
+``randrange``.
 """
 
 from __future__ import annotations
@@ -129,19 +138,17 @@ def _domain_term(instance: ProblemInstance, located: int, served: int) -> int:
 
 
 class _Candidate(NamedTuple):
-    """A sampled neighbour, held as its move alone: no plan is built for it,
+    """A scored neighbour, held as its move alone: no plan is built for it,
     and the search applies the chosen one's move to the position in place.
+    A neighbour left unscored has no candidate, only its attribute.
 
     ``attribute`` is what the tabu list remembers of the move:
-    ``("toggle", pop)`` or ``("reassign", pop, new_head)``. ``nfvo_count`` is
-    the neighbour's orchestrator count. ``score`` is None for a neighbour left
-    unscored because it cannot beat the best plan (``_Position.neighbour``
-    scores it). ``flipped`` is the PoP whose orchestrator the move toggles, or
-    -1; ``moves`` holds the ``(pop, new_head)`` pairs it re-homes."""
+    ``("toggle", pop)`` or ``("reassign", pop, new_head)``. ``flipped`` is the
+    PoP whose orchestrator the move toggles, or -1; ``moves`` holds the
+    ``(pop, new_head)`` pairs it re-homes."""
 
     attribute: tuple
-    nfvo_count: int
-    score: Score | None
+    score: Score
     flipped: int = -1
     moves: tuple[tuple[int, int], ...] = ()
 
@@ -215,8 +222,8 @@ class _Position:
                    + self._term(pop, target, nfvo_at[pop], nfvo_at[target])
                    - self.pop_terms[pop])
         count = self.score.nfvo_count
-        return _Candidate(("reassign", pop, target), count, Score(penalty, count),
-                          -1, ((pop, target),))
+        return _Candidate(("reassign", pop, target), Score(penalty, count), -1,
+                          ((pop, target),))
 
     def toggled(self, pop: int) -> _Candidate | None:
         """Neighbour that toggles ``pop``'s orchestrator; None when that would
@@ -255,7 +262,7 @@ class _Position:
                 penalty += self._term(q, pop, nfvo_at[q], True) - pop_terms[q]
             penalty += self._term(pop, pop, True, True) - pop_terms[pop]
             count = self.score.nfvo_count + 1
-        return _Candidate(("toggle", pop), count, Score(penalty, count), pop, tuple(moves))
+        return _Candidate(("toggle", pop), Score(penalty, count), pop, tuple(moves))
 
     def neighbour(self, attribute: tuple) -> _Candidate | None:
         """The scored neighbour that the move ``attribute`` leads to."""
@@ -316,9 +323,17 @@ def _start(instance: ProblemInstance) -> _Position:
 
 
 def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int],
-                        iteration: int, best_score: Score,
-                        rng: random.Random) -> list[_Candidate]:
+                        iteration: int, best_score: Score, rng: random.Random
+                        ) -> tuple[list[tuple], list[tuple], list[tuple], list[tuple]]:
     """Sample the tabu-filtered neighbourhood of ``position``.
+
+    Returns ``(improving, offs, same, ons)``. ``offs``, ``same`` and ``ons``
+    hold the kept toggle-offs, reassignments and toggle-ons in draw order,
+    whose orchestrator counts are one less than the position's, equal to it
+    and one more. Each entry is an ``(attribute, candidate)`` pair, the
+    candidate None for a neighbour left unscored. ``improving`` holds the
+    entries of the scored neighbours that beat ``best_score`` at the lowest
+    score, in draw order.
 
     A move stays tabu while its attribute's entry in ``tabu`` is at least
     ``iteration``, unless its result would beat ``best_score`` (aspiration).
@@ -331,6 +346,11 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
     for a toggle-off, which re-homes a whole domain, zero. A neighbour whose
     bound and orchestrator count cannot beat ``best_score`` is kept unscored,
     or dropped if it is tabu, since it cannot aspire.
+
+    Integers are drawn from ``rng.getrandbits`` by the rejection rule of
+    ``random.Random.randrange`` (``k = n.bit_length()`` bits, drawn again
+    while at least ``n``), which gives the same integers and leaves ``rng``
+    in the same state without a call per draw.
     """
     n = position.instance.pop_count
     nfvo_at, head_of = position.nfvo_at, position.head_of
@@ -344,44 +364,68 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
     reassign_limit = best_penalty - (count >= best_count)
     on_limit = best_penalty - (count + 1 >= best_count)
     off_limit = best_penalty - (count - 1 >= best_count)
-    # The position is fixed, so a toggle drawn again is the same neighbour.
-    toggles: dict[int, _Candidate | None] = {}
-    out: list[_Candidate] = []
+    rand, getrandbits = rng.random, rng.getrandbits
+    k = n.bit_length()
+    improving: list[tuple] = []
+    offs: list[tuple] = []
+    same: list[tuple] = []
+    ons: list[tuple] = []
+    low = best_score  # the lowest score drawn that beats best_score
+    # The position is fixed, so a toggle drawn again is the same neighbour:
+    # per PoP, its list and entry, or None when it is not kept.
+    toggles: dict[int, tuple | None] = {}
     for _ in range(samples):
-        if rng.random() < 0.5:
-            pop = rng.randrange(n)
+        toggle = rand() < 0.5
+        pop = getrandbits(k)
+        while pop >= n:
+            pop = getrandbits(k)
+        if toggle:
             if pop not in toggles:
                 on = nfvo_at[pop]
-                if on and len(active) == 1:
-                    toggles[pop] = None  # the last orchestrator stays on
-                elif (off_limit >= 0 if on  # a toggle-off's bound is zero
-                      else on_limit >= 0 and position.toggle_on_floor(pop) <= on_limit):
-                    toggles[pop] = position.toggled(pop)
-                else:
-                    toggles[pop] = _Candidate(("toggle", pop), count - 1 if on else count + 1,
-                                              None)
-            cand = toggles[pop]
-            if cand is None:
+                kept = None
+                if not (on and len(active) == 1):  # the last orchestrator stays on
+                    attribute = ("toggle", pop)
+                    cand = (position.toggled(pop)
+                            if (off_limit >= 0 if on  # a toggle-off's bound is zero
+                                else on_limit >= 0 and position.toggle_on_floor(pop) <= on_limit)
+                            else None)
+                    if tabu.get(attribute, -1) < iteration or (cand is not None
+                                                               and cand.score < best_score):
+                        kept = (offs if on else ons, (attribute, cand))
+                toggles[pop] = kept
+            kept = toggles[pop]
+            if kept is None:
                 continue
+            kind, entry = kept
+            cand = entry[1]
         else:
             # The target is drawn from the active PoPs other than the head,
             # skipping the head in place rather than building that list.
-            pop = rng.randrange(n)
             h = head_of[pop]
             others = len(active) - nfvo_at[h]
             if not others:
                 continue
-            i = rng.randrange(others)
+            bits = others.bit_length()
+            i = getrandbits(bits)
+            while i >= others:
+                i = getrandbits(bits)
             target = active[i] if not nfvo_at[h] or active[i] < h else active[i + 1]
-            if penalty - pop_terms[pop] - domain_terms[h] - domain_terms[target] <= reassign_limit:
-                cand = position.reassigned(pop, target)
-            else:
-                cand = _Candidate(("reassign", pop, target), count, None)
-        if tabu.get(cand.attribute, -1) >= iteration and (cand.score is None
-                                                          or not cand.score < best_score):
-            continue  # tabu, and not good enough for aspiration
-        out.append(cand)
-    return out
+            attribute = ("reassign", pop, target)
+            cand = (position.reassigned(pop, target) if penalty - pop_terms[pop]
+                    - domain_terms[h] - domain_terms[target] <= reassign_limit else None)
+            if tabu.get(attribute, -1) >= iteration and (cand is None
+                                                         or not cand.score < best_score):
+                continue  # tabu, and not good enough for aspiration
+            kind, entry = same, (attribute, cand)
+        kind.append(entry)
+        if cand is not None:
+            # improving is not empty exactly when low beats best_score.
+            if cand.score < low:
+                low = cand.score
+                improving = [entry]
+            elif improving and cand.score == low:
+                improving.append(entry)
+    return improving, offs, same, ons
 
 
 @dataclass(frozen=True)
@@ -416,25 +460,19 @@ def search(instance: ProblemInstance, params: TabuParams | None = None) -> Searc
 
     while no_improvement < patience:
         iteration += 1
-        candidates = _propose_candidates(position, samples, tabu, iteration, best_score, rng)
-        if not candidates:
+        improving, offs, same, ons = _propose_candidates(position, samples, tabu, iteration,
+                                                         best_score, rng)
+        # Without a sampled neighbour that improves on the best found, take
+        # one with the fewest orchestrators, feasible or not, and keep moving.
+        tied = improving or offs or same or ons
+        if not tied:
             no_improvement += 1
             continue
-
-        # An unscored neighbour cannot beat the best, so it is never the lowest.
-        lowest = min((c.score for c in candidates if c.score is not None), default=best_score)
-        if lowest < best_score:
-            tied = [c for c in candidates if c.score == lowest]
-        else:
-            # No sampled neighbour improves on the best found: take the one
-            # with the fewest orchestrators, feasible or not, and keep moving.
-            min_nfvo = min(c.nfvo_count for c in candidates)
-            tied = [c for c in candidates if c.nfvo_count == min_nfvo]
-        chosen = tied[rng.randrange(len(tied))]
-        if chosen.score is None:
-            chosen = position.neighbour(chosen.attribute)
+        attribute, chosen = tied[rng.randrange(len(tied))]
+        if chosen is None:
+            chosen = position.neighbour(attribute)
         position.move_to(chosen)
-        tabu[chosen.attribute] = iteration + tenure
+        tabu[attribute] = iteration + tenure
 
         if chosen.score < best_score:
             best = position.plan

@@ -398,7 +398,7 @@ def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration
 
 def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
     sizes = Counter()
-    kept = Counter()  # neighbours scored and left unscored
+    kept = Counter()  # neighbours scored and left unscored, and draws with an improving one
 
     @SMALL
     @given(mixed_bounds(8), st.sampled_from([0, 20, 60]), st.integers(0, 2**32 - 1))
@@ -425,24 +425,38 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
             position = _Position(instance, nfvo_at, plan.head_of)
             reference_rng = random.Random()
             reference_rng.setstate(rng.getstate())
-            got = _propose_candidates(position, samples, tabu, 2, best_score, rng)
+            improving, offs, same, ons = _propose_candidates(position, samples, tabu, 2,
+                                                             best_score, rng)
             want = reference_neighbourhood(instance, position.nfvo_at, position.head_of,
                                            samples, tabu, 2, best_score, reference_rng)
-            assert [(c.attribute, c.nfvo_count) for c in got] == [
-                (attribute, score.nfvo_count) for attribute, score, _, _ in want]
-            for c, (attribute, score, want_nfvo_at, want_head_of) in zip(got, want):
-                if c.score is None:  # left unscored: it must not be able to beat the best
-                    assert not score < best_score, attribute
-                else:
-                    assert c.score == score, attribute
-                kept[c.score is None] += 1
-                plan = neighbour_plan(position, c)
-                assert (plan.nfvo_at, plan.head_of) == (want_nfvo_at, want_head_of)
+            # Each kind holds the reference's kept neighbours of its orchestrator count.
+            count = position.score.nfvo_count
+            assert len(offs) + len(same) + len(ons) == len(want)
+            for kind, delta in ((offs, -1), (same, 0), (ons, 1)):
+                want_kind = [w for w in want if w[1].nfvo_count == count + delta]
+                assert [attribute for attribute, _ in kind] == [w[0] for w in want_kind]
+                for (attribute, c), (_, score, want_nfvo_at, want_head_of) in zip(kind,
+                                                                                  want_kind):
+                    if c is None:  # left unscored: it must not be able to beat the best
+                        assert not score < best_score, attribute
+                    else:
+                        assert (c.attribute, c.score) == (attribute, score)
+                    kept[c is None] += 1
+                    plan = neighbour_plan(position, c or position.neighbour(attribute))
+                    assert (plan.nfvo_at, plan.head_of) == (want_nfvo_at, want_head_of)
+            # The improving list is the reference's lowest-score ties below best_score.
+            lowest = min((score for _, score, _, _ in want), default=best_score)
+            assert [attribute for attribute, _ in improving] == [
+                attribute for attribute, score, _, _ in want
+                if score == lowest and lowest < best_score]
+            assert all(c is not None and c.score == lowest for _, c in improving)
+            kept["improving"] += bool(improving)
             assert rng.getstate() == reference_rng.getstate()
 
     check_every_pop_count(draw_from_random_states, sizes)
-    print(f"neighbours scored {kept[False]}, left unscored {kept[True]}")
-    assert kept[False] and kept[True]
+    print(f"neighbours scored {kept[False]}, left unscored {kept[True]}; "
+          f"draws with an improving neighbour {kept['improving']}")
+    assert kept[False] and kept[True] and kept["improving"]
 
 
 @st.composite

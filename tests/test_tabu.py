@@ -73,10 +73,9 @@ def naive_capacity(instance, head_of):
 
 def neighbour_plan(position, cand):
     """The plan of ``position``'s neighbour ``cand``: its move applied to a
-    fresh position built on the same plan. An unscored neighbour is scored
-    first, as the search does when it picks one."""
+    fresh position built on the same plan."""
     fresh = _Position(position.instance, position.nfvo_at, position.head_of)
-    fresh.move_to(cand if cand.score is not None else fresh.neighbour(cand.attribute))
+    fresh.move_to(cand)
     return fresh.plan
 
 
@@ -109,10 +108,17 @@ def penalty(instance, plan):
 
 
 def propose(instance, samples, rng, tabu=None, iteration=0, best_score=None):
-    """Neighbourhood of the all-on start, as the search's first iteration sees it."""
+    """Neighbourhood of the all-on start, as the search's first iteration
+    sees it: ``(improving, offs, same, ons)``."""
     start = _start(instance)
     return _propose_candidates(start, samples, tabu or {}, iteration,
                                best_score or start.score, rng)
+
+
+def attributes(proposal):
+    """Attributes of every kept neighbour of a proposal, of all three kinds."""
+    _, offs, same, ons = proposal
+    return {attribute for kind in (offs, same, ons) for attribute, _ in kind}
 
 
 class TestParams:
@@ -248,40 +254,63 @@ class TestMoves:
         assert _Position(line3, [False, True, False], [1, 1, 1]).toggled(1) is None
 
     def test_kind_frequencies_are_balanced(self, two_clusters):
-        cands = propose(two_clusters, 10_000, random.Random(99))
-        assert len(cands) == 10_000  # nothing discarded from the all-on plan
-        toggles = sum(1 for c in cands if c.attribute[0] == "toggle")
-        assert abs(toggles / len(cands) - 0.5) < 0.02
+        _, offs, same, ons = propose(two_clusters, 10_000, random.Random(99))
+        kept = len(offs) + len(same) + len(ons)
+        assert kept == 10_000  # nothing discarded from the all-on plan
+        assert all(a[0] == "toggle" for kind in (offs, ons) for a, _ in kind)
+        assert all(a[0] == "reassign" for a, _ in same)
+        toggles = len(offs) + len(ons)
+        assert abs(toggles / kept - 0.5) < 0.02
 
     def test_reassign_targets_are_active_and_different(self, two_clusters):
         start = _start(two_clusters)
-        for c in propose(two_clusters, 500, random.Random(7)):
-            if c.attribute[0] == "reassign":
-                _, pop, new_head = c.attribute
-                assert start.head_of[pop] != new_head
-                assert start.nfvo_at[new_head]
-                assert neighbour_plan(start, c).head_of[pop] == new_head
+        _, _, same, _ = propose(two_clusters, 500, random.Random(7))
+        assert same
+        for attribute, cand in same:
+            kind, pop, new_head = attribute
+            assert kind == "reassign"
+            assert start.head_of[pop] != new_head
+            assert start.nfvo_at[new_head]
+            # An unscored neighbour is scored first, as the search does when it picks one.
+            plan = neighbour_plan(start, cand or start.neighbour(attribute))
+            assert plan.head_of[pop] == new_head
 
     def test_tabu_filter_and_aspiration(self, line3):
         tabu = {("toggle", 0): 10}  # tabu until iteration 10
         # Score(0, 1) is unbeatable: no aspiration possible.
-        kinds = {c.attribute for c in propose(line3, 2000, random.Random(0), tabu, 1,
-                                               Score(0, 1))}
+        kinds = attributes(propose(line3, 2000, random.Random(0), tabu, 1, Score(0, 1)))
         assert ("toggle", 0) not in kinds
 
         # Now anything aspires past the list.
-        kinds = {c.attribute for c in propose(line3, 2000, random.Random(0), tabu, 1,
-                                               Score(99, 99))}
+        kinds = attributes(propose(line3, 2000, random.Random(0), tabu, 1, Score(99, 99)))
         assert ("toggle", 0) in kinds
 
     def test_is_tabu_expiry(self, line3):
         tabu = {("toggle", 2): 5}
 
         def kinds(iteration):
-            return {c.attribute for c in propose(line3, 500, random.Random(3), tabu,
-                                                 iteration, Score(0, 1))}
+            return attributes(propose(line3, 500, random.Random(3), tabu, iteration,
+                                      Score(0, 1)))
         assert ("toggle", 2) not in kinds(5)
         assert ("toggle", 2) in kinds(6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_getrandbits_draws_equal_randrange(self, seed):
+        # _propose_candidates draws its integers straight from getrandbits by
+        # randrange's rejection rule, so the recorded searches rest on the two
+        # giving the same integers and leaving the generator in the same state.
+        mix = random.Random(seed)
+        sizes = list(range(1, 301)) + [mix.randint(1, 300) for _ in range(3000)]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            if mix.random() < 0.5:  # interleaved as the search interleaves random()
+                assert ours.random() == theirs.random()
+            k = n.bit_length()
+            r = ours.getrandbits(k)
+            while r >= n:
+                r = ours.getrandbits(k)
+            assert r == theirs.randrange(n), n
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestSearch:
