@@ -36,8 +36,10 @@ unknown and missing keys and ``check_type`` the values of the wrong kind.
 
 The solvers read the delays in one form, ``delays``, from which
 ``ProblemInstance.vnfs_served`` builds its table with prefix masks and
-``bisect``. Only the generator (``generate_instance``, ``with_uniform_vnfs``)
-imports numpy, whose PCG64 streams fix every generated instance.
+``bisect``. The generator (``generate_instance``, ``with_uniform_vnfs``)
+draws from ``Pcg64``, numpy's ``default_rng(seed)`` stream in pure Python,
+so generated instances equal numpy's and the package imports nothing outside
+the standard library.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
+from ._pcg64 import Pcg64
 from .errors import InstanceFormatError, InstanceValidationError
 
 DEFAULT_VNF_VNFM_BOUND_MS = 30.0
@@ -405,38 +408,36 @@ def save_problem(instance: ProblemInstance, path: str | Path) -> None:
 # Generation
 
 
-def _uniform_vnfs(rng, pop_count: int, count: int,
+def _uniform_vnfs(rng: Pcg64, pop_count: int, count: int,
                   vnfm_delay_bound: float, nfvo_vnfm_delay_bound: float,
                   ) -> tuple[VnfInstance, ...]:
-    """VNFs 0..count-1 at PoPs drawn uniformly from numpy generator ``rng``,
-    all with the given bounds."""
-    locations = rng.integers(0, pop_count, size=count)
-    return tuple(VnfInstance(id=i, location=int(loc), vnfm_delay_bound=vnfm_delay_bound,
+    """VNFs 0..count-1 at PoPs drawn uniformly from ``rng``, all with the
+    given bounds."""
+    return tuple(VnfInstance(id=i, location=loc, vnfm_delay_bound=vnfm_delay_bound,
                              nfvo_vnfm_delay_bound=nfvo_vnfm_delay_bound)
-                 for i, loc in enumerate(locations))
+                 for i, loc in enumerate(rng.integers(pop_count, count)))
 
 
 def generate_instance(config: GeneratorConfig) -> ProblemInstance:
     """Generate a synthetic instance; identical configs give identical instances."""
-    import numpy as np  # only the generators need it, for its PCG64 streams
-    rng = np.random.default_rng(config.seed)
-    n = config.pop_count
-    coords = rng.uniform(0.0, config.area_side_km, size=(n, 2))
-    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
-    j = config.delay_jitter_fraction
-    jitter = rng.uniform(1.0 - j, 1.0 + j, size=(n, n))
-    d = config.delay_per_km * dist * jitter
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
+    rng = Pcg64(config.seed)
+    n, k, j = config.pop_count, config.delay_per_km, config.delay_jitter_fraction
+    # numpy's draw order (coordinates, then jitter, both row-major) and its
+    # order of arithmetic, so the delays equal what numpy computed.
+    flat = rng.uniform(0.0, config.area_side_km, 2 * n)
+    coords = list(zip(flat[0::2], flat[1::2]))
+    jitter = iter(rng.uniform(1.0 - j, 1.0 + j, n * n))
+    d = [[k * math.sqrt((xa - xb) * (xa - xb) + (ya - yb) * (ya - yb)) * next(jitter)
+          for xb, yb in coords] for xa, ya in coords]
+    delays = tuple(tuple(0.0 if a == b else (d[a][b] + d[b][a]) / 2.0 for b in range(n))
+                   for a in range(n))
 
     vnfs = _uniform_vnfs(rng, n, config.vnf_count, config.vnfm_delay_bound,
                          config.nfvo_vnfm_delay_bound)
-    gso = int(d.max(axis=1).argmin())
+    maxima = [max(row) for row in delays]
+    gso = maxima.index(min(maxima))
 
-    pops = tuple(
-        PoP(id=i, label=f"pop{i}", coordinates=(float(coords[i, 0]), float(coords[i, 1])))
-        for i in range(n)
-    )
+    pops = tuple(PoP(id=i, label=f"pop{i}", coordinates=xy) for i, xy in enumerate(coords))
     params = ManoParameters(
         nfvo_capacity=config.nfvo_capacity,
         vnfm_capacity=config.vnfm_capacity,
@@ -444,7 +445,7 @@ def generate_instance(config: GeneratorConfig) -> ProblemInstance:
         nfvo_vim_delay_bound=config.nfvo_vim_delay_bound,
         gso_location=gso,
     )
-    return ProblemInstance(pops, tuple(map(tuple, d.tolist())), vnfs, params)
+    return ProblemInstance(pops, delays, vnfs, params)
 
 
 def with_uniform_vnfs(instance: ProblemInstance, count: int, seed: int,
@@ -458,8 +459,7 @@ def with_uniform_vnfs(instance: ProblemInstance, count: int, seed: int,
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    import numpy as np
-    vnfs = _uniform_vnfs(np.random.default_rng(seed), instance.pop_count, count,
+    vnfs = _uniform_vnfs(Pcg64(seed), instance.pop_count, count,
                          vnfm_delay_bound, nfvo_vnfm_delay_bound)
     return ProblemInstance(instance.pops, instance.delays, vnfs, instance.params)
 

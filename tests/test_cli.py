@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shlex
@@ -163,7 +164,28 @@ def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv,
     assert not (tmp_path / "i.json").exists() and not (tmp_path / "r.csv").exists()
 
 
+# sha256 of the file ``gen`` writes with these flags: a change to the stream
+# that draws generated instances fails here, with or without numpy.
+GEN_P16 = ("--pops", "16", "--vnfs", "60", "--seed", "7")
+GEN_DIGESTS = {
+    GEN_P16:
+        "90863302ede737874353b49343c14ee788391768f5bee3b35fe06a9f709a3170",
+    ("--pops", "64", "--vnfs", "240", "--seed", "1"):
+        "17895122c6d2cc24bfdd3255377ceffbb8e293d9a51bad905d428ce08352599f",
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestGen:
+    @pytest.mark.parametrize("flags", GEN_DIGESTS)
+    def test_files_have_pinned_digests(self, tmp_path, flags):
+        out = tmp_path / "i.json"
+        assert cli_main(["gen", *flags, "--output", str(out)]) == 0
+        assert sha256_of(out) == GEN_DIGESTS[flags]
+
     def test_writes_a_valid_instance(self, capsys, tmp_path):
         out = tmp_path / "i.json"
         rc = cli_main(["gen", "--pops", "4", "--vnfs", "5", "--seed", "3",
@@ -416,14 +438,20 @@ def test_module_entry_point_runs(tmp_path):
     assert out.exists()
 
 
+# A two-point sweep over a bundled topology, for the numpy-free runs.
+SWEEP = {"instance_file": "bundled:pop8", "vnf_counts": [6, 12],
+         "algorithms": ["tsp", "exact"], "runs_per_point": 1, "output": "r.csv"}
 NUMPY_FREE_RUNS = [["validate", "bundled:pop8"],
                    ["solve-tsp", "bundled:pop8", "--output", "s.json"],
                    ["check", "bundled:pop8", "s.json"],
                    ["solve-exact", "bundled:pop8"],
-                   ["export-lp", "bundled:pop8"]]
+                   ["export-lp", "bundled:pop8"],
+                   ["gen", *GEN_P16, "--output", "g.json"],
+                   ["experiment", "--config", "sweep.json"]]
+NUMPY_FREE_FILES = ["s.json", "pop8.lp", "g.json", "r.csv"]
 
 
-def test_loading_solving_and_exporting_need_no_numpy(capsys, monkeypatch, tmp_path):
+def test_every_command_runs_without_numpy(capsys, monkeypatch, tmp_path):
     # None in sys.modules makes every ``import numpy`` raise ImportError.
     script = ("import contextlib, io, json, sys\n"
               "sys.modules['numpy'] = None\n"
@@ -436,9 +464,12 @@ def test_loading_solving_and_exporting_need_no_numpy(capsys, monkeypatch, tmp_pa
               "print(json.dumps([runs, check_lp_file('pop8.lp')]))\n")
     src = str(Path(resources.files("manoplace")).parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    (tmp_path / "bare").mkdir()
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for where in (bare, tmp_path):
+        (where / "sweep.json").write_text(json.dumps(SWEEP))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          cwd=tmp_path / "bare", env={**os.environ, "PYTHONPATH": path})
+                          cwd=bare, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     runs, findings = json.loads(proc.stdout)
     assert findings == []
@@ -447,6 +478,9 @@ def test_loading_solving_and_exporting_need_no_numpy(capsys, monkeypatch, tmp_pa
         assert code == 0, argv
         assert cli_main(argv) == 0, argv
         assert capsys.readouterr().out == out, argv
+    for name in NUMPY_FREE_FILES:
+        assert (bare / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert sha256_of(bare / "g.json") == GEN_DIGESTS[GEN_P16]
 
 
 def readme_transcript():

@@ -24,7 +24,8 @@ JSON kind must exit 0, 1 or 2, never 3, and an exit 2 prints one stderr
 line. Examples are derandomized, so every run checks the same instances;
 one check bounds the share of 2-PoP instances among one test's examples,
 another the share of one-domain plans among drawn plans, and the two
-search-move tests add an example of each PoP count from 2 to 8.
+search-move tests and the file round trip add an example of each PoP count
+from 2 to 8.
 """
 
 from __future__ import annotations
@@ -619,24 +620,43 @@ def solutions(draw):
     return Solution(DomainPlan.make(nfvo_at, head_of), tuple(vnfms))
 
 
-@SMALL
-@given(mixed_bounds(8), solutions(), st.sampled_from(["optimal", "budget_exceeded"]),
-       st.integers(0, 10**6))
-def test_instance_and_solution_files_round_trip_exactly(instance, solution, status, nodes):
-    extra = {"status": status, "nodes_explored": nodes}
-    with tempfile.TemporaryDirectory() as tmp:
-        problem_path, solution_path, again = (Path(tmp) / n for n in ("i.json", "s.json", "t.json"))
-        save_problem(instance, problem_path)
-        loaded = load_problem(problem_path)
-        assert loaded == instance
-        save_problem(loaded, again)
-        assert again.read_bytes() == problem_path.read_bytes()
+def random_solution(rng):
+    """A solution as ``solutions`` draws one, from ``random.Random`` ``rng``."""
+    n = rng.randint(1, 8)
+    vnfms = tuple(VnfmAssignment(rng.randrange(n),
+                                 tuple(rng.randrange(31) for _ in range(rng.randrange(6))))
+                  for _ in range(rng.randrange(7)))
+    return Solution(random_plan(rng, n), vnfms)
 
-        save_solution(solution, solution_path, extra=extra)
-        loaded = load_solution(solution_path)
-        assert loaded == solution
-        save_solution(loaded, again, extra=extra)
-        assert again.read_bytes() == solution_path.read_bytes()
+
+def test_instance_and_solution_files_round_trip_exactly():
+    sizes = Counter()
+
+    @SMALL
+    @given(mixed_bounds(8), solutions(), st.sampled_from(["optimal", "budget_exceeded"]),
+           st.integers(0, 10**6))
+    @every_pop_count(lambda rng: [random_solution(rng),
+                                  rng.choice(["optimal", "budget_exceeded"]),
+                                  rng.randrange(10**6 + 1)])
+    def round_trip(instance, solution, status, nodes):
+        sizes[instance.pop_count] += 1
+        extra = {"status": status, "nodes_explored": nodes}
+        with tempfile.TemporaryDirectory() as tmp:
+            problem_path, solution_path, again = (Path(tmp) / n
+                                                  for n in ("i.json", "s.json", "t.json"))
+            save_problem(instance, problem_path)
+            loaded = load_problem(problem_path)
+            assert loaded == instance
+            save_problem(loaded, again)
+            assert again.read_bytes() == problem_path.read_bytes()
+
+            save_solution(solution, solution_path, extra=extra)
+            loaded = load_solution(solution_path)
+            assert loaded == solution
+            save_solution(loaded, again, extra=extra)
+            assert again.read_bytes() == solution_path.read_bytes()
+
+    check_every_pop_count(round_trip, sizes)
 
 
 # Values of each JSON kind that a file may hold where another kind belongs.

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from manoplace import (
     GeneratorConfig,
@@ -18,7 +21,12 @@ from manoplace import (
     load_problem,
     save_problem,
 )
+from manoplace._pcg64 import Pcg64
 from manoplace.topology import (
+    ManoParameters,
+    PoP,
+    ProblemInstance,
+    VnfInstance,
     parse_problem,
     problem_to_data,
     resolve_instance_path,
@@ -212,6 +220,97 @@ class TestRedraw:
                                     nfvo_vnfm_delay_bound=24.0)
         assert all(v.vnfm_delay_bound == 12.0 for v in redrawn.vnfs)
         assert all(v.nfvo_vnfm_delay_bound == 24.0 for v in redrawn.vnfs)
+
+    def test_redraw_has_a_pinned_digest(self):
+        # A change to the stream fails here, with or without numpy.
+        redrawn = with_uniform_vnfs(load_instance_ref("bundled:pop16"), 45, seed=3)
+        text = json.dumps(problem_to_data(redrawn), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c52b868a789bcb41042d6ec0903cccb5482d43867f2154421f654e332fb6e72e")
+
+
+# The in-package stream against numpy's: ``Pcg64(seed)`` must draw what
+# ``numpy.random.default_rng(seed)`` draws, and the generator must build what
+# the generator below builds with numpy's own arrays and arithmetic.
+
+STREAM = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+# Seeds of one 32-bit entropy word, of two, of three and of more than four.
+STREAM_SEEDS = [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64, 2**64 + 9,
+                2**128 + 3, 2**200 + 12345]
+# Lemire's rule redraws about half the time for 2**31 + 1, almost never for the others.
+BOUNDS_N = [1, 2, 3, 10, 2**31 - 1, 2**31 + 1, 2**32 - 1]
+
+
+def numpy_generate_instance(config):
+    rng = np.random.default_rng(config.seed)
+    n = config.pop_count
+    coords = rng.uniform(0.0, config.area_side_km, size=(n, 2))
+    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    j = config.delay_jitter_fraction
+    jitter = rng.uniform(1.0 - j, 1.0 + j, size=(n, n))
+    d = config.delay_per_km * dist * jitter
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    vnfs = numpy_uniform_vnfs(rng, n, config.vnf_count, config)
+    pops = tuple(PoP(id=i, label=f"pop{i}", coordinates=(float(coords[i, 0]),
+                                                         float(coords[i, 1])))
+                 for i in range(n))
+    params = ManoParameters(config.nfvo_capacity, config.vnfm_capacity,
+                            config.gso_nfvo_delay_bound, config.nfvo_vim_delay_bound,
+                            gso_location=int(d.max(axis=1).argmin()))
+    return ProblemInstance(pops, tuple(map(tuple, d.tolist())), vnfs, params)
+
+
+def numpy_uniform_vnfs(rng, pop_count, count, bounds):
+    return tuple(VnfInstance(i, int(loc), bounds.vnfm_delay_bound, bounds.nfvo_vnfm_delay_bound)
+                 for i, loc in enumerate(rng.integers(0, pop_count, size=count)))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_equals_numpy_default_rng(seed):
+    ours, theirs = Pcg64(seed), np.random.default_rng(seed)
+    assert ours.uniform(0.0, 3000.0, 9) == theirs.uniform(0.0, 3000.0, size=9).tolist()
+    for n in BOUNDS_N:
+        # An odd count leaves half of a 64-bit draw for the next call.
+        for count in (3, 4):
+            assert ours.integers(n, count) == theirs.integers(0, n, size=count).tolist(), n
+        assert ours.uniform(0.9, 1.1, 3) == theirs.uniform(0.9, 1.1, size=3).tolist(), n
+
+
+@STREAM
+@given(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                 st.integers(2**64, 2**256)),
+       st.lists(st.tuples(st.sampled_from(BOUNDS_N + [None]), st.integers(0, 9)), max_size=6))
+def test_drawn_streams_equal_numpy_default_rng(seed, draws):
+    """``None`` draws uniforms on [0.5, 2.5), a number n integers below n."""
+    ours, theirs = Pcg64(seed), np.random.default_rng(seed)
+    for n, count in draws:
+        if n is None:
+            assert ours.uniform(0.5, 2.5, count) == theirs.uniform(0.5, 2.5, size=count).tolist()
+        else:
+            assert ours.integers(n, count) == theirs.integers(0, n, size=count).tolist()
+
+
+@STREAM
+@given(st.builds(
+    GeneratorConfig,
+    pop_count=st.integers(1, 40),
+    vnf_count=st.integers(1, 300),
+    area_side_km=st.sampled_from([3000.0, 0.5]) | st.floats(1.0, 1e4),
+    delay_per_km=st.sampled_from([0.018]) | st.floats(1e-4, 1.0),
+    delay_jitter_fraction=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**100)))
+@example(GeneratorConfig(pop_count=1, vnf_count=30, delay_jitter_fraction=0.0, seed=3))
+@example(GeneratorConfig(pop_count=3, vnf_count=500, seed=2**70))
+@example(GeneratorConfig(pop_count=128, vnf_count=480, area_side_km=777.7,
+                         delay_per_km=0.0123, delay_jitter_fraction=0.37, seed=11))
+def test_generated_instances_equal_the_numpy_generator(config):
+    instance = generate_instance(config)
+    assert problem_to_data(instance) == problem_to_data(numpy_generate_instance(config))
+    count, seed = 2 * config.vnf_count, config.seed + 1
+    redrawn = with_uniform_vnfs(instance, count, seed)
+    assert redrawn.vnfs == numpy_uniform_vnfs(np.random.default_rng(seed),
+                                              config.pop_count, count, config)
 
 
 def served_per_vnf(instance):
