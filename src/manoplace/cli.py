@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .errors import (
     InstanceFormatError,
@@ -79,6 +80,16 @@ def _from_flags(cls, flags: dict[str, tuple[str, object]], **fixed):
         return cls(**fixed, **dict(flags.values()))
     except ValueError as exc:  # the settings classes name the field first
         raise _UsageError(_named_by_flag(str(exc), flags)) from None
+
+
+def _refuse_overwrite(output: str | None, *inputs: str | Path | None) -> None:
+    """A usage error when ``output`` resolves to one of ``inputs``, the files
+    the command reads: writing it would destroy the command's own input."""
+    if output is None:
+        return
+    target = Path(output).resolve()
+    if any(source is not None and Path(source).resolve() == target for source in inputs):
+        raise _UsageError(f"{output} is an input of this command and would be overwritten")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,6 +151,7 @@ def _build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     if args.config is None and (args.pops is None or args.vnfs is None):
         raise _UsageError("gen requires --pops and --vnfs (or --config)")
+    _refuse_overwrite(args.output, args.config)
     flags = {"--pops": ("pop_count", args.pops), "--vnfs": ("vnf_count", args.vnfs),
              "--seed": ("seed", args.seed), "--area-km": ("area_side_km", args.area_km),
              "--delay-per-km": ("delay_per_km", args.delay_per_km),
@@ -186,6 +198,7 @@ def _print_solution(solution) -> None:
 
 
 def _cmd_solve_tsp(args) -> int:
+    _refuse_overwrite(args.output, resolve_instance_path(args.instance))
     instance = load_instance_ref(args.instance)
     params = _from_flags(TabuParams, {"--patience": ("stop_patience", args.patience),
                                       "--tenure": ("tabu_tenure", args.tenure),
@@ -201,6 +214,7 @@ def _cmd_solve_tsp(args) -> int:
 
 
 def _cmd_solve_exact(args) -> int:
+    _refuse_overwrite(args.output, resolve_instance_path(args.instance))
     instance = load_instance_ref(args.instance)
     budget = _from_flags(OracleBudget, {"--max-nodes": ("max_nodes", args.max_nodes),
                                         "--time-limit": ("time_limit_s", args.time_limit)})
@@ -239,10 +253,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     path = resolve_instance_path(args.instance)
-    instance = load_problem(path)
     lp = path.with_suffix(".lp")
     # bundled:<name> writes <name>.lp here, not into the package's data.
     output = args.output or (lp.name if args.instance.startswith("bundled:") else str(lp))
+    _refuse_overwrite(output, path)
+    instance = load_problem(path)
     summary = export_lp(instance, output)
     print(summary.line())
     print(f"wrote {output}")
@@ -253,6 +268,9 @@ def _cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
     if args.output:
         config = replace(config, output=args.output)
+    ref = config.instance_file
+    _refuse_overwrite(config.output, args.config,
+                      None if ref is None else resolve_instance_path(ref))
     records = run_experiment(config)
     failed = sum(1 for r in records if r.status != "ok")
     print(f"wrote {config.output}: {len(records)} runs, {failed} failed")

@@ -17,6 +17,7 @@ seed), every solver is seeded, and ``runtime_ms`` stays at zero unless
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from itertools import groupby
@@ -104,8 +105,8 @@ class ExperimentConfig:
             raise ValueError("base_seed must be >= 0")
         for name in ("vnfm_delay_bound", "nfvo_vnfm_delay_bound"):
             bound = getattr(self, name)
-            if not bound > 0:  # NaN fails too
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < bound < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be > 0 and finite")
             # Every point redraws the VNFs with the sweep's bounds, so a
             # generator bound of its own would be silently dropped.
             if self.generator is not None and getattr(self.generator, name) != bound:

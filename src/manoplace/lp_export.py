@@ -34,14 +34,15 @@ alone words the diagnostics.
 Neither direction holds the model in memory: ``write_lp_model`` renders the
 rows as text one block at a time, a block being one constraint family's rows
 for one PoP, manager slot or VNF, and ``check_lp_file`` reads the file 256
-KiB at a time, or a line at a time when it parses tokens.
+KiB at a time. The token parse reads it a line at a time as one stream of
+tokens, holding the current token and the next.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -258,12 +259,6 @@ _NUM_RE = re.compile(rf"{_NUM}$")
 _TOKEN_RE = re.compile(r"<=|>=|=|\+|-|:|[A-Za-z][A-Za-z0-9_]*|\d[\w.+-]*|\.\d[\w.+-]*|\S")
 
 
-# The parse reads at most this many tokens past the point where it last
-# refilled its window: a term's sign, coefficient and variable, then after a
-# failed term the relational operator, sign and right-hand side.
-_LOOKAHEAD = 8
-
-
 def _token_lines(file: IO[str]) -> Iterator[list[str]]:
     """The tokens of each line that is not a comment."""
     for chunk in file:
@@ -274,57 +269,14 @@ def _token_lines(file: IO[str]) -> Iterator[list[str]]:
                 yield _TOKEN_RE.findall(line)
 
 
-def _refill(tokens: list[str], i: int, lines: Iterator[list[str]]) -> int:
-    """Drop the tokens before ``i`` and read lines until the window holds
-    ``_LOOKAHEAD`` tokens or the file ends; returns the new index of token i."""
-    del tokens[:i]
-    for line in lines:
-        tokens.extend(line)
-        if len(tokens) >= _LOOKAHEAD:
-            break
-    return 0
-
-
-def _parse_expression(tokens: list[str], i: int, lines: Iterator[list[str]], used: set[str],
-                      diags: list[str], where: str) -> int:
-    """Consume ``[sign] [num] var {(+|-) [num] var}``; returns the next index."""
-    first = True
-    while True:
-        if i + _LOOKAHEAD > len(tokens):
-            i = _refill(tokens, i, lines)
-            if not tokens:
-                break
-        tok = tokens[i]
-        if tok in ("<=", ">=", "="):
-            break
-        if tok in ("+", "-"):
-            i += 1
-        elif not first:
-            break
-        first = False
-        if i < len(tokens) and _NUM_RE.match(tokens[i]):
-            i += 1
-        var = tokens[i] if i < len(tokens) else "end of file"
-        # Every name in the naming scheme is a name, so test the scheme first.
-        if i >= len(tokens) or not _VAR_RE.match(var):
-            if i >= len(tokens) or not _NAME_RE.match(var):
-                diags.append(f"{where}: expected a variable, found {var!r}")
-                return i
-            diags.append(f"{where}: variable name {var!r} does not match the "
-                         "h/r/x/y/z naming scheme")
-        used.add(var)
-        i += 1
-    return i
-
-
 def check_lp_file(path: str | Path) -> list[str]:
     """Re-parse an exported LP file; returns diagnostics (empty means clean).
 
     A file in the exact line form ``write_lp_model`` emits is accepted a
-    block of lines at a time by the shape of each line; any other file is
-    parsed token by token, and every diagnostic comes from that parse.
-    Neither holds the file, so memory grows only with the sets of row and
-    variable names.
+    block of lines at a time by the shape of each line; any other file goes
+    to the token parse, which reads its tokens as one stream, and every
+    diagnostic comes from that parse. Neither holds the file, so memory
+    grows only with the sets of row and variable names.
     """
     # A byte that is not UTF-8 reaches the token parse as a stray character.
     with open(path, encoding="utf-8", errors="surrogateescape") as file:
@@ -415,72 +367,78 @@ def _is_clean_export(file: IO[str]) -> bool:
 
 
 def _check_lines(lines: Iterator[list[str]]) -> list[str]:
+    """The token parse of a file's token lines; returns its diagnostics.
+
+    It holds the current token and the next one, and "" stands for the end
+    of the file, which no token is.
+    """
     diags: list[str] = []
-    tokens: list[str] = []
-    i = _refill(tokens, 0, lines)
-
-    def peek_kw(*words: str) -> bool:
-        return (i + len(words) <= len(tokens)
-                and all(tokens[i + k].lower() == w for k, w in enumerate(words)))
-
-    if not peek_kw("minimize") and not peek_kw("maximize"):
-        diags.append("expected Minimize or Maximize at the start")
-        return diags
-    i += 1
-
     used: set[str] = set()
-    # Objective: optional "name :" then an expression.
-    if i + 1 < len(tokens) and _NAME_RE.match(tokens[i]) and tokens[i + 1] == ":":
-        i += 2
-    i = _parse_expression(tokens, i, lines, used, diags, "objective")
+    tokens = chain.from_iterable(lines)
+    tok, nxt = next(tokens, ""), next(tokens, "")
 
-    if not (i < len(tokens) and tokens[i].lower() == "subject"
-            and i + 1 < len(tokens) and tokens[i + 1].lower() == "to"):
+    def expression(where: str) -> None:
+        """Consume ``[sign] [num] var {(+|-) [num] var}``."""
+        nonlocal tok, nxt
+        first = True
+        while tok and tok not in ("<=", ">=", "="):
+            if tok in ("+", "-"):
+                tok, nxt = nxt, next(tokens, "")
+            elif not first:
+                return
+            first = False
+            if _NUM_RE.match(tok):
+                tok, nxt = nxt, next(tokens, "")
+            # Every name in the naming scheme is a name, so test the scheme first.
+            if not _VAR_RE.match(tok):
+                if not _NAME_RE.match(tok):
+                    diags.append(f"{where}: expected a variable, found {tok or 'end of file'!r}")
+                    return
+                diags.append(f"{where}: variable name {tok!r} does not match the "
+                             "h/r/x/y/z naming scheme")
+            used.add(tok)
+            tok, nxt = nxt, next(tokens, "")
+
+    if tok.lower() not in ("minimize", "maximize"):
+        return ["expected Minimize or Maximize at the start"]
+    tok, nxt = nxt, next(tokens, "")
+    # Objective: optional "name :" then an expression.
+    if nxt == ":" and _NAME_RE.match(tok):
+        tok, nxt = next(tokens, ""), next(tokens, "")
+    expression("objective")
+    if not (tok.lower() == "subject" and nxt.lower() == "to"):
         diags.append("expected 'Subject To' after the objective")
         return diags
-    i += 2
+    tok, nxt = next(tokens, ""), next(tokens, "")
 
     row_names: set[str] = set()
-    while True:
-        if i + _LOOKAHEAD > len(tokens):
-            i = _refill(tokens, i, lines)
-        if not (i < len(tokens) and tokens[i].lower() not in ("binary", "binaries", "end")):
-            break
-        if not (_NAME_RE.match(tokens[i]) and i + 1 < len(tokens) and tokens[i + 1] == ":"):
-            diags.append(f"constraint section: expected 'name:', found {tokens[i]!r}")
+    while tok and tok.lower() not in ("binary", "binaries", "end"):
+        if not (nxt == ":" and _NAME_RE.match(tok)):
+            diags.append(f"constraint section: expected 'name:', found {tok!r}")
             return diags
-        name = tokens[i]
-        if name in row_names:
-            diags.append(f"duplicate constraint name {name!r}")
-        row_names.add(name)
-        i += 2
-        i = _parse_expression(tokens, i, lines, used, diags, f"row {name}")
-        if i < len(tokens) and tokens[i] in ("<=", ">=", "="):
-            i += 1
-            sign = False
-            if i < len(tokens) and tokens[i] in ("+", "-"):
-                sign = True
-                i += 1
-            if i < len(tokens) and _NUM_RE.match(tokens[i]):
-                i += 1
-            else:
-                diags.append(f"row {name}: missing numeric right-hand side")
-                return diags
-        else:
-            diags.append(f"row {name}: missing relational operator")
+        if tok in row_names:
+            diags.append(f"duplicate constraint name {tok!r}")
+        row_names.add(tok)
+        where = f"row {tok}"
+        tok, nxt = next(tokens, ""), next(tokens, "")
+        expression(where)
+        if tok not in ("<=", ">=", "="):
+            diags.append(f"{where}: missing relational operator")
             return diags
+        tok, nxt = nxt, next(tokens, "")
+        if tok in ("+", "-"):
+            tok, nxt = nxt, next(tokens, "")
+        if not _NUM_RE.match(tok):
+            diags.append(f"{where}: missing numeric right-hand side")
+            return diags
+        tok, nxt = nxt, next(tokens, "")
 
-    if not (i < len(tokens) and tokens[i].lower() in ("binary", "binaries")):
+    if tok.lower() not in ("binary", "binaries"):
         diags.append("expected a Binary section after the constraints")
         return diags
-    i += 1
+    tok, nxt = nxt, next(tokens, "")
     declared: set[str] = set()
-    while True:
-        if i + _LOOKAHEAD > len(tokens):
-            i = _refill(tokens, i, lines)
-        if not (i < len(tokens) and tokens[i].lower() != "end"):
-            break
-        tok = tokens[i]
+    while tok and tok.lower() != "end":
         if not _NAME_RE.match(tok):
             diags.append(f"binary section: expected a variable name, found {tok!r}")
             return diags
@@ -490,13 +448,12 @@ def _check_lines(lines: Iterator[list[str]]) -> list[str]:
         if tok in declared:
             diags.append(f"binary section: duplicate declaration of {tok!r}")
         declared.add(tok)
-        i += 1
-    if not (i < len(tokens) and tokens[i].lower() == "end"):
+        tok, nxt = nxt, next(tokens, "")
+    if not tok:
         diags.append("expected End after the Binary section")
         return diags
-    i += 1
-    if i != len(tokens):
-        diags.append(f"unexpected trailing content after End: {tokens[i]!r}")
+    if nxt:
+        diags.append(f"unexpected trailing content after End: {nxt!r}")
 
     for name in sorted(used - declared):
         diags.append(f"variable {name!r} is used but not declared Binary")

@@ -281,20 +281,20 @@ def validate_instance(instance: ProblemInstance) -> tuple[str, ...]:
         seen.add(v.id)
         if not 0 <= v.location < n:
             entries.append(f"vnf {v.id}: location {v.location} is not a valid PoP id")
-        if not v.vnfm_delay_bound > 0:
-            entries.append(f"vnf {v.id}: VNF-manager delay bound must be > 0")
-        if not v.nfvo_vnfm_delay_bound > 0:
-            entries.append(f"vnf {v.id}: orchestrator-manager delay bound must be > 0")
+        if not 0 < v.vnfm_delay_bound < math.inf:  # NaN fails too
+            entries.append(f"vnf {v.id}: VNF-manager delay bound must be > 0 and finite")
+        if not 0 < v.nfvo_vnfm_delay_bound < math.inf:
+            entries.append(f"vnf {v.id}: orchestrator-manager delay bound must be > 0 and finite")
 
     pr = instance.params
     if pr.nfvo_capacity < 1:
         entries.append("params: orchestrator capacity must be >= 1")
     if pr.vnfm_capacity < 1:
         entries.append("params: manager capacity must be >= 1")
-    if not pr.gso_nfvo_delay_bound > 0:
-        entries.append("params: GSO-orchestrator delay bound must be > 0")
-    if not pr.nfvo_vim_delay_bound > 0:
-        entries.append("params: orchestrator-VIM delay bound must be > 0")
+    if not 0 < pr.gso_nfvo_delay_bound < math.inf:
+        entries.append("params: GSO-orchestrator delay bound must be > 0 and finite")
+    if not 0 < pr.nfvo_vim_delay_bound < math.inf:
+        entries.append("params: orchestrator-VIM delay bound must be > 0 and finite")
     if not 0 <= pr.gso_location < n:
         entries.append(f"params: GSO location {pr.gso_location} is not a valid PoP id")
 

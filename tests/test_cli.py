@@ -94,6 +94,8 @@ class TestParsing:
           ({"vnfm_delay_bound": -5}, "vnfm_delay_bound must be > 0"),
           ({"nfvo_vnfm_delay_bound": -5}, "nfvo_vnfm_delay_bound must be > 0"),
           ({"vnfm_delay_bound": float("nan")}, "vnfm_delay_bound must be > 0"),
+          ({"nfvo_vnfm_delay_bound": float("inf")},
+           "nfvo_vnfm_delay_bound must be > 0 and finite"),
           ({"oracle_time_limit_s": True}, "time_limit_s must be a number"),
           ({"base_seed": -5, "vnf_counts": [2]}, "base_seed must be >= 0"),
           ({"generator": {"pop_count": 4, "vnf_count": 4, "seed": -1}},
@@ -144,6 +146,7 @@ class TestParsing:
         "sweep-float-samples", "sweep-string-flag", "sweep-int-output",
         "sweep-int-solutions-dir", "sweep-solutions-dir-without-emit", "sweep-string-bound",
         "sweep-negative-bound", "sweep-negative-manager-bound", "sweep-nan-bound",
+        "sweep-infinite-bound",
         "sweep-bool-time-limit", "sweep-negative-seed", "sweep-negative-generator-seed",
         "sweep-generator-manager-bound", "sweep-bound-without-generator-bound",
         "gen-negative-seed", "gen-config-negative-seed", "tsp-negative-seed",
@@ -162,6 +165,32 @@ def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv,
     assert err.startswith("manoplace: error:") and err.count("\n") == 1, err
     assert fragment in err
     assert not (tmp_path / "i.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--config", "gen.json", "--output", "gen.json"],
+    ["solve-tsp", "i.json", "--output", "i.json"],
+    ["solve-exact", "i.json", "--output", "./i.json"],
+    ["export-lp", "i.lp"],
+    ["export-lp", "i.json", "--output", "i.json"],
+    ["experiment", "--config", "sweep.json", "--output", "sweep.json"],
+    ["experiment", "--config", "onto-instance.json"],
+], ids=["gen-config", "tsp", "exact", "export-lp-default", "export-lp", "experiment-config",
+        "experiment-instance"])
+def test_writing_over_an_input_is_a_usage_error(capsys, monkeypatch, tmp_path, line3, argv):
+    monkeypatch.chdir(tmp_path)
+    save_problem(line3, "i.json")
+    Path("i.lp").write_bytes(Path("i.json").read_bytes())  # an instance named like its export
+    Path("gen.json").write_text('{"pop_count": 3, "vnf_count": 2}')
+    sweep = {"instance_file": "i.json", "vnf_counts": [2], "runs_per_point": 1}
+    Path("sweep.json").write_text(json.dumps({**sweep, "output": "r.csv"}))
+    Path("onto-instance.json").write_text(json.dumps({**sweep, "output": "i.json"}))
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("manoplace: error:") and err.count("\n") == 1, err
+    assert "is an input of this command and would be overwritten" in err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 # sha256 of the file ``gen`` writes with these flags: a change to the stream
@@ -266,15 +295,20 @@ class TestValidate:
         ("vnfs", "omega_ms", "VNF-manager delay bound"),
         ("vnfs", "big_omega_ms", "orchestrator-manager delay bound"),
     ])
-    def test_nan_bounds_are_findings(self, capsys, tmp_path, line3, section, key, fragment):
-        path = tmp_path / "nan.json"
+    def test_non_finite_bounds_are_findings(self, capsys, tmp_path, line3, section, key,
+                                            fragment):
+        path = tmp_path / "bound.json"
         save_problem(line3, path)
         data = json.loads(path.read_text())
         target = data["params"] if section == "params" else data["vnfs"][0]
-        target[key] = float("nan")  # JSON NaN, which the decoder accepts
-        path.write_text(json.dumps(data))
-        assert cli_main(["validate", str(path)]) == 2
-        assert fragment in capsys.readouterr().out
+        for value in (float("nan"), float("inf")):  # JSON NaN and Infinity, which json reads
+            target[key] = value
+            path.write_text(json.dumps(data))
+            assert cli_main(["validate", str(path)]) == 2
+            assert f"{fragment} must be > 0 and finite" in capsys.readouterr().out
+            # No row ends in "<= inf": the export stops before writing.
+            assert cli_main(["export-lp", str(path)]) == 2
+            assert not path.with_suffix(".lp").exists()
 
     def test_unreadable_files_are_usage_errors(self, capsys, tmp_path):
         garbled = tmp_path / "garbled.json"

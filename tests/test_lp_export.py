@@ -10,6 +10,9 @@ match the exact enumerative solver on the same instance.
 from __future__ import annotations
 
 import hashlib
+import json
+import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -66,6 +69,54 @@ def check_against_the_token_parse(path, fast):
     diags = check_lp_file(path)
     assert diags == reference
     return diags
+
+
+# What a character edit inserts: keywords, numbers, names, signs, line
+# breaks, form feeds and comments.
+INSERTS = ("Minimize", "Maximize", "Subject", "To", "Subject To", "Binary", "Binaries", "End",
+           "obj:", "0", "7", "2.5", ".5", "1e3", "1e", "inf", "h_0", "r_1_0", "x_0_0", "q_0",
+           "c2_0", "c2_0:", "y", "+", "-", "<=", ">=", "=", ":", "\n", "\r", "\r\n", "\f",
+           "\\ note\n", "\n\\ note", "\\")
+RELATION = re.compile(r" (<=|>=|=) ")
+
+
+def character_edit(text, rng):
+    """``text`` with an insertion, a deleted span, or the tail cut off."""
+    at = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        pad = rng.choice(("", " ", "\n"))
+        return text[:at] + pad + rng.choice(INSERTS) + pad + text[at:]
+    if kind == 1:
+        return text[:at] + text[at + rng.randrange(1, 20):]
+    return text[:at]
+
+
+def line_edit(text, rng):
+    """``text`` with a digit, sign or relation swapped, or with a line
+    duplicated, deleted or swapped with another: edits that leave every line,
+    or nearly every one, in the writer's line form."""
+    kind = rng.randrange(6)
+    if kind < 2:
+        chars = "0123456789" if kind == 0 else "+-"
+        k = rng.randrange(len(text))
+        while text[k] not in chars:
+            k = rng.randrange(len(text))
+        return text[:k] + rng.choice(chars.replace(text[k], "")) + text[k + 1:]
+    if kind == 2:
+        old = RELATION.search(text, rng.randrange(len(text))) or RELATION.search(text)
+        new = rng.choice([rel for rel in ("<=", ">=", "=") if rel != old[1]])
+        return f"{text[:old.start()]} {new} {text[old.end():]}"
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(1, len(lines))  # the comment line stays first
+    if kind == 3:
+        lines.insert(rng.randrange(1, len(lines) + 1), lines[i])
+    elif kind == 4:
+        del lines[i]
+    else:
+        j = rng.randrange(1, len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
 
 
 def clean_check_peak(path):
@@ -210,9 +261,51 @@ class TestGrammarCheck:
         diags = check_against_the_token_parse(path, fast=False)
         assert any("never used" in d for d in diags), diags
 
-    def test_long_rows_cross_window_refills(self, tmp_path):
-        # c17 rows hold V*V*P + 1 terms: here 433 terms over 55 lines, far more
-        # than the checker's token window, which is refilled inside the row.
+    # Edits per export. The token parse takes about 1 ms per tiny edit and
+    # 100 ms per two_clusters edit (300 KB), so the larger exports get fewer.
+    EDITS = {"tiny": 1600, "line3": 100, "p3_v4": 40, "two_clusters": 4}
+    # sha256 of every edited export's diagnostics, recorded from the token
+    # parse that read its tokens through a window refilled a line at a time.
+    EDITED_DIGEST = "24941e836ca0a1d8786c52a45a92e46b0cecbb252cd6c1ef0966d73a33fe77ce"
+
+    def test_edited_exports_keep_their_diagnostics(self, tmp_path, line3, two_clusters):
+        instances = {"tiny": tiny_instance(), "line3": line3,
+                     "p3_v4": generate_instance(GeneratorConfig(pop_count=3, vnf_count=4, seed=1)),
+                     "two_clusters": two_clusters}
+        rng = random.Random(22)
+        path = tmp_path / "edited.lp"
+        corpus = []
+        accepted = Counter()
+        for name, inst in instances.items():
+            export_lp(inst, path)
+            text = path.read_text()
+            for n in range(self.EDITS[name]):
+                edit = line_edit if n % 2 else character_edit
+                path.write_bytes(edit(text, rng).encode())
+                with open_lp(path) as file:
+                    reference = _check_lines(_token_lines(file))
+                with open_lp(path) as file:
+                    fast = _is_clean_export(file)
+                assert check_lp_file(path) == reference, (name, n)
+                accepted[edit.__name__] += fast
+                corpus.append(reference)
+        edits = sum(self.EDITS.values()) // 2
+        print(f"the line-shape check accepted {accepted['line_edit']} of {edits} line edits "
+              f"and {accepted['character_edit']} of {edits} character edits")
+        assert 0 < accepted["line_edit"] < edits
+        assert hashlib.sha256(json.dumps(corpus).encode()).hexdigest() == self.EDITED_DIGEST
+
+    def test_one_token_per_line_is_clean(self, tmp_path, line3):
+        # Lines break between a row name and its colon and between Subject
+        # and To, where the parse needs the token after the current one.
+        path = tmp_path / "line3.lp"
+        export_lp(line3, path)
+        comment, rest = path.read_text().split("\n", 1)
+        path.write_text(comment + "\n" + "\n".join(rest.replace(":", " :").split()) + "\n")
+        assert check_against_the_token_parse(path, fast=False) == []
+
+    def test_long_rows_span_many_lines(self, tmp_path):
+        # c17 rows hold V*V*P + 1 terms: here 433 terms over 55 lines.
         path = tmp_path / "long.lp"
         export_lp(generate_instance(GeneratorConfig(pop_count=3, vnf_count=12, seed=6)), path)
         text = path.read_text()
