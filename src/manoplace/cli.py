@@ -32,7 +32,7 @@ from .errors import (
     NoFeasiblePlan,
     SolutionFormatError,
 )
-from .harness import load_experiment_config, run_experiment
+from .harness import load_experiment_config, run_experiment, solution_paths
 from .lp_export import export_lp
 from .model import check_feasibility, load_solution, save_solution
 from .oracle import OracleBudget, OracleStatus, solve_exact
@@ -82,7 +82,7 @@ def _from_flags(cls, flags: dict[str, tuple[str, object]], **fixed):
         raise _UsageError(_named_by_flag(str(exc), flags)) from None
 
 
-def _refuse_overwrite(output: str | None, *inputs: str | Path | None) -> None:
+def _refuse_overwrite(output: str | Path | None, *inputs: str | Path | None) -> None:
     """A usage error when ``output`` resolves to one of ``inputs``, the files
     the command reads: writing it would destroy the command's own input."""
     if output is None:
@@ -269,8 +269,13 @@ def _cmd_experiment(args) -> int:
     if args.output:
         config = replace(config, output=args.output)
     ref = config.instance_file
-    _refuse_overwrite(config.output, args.config,
-                      None if ref is None else resolve_instance_path(ref))
+    inputs = args.config, None if ref is None else resolve_instance_path(ref)
+    _refuse_overwrite(config.output, *inputs)
+    for path in solution_paths(config):
+        _refuse_overwrite(path, *inputs)
+        if path.resolve() == Path(config.output).resolve():
+            raise _UsageError(f"{path} is the sweep's output and would be overwritten "
+                              "by a solution")
     records = run_experiment(config)
     failed = sum(1 for r in records if r.status != "ok")
     print(f"wrote {config.output}: {len(records)} runs, {failed} failed")

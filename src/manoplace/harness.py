@@ -147,13 +147,43 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return parse_config(ExperimentConfig, read_json(path), f"{path}: configuration object")
 
 
-def _base_instance(config: ExperimentConfig) -> tuple[ProblemInstance, str]:
+def _base_instance(config: ExperimentConfig) -> ProblemInstance:
     if config.instance_file is not None:
-        path = resolve_instance_path(config.instance_file)
-        return load_problem(path), path.stem
+        return load_problem(resolve_instance_path(config.instance_file))
     assert config.generator is not None
-    gen = config.generator
-    return generate_instance(gen), f"gen{gen.pop_count}s{gen.seed}"
+    return generate_instance(config.generator)
+
+
+def _instance_id(config: ExperimentConfig) -> str:
+    if config.instance_file is not None:
+        return resolve_instance_path(config.instance_file).stem
+    assert config.generator is not None
+    return f"gen{config.generator.pop_count}s{config.generator.seed}"
+
+
+def _seeds(config: ExperimentConfig, algorithm: str) -> list[int]:
+    if algorithm == "exact":
+        return [config.base_seed]  # deterministic: one run per point
+    return [config.base_seed + r for r in range(config.runs_per_point)]
+
+
+def _solutions_dir(config: ExperimentConfig) -> Path:
+    return Path(config.solutions_dir or Path(config.output).parent)
+
+
+def _solution_name(instance: str, vnfs: int, algorithm: str, seed: int) -> str:
+    return f"{instance}_v{vnfs}_{algorithm}_s{seed}.json"
+
+
+def solution_paths(config: ExperimentConfig) -> list[Path]:
+    """Every file the sweep may write a solution to: none unless it emits
+    solutions, one per run otherwise."""
+    if not config.emit_solutions:
+        return []
+    instance = _instance_id(config)
+    return [_solutions_dir(config) / _solution_name(instance, count, alg, seed)
+            for count in config.vnf_counts for alg in config.algorithms
+            for seed in _seeds(config, alg)]
 
 
 def _run_tsp(config: ExperimentConfig, instance: ProblemInstance,
@@ -180,7 +210,7 @@ def _run_exact(config: ExperimentConfig, instance: ProblemInstance,
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """Execute the sweep, write the CSV, and return the per-run records."""
-    base, instance_id = _base_instance(config)
+    base, instance_id = _base_instance(config), _instance_id(config)
     records: list[RunRecord] = []
     emitted: list[tuple[RunRecord, Solution]] = []
 
@@ -190,13 +220,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
             vnfm_delay_bound=config.vnfm_delay_bound,
             nfvo_vnfm_delay_bound=config.nfvo_vnfm_delay_bound)
         for alg in sorted(set(config.algorithms)):
-            if alg == "tsp":
-                runs = [config.base_seed + r for r in range(config.runs_per_point)]
-                runner = _run_tsp
-            else:
-                runs = [config.base_seed]  # deterministic: one run per point
-                runner = _run_exact
-            for seed in runs:
+            runner = _run_tsp if alg == "tsp" else _run_exact
+            for seed in _seeds(config, alg):
                 start = time.perf_counter()
                 status, sol, iterations = runner(config, point, seed)
                 runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
@@ -214,11 +239,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     write_csv(records, out_path)
 
     if config.emit_solutions:
-        sol_dir = Path(config.solutions_dir) if config.solutions_dir else out_path.parent
+        sol_dir = _solutions_dir(config)
         sol_dir.mkdir(parents=True, exist_ok=True)
         for record, sol in emitted:
-            name = (f"{record.instance}_v{record.vnfs}_{record.algorithm}"
-                    f"_s{record.seed}.json")
+            name = _solution_name(record.instance, record.vnfs, record.algorithm, record.seed)
             save_solution(sol, sol_dir / name)
     return records
 

@@ -12,17 +12,18 @@ lexicographic subsets and assignments) is kept, which makes results
 reproducible.
 
 Once the incumbent is no more than k plus the floor of the whole VNF count
-over the manager capacity, no remaining subset of size k can beat it, and
-each is counted rather than walked: a forward count of its capacity-fitting
-assignments gives the nodes the walk would have ticked, so node counts and
-budget outcomes are the same either way. A domain that recurs across
-assignments is placed once per solve, keyed by its head and members.
+over the manager capacity, no assignment with k orchestrators can beat it.
+From then on the walk stops descending: each node it reaches, a subset's
+root or a node in the rest of the current subset, ticks its capacity-fitting
+completions, from a forward count over the remaining PoPs. Node counts and
+budget outcomes are those of the full walk, whether the incumbent drops
+before a subset or inside one. A domain that recurs across assignments is
+placed once per solve, keyed by its head and members.
 
 Intended for desk-scale instances: on 280 generated ten-PoP instances with
 10 to 40 VNFs (40 topologies, VNFs redrawn as a sweep does) it proved
-optimality in a median of 3-4 ms of CPU and at most 0.37 s, against 12 ms
-and 0.8 s when every subset was walked and every domain placed afresh (a
-2-vCPU Xeon VM, Python 3.11.7); its cost grows steeply with the PoP count.
+optimality in a median of about 4 ms of CPU and at most 0.4 s (a 2-vCPU
+Xeon VM, Python 3.11.7); its cost grows steeply with the PoP count.
 The budget turns runaway searches into a reported ``BUDGET_EXCEEDED``
 instead of a hang: either limit raises ``TimeoutError``, and so does the
 manager placer's own clock check. The node budget counts enumeration nodes
@@ -92,14 +93,18 @@ class _Ticker:
             raise TimeoutError
 
 
-def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
-                          tick) -> Iterator[tuple[tuple[int, ...], int]]:
+def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...], tick,
+                          beaten) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield complete head assignments for this orchestrator subset, in
     lexicographic order, honouring the VIM delay bound, domain capacity and
     the search's domain rule, each with a floor on its manager count: the sum
     over its domains of the VNF count over the manager capacity, rounded up.
-    ``tick`` is called once per complete assignment. Per head, the search's
-    masks ``(located, once)`` grow as PoPs join and are restored on backtrack."""
+    ``tick(count)`` is told of every complete assignment within the delay bound
+    and capacity, whatever the domain rule. Once ``beaten()`` holds, no
+    assignment can beat the incumbent: each node the walk then reaches ticks
+    its capacity-fitting completions instead of walking them. Per head, the
+    search's masks ``(located, once)`` grow as PoPs join and are restored on
+    backtrack."""
     n = instance.pop_count
     d = instance.delays
     big_psi = instance.params.nfvo_vim_delay_bound
@@ -108,75 +113,62 @@ def _feasible_assignments(instance: ProblemInstance, heads: tuple[int, ...],
     at = instance.vnfs_at
     served = instance.vnfs_served
 
-    masks = {p: (at[p], served[p][p]) for p in heads}
-    if any(located.bit_count() > cap for located, _ in masks.values()):
+    masks = [(at[p], served[p][p]) for p in heads]
+    if any(located.bit_count() > cap for located, _ in masks):
         return
-    nonheads = [q for q in range(n) if q not in masks]
-    candidates: dict[int, list[int]] = {}
+    nonheads = [q for q in range(n) if q not in heads]
+    candidates: dict[int, list[tuple[int, int]]] = {}
     for q in nonheads:
-        cs = [p for p in heads if d[p][q] <= big_psi]
+        cs = [(j, p) for j, p in enumerate(heads) if d[p][q] <= big_psi]
         if not cs:
             return
         candidates[q] = cs
 
     head_of = list(range(n))
 
+    def fitting(i: int) -> int:
+        """Completions of ``nonheads[i:]`` within capacity: a forward count
+        from each tuple of per-head VNF counts to its number of partial
+        assignments, reading the clock through ``tick(0)`` per non-head."""
+        ways = {tuple(located.bit_count() for located, _ in masks): 1}
+        for q in nonheads[i:]:
+            tick(0)
+            size = at[q].bit_count()
+            grown: dict[tuple[int, ...], int] = {}
+            for counts, w in ways.items():
+                for j, _ in candidates[q]:
+                    c = counts[j] + size
+                    if c <= cap:
+                        key = counts[:j] + (c,) + counts[j + 1:]
+                        grown[key] = grown.get(key, 0) + w
+            ways = grown
+        return sum(ways.values())
+
     def rec(i: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if beaten():
+            tick(fitting(i))
+            return
         if i == len(nonheads):
-            tick()
-            if not any(_domain_term(instance, *m) for m in masks.values()):
+            tick(1)
+            if not any(_domain_term(instance, *m) for m in masks):
                 yield tuple(head_of), sum(math.ceil(located.bit_count() / vnfm_cap)
-                                          for located, _ in masks.values())
+                                          for located, _ in masks)
             return
         q = nonheads[i]
-        for p in candidates[q]:
-            located, once = saved = masks[p]
+        for j, p in candidates[q]:
+            located, once = saved = masks[j]
             located |= at[q]
             if located.bit_count() > cap:
                 continue
-            masks[p] = located, once | served[p][q]
+            masks[j] = located, once | served[p][q]
             head_of[q] = p
             yield from rec(i + 1)
-            masks[p] = saved
+            masks[j] = saved
 
     try:
         yield from rec(0)
     finally:
         del rec  # it refers to itself: left alone, the pair is cyclic garbage
-
-
-def _fitting_count(instance: ProblemInstance, heads: tuple[int, ...],
-                   deadline: float) -> int:
-    """How many complete assignments ``_feasible_assignments`` ticks for this
-    subset: those within the VIM delay bound and domain capacity, whatever the
-    domain rule. A forward count over the non-heads in index order, from each
-    tuple of per-head VNF counts to its number of partial assignments."""
-    d = instance.delays
-    big_psi = instance.params.nfvo_vim_delay_bound
-    cap = instance.params.nfvo_capacity
-    sizes = [located.bit_count() for located in instance.vnfs_at]
-    start = tuple(sizes[p] for p in heads)
-    if max(start) > cap:
-        return 0
-    ways = {start: 1}
-    for q in range(instance.pop_count):
-        if q in heads:
-            continue
-        if time.monotonic() > deadline:
-            raise TimeoutError
-        reach = [i for i, p in enumerate(heads) if d[p][q] <= big_psi]
-        if not reach:
-            return 0
-        size = sizes[q]
-        grown: dict[tuple[int, ...], int] = {}
-        for counts, w in ways.items():
-            for i in reach:
-                c = counts[i] + size
-                if c <= cap:
-                    key = counts[:i] + (c,) + counts[i + 1:]
-                    grown[key] = grown.get(key, 0) + w
-        ways = grown
-    return sum(ways.values())
 
 
 def solve_exact(instance: ProblemInstance,
@@ -197,19 +189,18 @@ def solve_exact(instance: ProblemInstance,
     # A domain's placement depends on its head and members alone.
     placed: dict[tuple[int, int], tuple[VnfmAssignment, ...]] = {}
 
+    def beaten() -> bool:
+        # Every assignment's floor is at least vnfm_floor.
+        return best_objective is not None and k + vnfm_floor >= best_objective
+
     try:
         for k in range(1, n + 1):
-            if best_objective is not None and k + vnfm_floor >= best_objective:
+            if beaten():
                 break  # no larger subset can beat the incumbent: proved optimal
             for heads in combinations(head_candidates, k):
-                if best_objective is not None and k + vnfm_floor >= best_objective:
-                    # Every assignment's floor is at least vnfm_floor, so none
-                    # can improve: count the nodes the walk would tick.
-                    ticker.tick(1 + _fitting_count(instance, heads, ticker.deadline))
-                    continue
                 ticker.tick()
                 for head_of, per_domain_floor in _feasible_assignments(instance, heads,
-                                                                       ticker.tick):
+                                                                       ticker.tick, beaten):
                     if best_objective is not None and k + per_domain_floor >= best_objective:
                         continue
                     plan = DomainPlan(tuple(p in heads for p in range(n)), head_of)

@@ -167,17 +167,24 @@ def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv,
     assert not (tmp_path / "i.json").exists() and not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--config", "gen.json", "--output", "gen.json"],
-    ["solve-tsp", "i.json", "--output", "i.json"],
-    ["solve-exact", "i.json", "--output", "./i.json"],
-    ["export-lp", "i.lp"],
-    ["export-lp", "i.json", "--output", "i.json"],
-    ["experiment", "--config", "sweep.json", "--output", "sweep.json"],
-    ["experiment", "--config", "onto-instance.json"],
+INPUT = "is an input of this command and would be overwritten"
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["gen", "--config", "gen.json", "--output", "gen.json"], INPUT),
+    (["solve-tsp", "i.json", "--output", "i.json"], INPUT),
+    (["solve-exact", "i.json", "--output", "./i.json"], INPUT),
+    (["export-lp", "i.lp"], INPUT),
+    (["export-lp", "i.json", "--output", "i.json"], INPUT),
+    (["experiment", "--config", "sweep.json", "--output", "sweep.json"], INPUT),
+    (["experiment", "--config", "onto-instance.json"], INPUT),
+    (["experiment", "--config", "i_v2_tsp_s0.json"], INPUT),
+    (["experiment", "--config", "onto-output.json"],
+     "is the sweep's output and would be overwritten by a solution"),
 ], ids=["gen-config", "tsp", "exact", "export-lp-default", "export-lp", "experiment-config",
-        "experiment-instance"])
-def test_writing_over_an_input_is_a_usage_error(capsys, monkeypatch, tmp_path, line3, argv):
+        "experiment-instance", "experiment-solution-config", "experiment-solution-output"])
+def test_writing_over_an_input_is_a_usage_error(capsys, monkeypatch, tmp_path, line3, argv,
+                                                fragment):
     monkeypatch.chdir(tmp_path)
     save_problem(line3, "i.json")
     Path("i.lp").write_bytes(Path("i.json").read_bytes())  # an instance named like its export
@@ -185,11 +192,17 @@ def test_writing_over_an_input_is_a_usage_error(capsys, monkeypatch, tmp_path, l
     sweep = {"instance_file": "i.json", "vnf_counts": [2], "runs_per_point": 1}
     Path("sweep.json").write_text(json.dumps({**sweep, "output": "r.csv"}))
     Path("onto-instance.json").write_text(json.dumps({**sweep, "output": "i.json"}))
+    # Solutions go to <instance>_v<count>_<algorithm>_s<seed>.json, beside the
+    # CSV unless solutions_dir says otherwise.
+    emit = {**sweep, "emit_solutions": True}
+    Path("i_v2_tsp_s0.json").write_text(json.dumps({**emit, "output": "r.csv"}))
+    Path("onto-output.json").write_text(json.dumps(
+        {**emit, "algorithms": ["exact"], "output": "i_v2_exact_s0.json", "solutions_dir": "."}))
     before = {path: path.read_bytes() for path in tmp_path.iterdir()}
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("manoplace: error:") and err.count("\n") == 1, err
-    assert "is an input of this command and would be overwritten" in err
+    assert fragment in err
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 

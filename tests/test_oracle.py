@@ -41,7 +41,8 @@ def fewest_heads(instance):
              if d[params.gso_location][p] <= params.gso_nfvo_delay_bound]
     for k in range(1, len(heads) + 1):
         for subset in combinations(heads, k):
-            if next(_feasible_assignments(instance, subset, lambda: None), None):
+            walk = _feasible_assignments(instance, subset, lambda _: None, lambda: False)
+            if next(walk, None):
                 return k
     return None
 
@@ -223,11 +224,15 @@ class TestSolveExact:
 # ``gen --pops 10 --vnfs 10 --seed T`` with its VNFs redrawn as a sweep does
 # (``with_uniform_vnfs`` seeded T + V). Each point is solved in full and with
 # half its node budget. Recorded before the oracle counted, rather than
-# walked, the subsets that cannot beat its incumbent.
+# walked, the subsets that cannot beat its incumbent. T = 0, V = 30 was
+# recorded before it counted the rest of a subset once its incumbent dropped
+# there: nodes 61 to 116 are that rest, so its budget of 90 binds inside it.
 GOLDEN_SWEEP_POINTS = [
     # (T, V, max_nodes, status, objective, nodes_explored, solution digest)
     (0, 25, None, "optimal", 5, 8875, "5c0c5cb7ab295bf7"),
     (0, 25, 4437, "budget_exceeded", 5, 4438, "5c0c5cb7ab295bf7"),
+    (0, 30, None, "optimal", 5, 7032, "e8e32a4af3beb645"),
+    (0, 30, 90, "budget_exceeded", 5, 91, "e8e32a4af3beb645"),
     (0, 40, None, "optimal", 6, 664, "5240bb08651d9d4d"),
     (0, 40, 332, "budget_exceeded", 6, 333, "5240bb08651d9d4d"),
     (1, 30, None, "optimal", 5, 9028, "dc68d7bc853dcf0c"),

@@ -6,14 +6,16 @@ domain can manage must agree with a per-VNF recount on arbitrary head
 assignments. For any subset of orchestrators the GSO can reach, the exact
 solver's enumeration must yield, in order, the assignments of a product
 over each PoP's heads in reach that pass the capacity and look-ahead
-recounts, with their manager floors, and its forward count must equal the
-number of assignments the enumeration ticks. With any node budget, the
-exact solver, which counts the subsets that cannot beat its incumbent, must
-return what a search that walks every subset returns. On random plans every
-domain's manager count must equal an exhaustive max-flow minimum. Along random
-walks of search moves every incrementally scored neighbour must equal a
-full rescore, and from equal random states on arbitrary plans the sampled
-neighbourhood must equal one drawn and built plan by plan. The MILP solver
+recounts, with their manager floors; from whichever tick on it counts the
+rest instead, it must yield the same assignments up to there and tick as
+many as the product fits. With any node budget, the exact solver, which
+counts what cannot beat its incumbent, whole subsets or the rest of one,
+must return what a search that walks every assignment returns. On random
+plans every domain's manager count must equal an exhaustive max-flow
+minimum. Along random walks of search moves every incrementally scored
+neighbour must equal a full rescore, and from equal random states on
+arbitrary plans the sampled neighbourhood must equal one drawn and built
+plan by plan. The MILP solver
 on the exported LP must reach the exact optimum, and on a drawn domain plan
 the rows read back from the exported file must hold, with each z set to its
 product, exactly for the manager assignments that satisfy the products
@@ -23,7 +25,9 @@ token parse. Every input file with one value swapped for one of another
 JSON kind must exit 0, 1 or 2, never 3, and an exit 2 prints one stderr
 line. Examples are derandomized, so every run checks the same instances;
 one check bounds the share of 2-PoP instances among one test's examples,
-another the share of one-domain plans among drawn plans, and the two
+another the share of one-domain plans among drawn plans, one requires
+node budgets that bind inside the rest of a subset the solver counts, and
+the two
 search-move tests and the file round trip add an example of each PoP count
 from 2 to 8.
 """
@@ -66,7 +70,7 @@ from manoplace import (
 from manoplace.cli import cli_main
 from manoplace.lp_export import _check_lines, _token_lines
 from manoplace.model import DomainPlan, Solution, VnfmAssignment
-from manoplace.oracle import OracleResult, _feasible_assignments, _fitting_count
+from manoplace.oracle import OracleResult, _feasible_assignments
 from manoplace.tabu import (Score, SearchResult, TabuParams, _Position, _propose_candidates,
                             _start, penalty_parts, search)
 from manoplace.vnfm import domains_of, place_domain
@@ -183,38 +187,46 @@ def test_enumeration_matches_a_product_over_reachable_heads(instance, data):
         fits += 1
         if naive_look_ahead(instance, head_of) == 0:
             floor = sum(math.ceil(counts[h] / params.vnfm_capacity) for h in heads)
-            expected.append((tuple(head_of), floor))
-    ticks = []
-    assert list(_feasible_assignments(instance, heads, lambda: ticks.append(1))) == expected
-    assert len(ticks) == fits
-    assert _fitting_count(instance, heads, math.inf) == fits
+            expected.append((fits, (tuple(head_of), floor)))
+    # Whenever the predicate turns true, here after the j-th tick, the walk
+    # counts what is left rather than walking it.
+    for j in range(fits + 1):
+        ticks = []
+        walk = _feasible_assignments(instance, heads, ticks.append, lambda: sum(ticks) >= j)
+        assert list(walk) == [leaf for rank, leaf in expected if rank <= j]
+        assert sum(ticks) == fits
 
 
 def walked_solve(instance, max_nodes):
-    """The exact search with no subset counted: every subset is walked
-    through ``_feasible_assignments`` one node at a time and every domain is
-    placed afresh. Returns its result and the node count at which the first
-    subset that cannot beat the incumbent starts (None if none does)."""
+    """The exact search with nothing counted: every subset is walked through
+    ``_feasible_assignments`` one node at a time and every domain is placed
+    afresh. Returns its result, the node count at which the first subset that
+    cannot beat the incumbent starts, and the first node walked inside a subset
+    after the incumbent there dropped to k + ⌈V/φ_vnfm⌉ (None where none is)."""
     params, d, n = instance.params, instance.delays, instance.pop_count
     reach = [p for p in range(n) if d[params.gso_location][p] <= params.gso_nfvo_delay_bound]
     vnfm_floor = math.ceil(instance.vnf_count / params.vnfm_capacity)
-    nodes, best, best_solution, first_counted = 0, None, None, None
+    nodes, best, best_solution, first_counted, first_rest = 0, None, None, None, None
 
-    def tick():
+    def tick(count=1):
         nonlocal nodes
-        nodes += 1
+        nodes += count
         if nodes > max_nodes:
             raise TimeoutError
 
+    def beaten():
+        return best is not None and k + vnfm_floor >= best
+
     try:
         for k in range(1, n + 1):
-            if best is not None and k + vnfm_floor >= best:
+            if beaten():
                 break
             for heads in itertools.combinations(reach, k):
-                if first_counted is None and best is not None and k + vnfm_floor >= best:
+                if first_counted is None and beaten():
                     first_counted = nodes + 1
                 tick()
-                for head_of, floor in _feasible_assignments(instance, heads, tick):
+                for head_of, floor in _feasible_assignments(instance, heads, tick,
+                                                            lambda: False):
                     if best is not None and k + floor >= best:
                         continue
                     plan = DomainPlan(tuple(p in heads for p in range(n)), head_of)
@@ -222,23 +234,45 @@ def walked_solve(instance, max_nodes):
                                   for m in place_domain(instance, dom))
                     if best is None or k + len(vnfms) < best:
                         best, best_solution = k + len(vnfms), Solution(plan, vnfms)
+                        if beaten():  # once per search: no later plan improves
+                            first_rest = nodes + 1
+                if first_rest == nodes + 1:
+                    first_rest = None  # the subset ended with its best plan
     except TimeoutError:
-        return OracleResult(OracleStatus.BUDGET_EXCEEDED, best_solution, best, nodes), None
+        return OracleResult(OracleStatus.BUDGET_EXCEEDED, best_solution, best, nodes), None, None
     status = OracleStatus.INFEASIBLE if best is None else OracleStatus.OPTIMAL
-    return OracleResult(status, best_solution, best, nodes), first_counted
+    return OracleResult(status, best_solution, best, nodes), first_counted, first_rest
 
 
-@SMALL
-@given(mixed_bounds(7), st.booleans(), st.data())
-def test_counted_subsets_keep_the_walked_results(instance, in_counted, data):
-    # Half the budgets start inside the subsets the solver counts, so that
-    # they bind there.
-    full, first_counted = walked_solve(instance, math.inf)
-    assert solve_exact(instance) == full
-    low = first_counted if in_counted and first_counted is not None else 1
-    max_nodes = data.draw(st.integers(low, full.nodes_explored + 1))
-    expected, _ = walked_solve(instance, max_nodes)
-    assert solve_exact(instance, OracleBudget(max_nodes=max_nodes)) == expected
+def test_counted_subsets_keep_the_walked_results():
+    # A third of the budgets bind inside the subsets the solver counts, and a
+    # third inside the rest of the subset it counts once its incumbent drops
+    # there, if it does. Where the budgets bind is shown under -s.
+    binds = Counter()
+
+    @SMALL
+    @given(mixed_bounds(7), st.sampled_from(["walked", "counted subset", "counted rest"]),
+           st.data())
+    def prop(instance, start, data):
+        full, first_counted, first_rest = walked_solve(instance, math.inf)
+        assert solve_exact(instance) == full
+        end = full.nodes_explored + 1
+        # The walk stops at node max_nodes + 1, and the rest ends where the
+        # next subset, or the search, starts.
+        ranges = {"counted subset": first_counted and (first_counted, end),
+                  "counted rest": first_rest and (first_rest - 1, (first_counted or end) - 2)}
+        max_nodes = data.draw(st.integers(*(ranges.get(start) or (1, end))))
+        expected, _, _ = walked_solve(instance, max_nodes)
+        assert solve_exact(instance, OracleBudget(max_nodes=max_nodes)) == expected
+        stop = max_nodes + 1
+        binds["none" if stop > full.nodes_explored
+              else "counted subset" if first_counted is not None and stop >= first_counted
+              else "counted rest" if first_rest is not None and stop >= first_rest
+              else "walked"] += 1
+
+    prop()
+    print(f"budgets bind {sorted(binds.items())}")
+    assert binds["counted rest"] > 0
 
 
 def test_generated_instances_are_mostly_not_two_pop():
