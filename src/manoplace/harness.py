@@ -209,8 +209,17 @@ def _run_exact(config: ExperimentConfig, instance: ProblemInstance,
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
-    """Execute the sweep, write the CSV, and return the per-run records."""
+    """Execute the sweep, write the CSV, and return the per-run records.
+    The output directories are made before the first run, so an output path
+    that cannot be written fails before anything is solved."""
     base, instance_id = _base_instance(config), _instance_id(config)
+    out_path, sol_dir = Path(config.output), _solutions_dir(config)
+    if out_path.is_dir() or (config.emit_solutions and sol_dir.resolve() == out_path.resolve()):
+        raise IsADirectoryError(f"{out_path} is a directory, not a CSV file")
+    if out_path.parent != Path(""):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+    if config.emit_solutions:
+        sol_dir.mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
     emitted: list[tuple[RunRecord, Solution]] = []
 
@@ -233,17 +242,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
                 if sol is not None and config.emit_solutions:
                     emitted.append((record, sol))
 
-    out_path = Path(config.output)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(records, out_path)
-
-    if config.emit_solutions:
-        sol_dir = _solutions_dir(config)
-        sol_dir.mkdir(parents=True, exist_ok=True)
-        for record, sol in emitted:
-            name = _solution_name(record.instance, record.vnfs, record.algorithm, record.seed)
-            save_solution(sol, sol_dir / name)
+    for record, sol in emitted:
+        name = _solution_name(record.instance, record.vnfs, record.algorithm, record.seed)
+        save_solution(sol, sol_dir / name)
     return records
 
 

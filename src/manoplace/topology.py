@@ -341,6 +341,10 @@ def _read(value, kind, name: str):
         return float(value) if kind is float else value
     if isinstance(kind, list):
         check_type(name, value, list)
+        # A list of plain numbers is checked in one pass; any other element
+        # takes the walk below, which names it.
+        if kind[0] is float and all(type(x) is float or type(x) is int for x in value):
+            return tuple([float(x) for x in value])
         return tuple([_read(x, kind[0], f"{name}[{i}]") for i, x in enumerate(value)])
     cls, keys, optional = kind
     check_keys(name, value, keys, optional)

@@ -181,8 +181,13 @@ INPUT = "is an input of this command and would be overwritten"
     (["experiment", "--config", "i_v2_tsp_s0.json"], INPUT),
     (["experiment", "--config", "onto-output.json"],
      "is the sweep's output and would be overwritten by a solution"),
+    (["experiment", "--config", "dir-is-a-file.json"], "File exists: 'i.lp'"),
+    (["experiment", "--config", "dir-is-the-csv.json"], "r.csv is a directory"),
+    (["experiment", "--config", "sweep.json", "--output", "."], ". is a directory"),
 ], ids=["gen-config", "tsp", "exact", "export-lp-default", "export-lp", "experiment-config",
-        "experiment-instance", "experiment-solution-config", "experiment-solution-output"])
+        "experiment-instance", "experiment-solution-config", "experiment-solution-output",
+        "experiment-solutions-dir-is-a-file", "experiment-solutions-dir-is-the-csv",
+        "experiment-csv-is-a-directory"])
 def test_writing_over_an_input_is_a_usage_error(capsys, monkeypatch, tmp_path, line3, argv,
                                                 fragment):
     monkeypatch.chdir(tmp_path)
@@ -198,11 +203,18 @@ def test_writing_over_an_input_is_a_usage_error(capsys, monkeypatch, tmp_path, l
     Path("i_v2_tsp_s0.json").write_text(json.dumps({**emit, "output": "r.csv"}))
     Path("onto-output.json").write_text(json.dumps(
         {**emit, "algorithms": ["exact"], "output": "i_v2_exact_s0.json", "solutions_dir": "."}))
+    # A solutions_dir that is a file, or a CSV that is a directory, fails
+    # before any run, not after the CSV.
+    pop8 = {**emit, "instance_file": "bundled:pop8", "vnf_counts": [6], "algorithms": ["exact"],
+            "output": "r.csv"}
+    Path("dir-is-a-file.json").write_text(json.dumps({**pop8, "solutions_dir": "i.lp"}))
+    Path("dir-is-the-csv.json").write_text(json.dumps({**pop8, "solutions_dir": "r.csv"}))
     before = {path: path.read_bytes() for path in tmp_path.iterdir()}
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("manoplace: error:") and err.count("\n") == 1, err
     assert fragment in err
+    assert not Path("r.csv").exists()
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 

@@ -152,6 +152,27 @@ class TestScoreAndMove:
         assert Score(1, 2) < Score(1, 3)
         assert not Score(1, 2) < Score(1, 2)
 
+    def test_scores_leave_the_search_as_score(self, line3):
+        # A scored neighbour carries a plain tuple; the position's score after
+        # a move and the best score after an improvement are Score.
+        inst = generate_instance(GeneratorConfig(pop_count=12, vnf_count=30, seed=3))
+        for instance in (inst, line3):
+            result = search(instance, TabuParams(seed=0))
+            assert type(result.best_score) is Score and result.last_improvement > 0
+            position = _start(instance)
+            assert type(position.score) is Score
+            rng = random.Random(5)
+            for _ in range(30):
+                pop = rng.randrange(instance.pop_count)
+                others = [p for p in position.active if p != position.head_of[pop]]
+                cand = (position.reassigned(pop, rng.choice(others))
+                        if others and rng.random() < 0.5 else position.toggled(pop))
+                if cand is None:
+                    continue
+                position.move_to(cand)
+                assert type(position.score) is Score
+                assert position.score == cand.score
+
 
 class TestPenalty:
     def test_initial_plan_is_all_on(self, line3):

@@ -98,6 +98,31 @@ class TestParsing:
         with pytest.raises(InstanceFormatError, match=message):
             parse_problem(data)
 
+    @pytest.mark.parametrize("bad, shown", [
+        (True, "True"), ("x", "'x'"), (None, "None"), ([1.0], "[1.0]"),
+    ])
+    @pytest.mark.parametrize("place, path", [
+        (lambda d, x: d["delays"][1].__setitem__(0, x), "instance.delays[1][0]"),
+        (lambda d, x: d["pops"][1].update(coordinates=[5.0, x]),
+         "instance.pops[1].coordinates[1]"),
+    ], ids=["delays", "coordinates"])
+    def test_a_number_list_names_the_bad_element(self, place, path, bad, shown):
+        data = good_data()
+        place(data, bad)
+        with pytest.raises(InstanceFormatError) as err:
+            parse_problem(data)
+        assert str(err.value) == f"{path} must be a number, got {shown}"
+
+    def test_integer_numbers_are_read_as_floats(self):
+        data = good_data()
+        data["delays"] = [[0, 10], [10.0, 0]]
+        data["pops"][0]["coordinates"] = [3, 4.5]
+        inst = parse_problem(data)
+        assert inst.delays == ((0.0, 10.0), (10.0, 0.0))
+        assert inst.pops[0].coordinates == (3.0, 4.5)
+        numbers = [*inst.pops[0].coordinates, *(x for row in inst.delays for x in row)]
+        assert all(type(x) is float for x in numbers)
+
     def test_load_problem_rejects_invalid(self, tmp_path):
         data = good_data()
         data["delays"] = [[0.0, -5.0], [-5.0, 0.0]]
