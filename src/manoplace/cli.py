@@ -42,6 +42,7 @@ from .topology import (
     generate_instance,
     load_instance_ref,
     load_problem,
+    named_by_flag,
     parse_config,
     read_json,
     resolve_instance_path,
@@ -59,27 +60,13 @@ class _UsageError(Exception):
     pass
 
 
-def _named_by_flag(message: str, flags: dict[str, tuple[str, object]], prefix: str = "",
-                   read: frozenset[str] = frozenset()) -> str:
-    """``message``, which names settings fields after ``prefix``, naming each
-    field that ``flags`` (``{flag: (field, value)}``) has by its flag; a
-    message that then opens with a flag drops ``prefix``, unless it still
-    names a field of ``read``, the fields read from the file ``prefix`` names."""
-    if not message.startswith(prefix):
-        return message
-    flag_of = {name: flag for flag, (name, _value) in flags.items()}
-    words = [flag_of.get(word, word) for word in message[len(prefix):].split(" ")]
-    flagged = words[0] in flags and read.isdisjoint(words)
-    return " ".join(words) if flagged else prefix + " ".join(words)
-
-
 def _from_flags(cls, flags: dict[str, tuple[str, object]], **fixed):
     """Build a settings dataclass from ``{flag: (field, value)}`` and ``fixed``
     fields; a value it rejects is a usage error that names the flag typed."""
     try:
         return cls(**fixed, **dict(flags.values()))
     except ValueError as exc:  # the settings classes name the field first
-        raise _UsageError(_named_by_flag(str(exc), flags)) from None
+        raise _UsageError(named_by_flag(str(exc), flags)) from None
 
 
 def _refuse_overwrite(output: str | Path | None, *inputs: str | Path | None) -> None:
@@ -168,7 +155,7 @@ def _cmd_gen(args) -> int:
         config = parse_config(GeneratorConfig, data, where)
     except InstanceFormatError as exc:
         # A rejected flag value is named by its flag, not the settings field.
-        raise _UsageError(_named_by_flag(str(exc), given, f"{where}: ", read)) from None
+        raise _UsageError(named_by_flag(str(exc), given, f"{where}: ", read)) from None
     instance = generate_instance(config)
     save_problem(instance, args.output)
     print(f"wrote {args.output}: {instance.pop_count} pops, "

@@ -1,16 +1,21 @@
 """Experiment harness: VNF-count sweeps over a fixed topology.
 
-A sweep takes one topology (an instance file or a generator configuration),
-redraws the VNF inventory at each requested size with a per-point seed of
-``base_seed + vnf_count``, and runs the configured solvers: the two-step
-heuristic once per run seed (``base_seed + run``), the exact solver once per
-point since it is deterministic. One CSV row is written per run plus one
-aggregate row per (point, algorithm) group with the means of the successful
-runs, rounded to two decimals.
+A sweep takes one topology (an instance file or a generator configuration)
+and redraws its VNF inventory at each requested size with the seed
+``base_seed + vnf_count``. Its runs are one list of ``(vnf_count, algorithm,
+seed)`` in CSV order: each distinct count and algorithm ascending, the
+two-step heuristic at the seeds ``base_seed + run`` for ``runs_per_point``
+runs, and the exact solver, which is deterministic, once at ``base_seed``.
+The sweep walks that list, and its solution files are named from it.
+
+The CSV's columns are the fields of :class:`RunRecord`: a run's row holds its
+record, None as an empty cell and ``runtime_ms`` to three decimals. Each
+(point, algorithm) group ends in an aggregate row with the means of its
+successful runs in the five numeric columns, to two decimals, or empty cells
+when no run succeeded.
 
 Re-running an identical configuration reproduces the CSV byte for byte:
-rows are emitted in a canonical order (VNF count, then algorithm, then
-seed), every solver is seeded, and ``runtime_ms`` stays at zero unless
+every solver is seeded, and ``runtime_ms`` stays at zero unless
 ``wall_clock`` is set, because measured time would break reproducibility.
 """
 
@@ -19,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from pathlib import Path
 
@@ -35,17 +40,14 @@ from .topology import (
     check_type,
     generate_instance,
     load_problem,
+    named_by_flag,
     parse_config,
     read_json,
     resolve_instance_path,
     with_uniform_vnfs,
 )
 
-CSV_HEADER = ("instance", "pops", "vnfs", "algorithm", "seed", "objective",
-              "nfvo_count", "vnfm_count", "iterations", "runtime_ms", "status")
-
 STATUS_OK = "ok"
-STATUS_AGGREGATE = "aggregate"
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,11 @@ class ExperimentConfig:
             raise ValueError("vnf_counts must be a nonempty list of positive counts")
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
+        names = tuple(ALGORITHMS)  # matched by ==, since an entry may be a list
         for alg in self.algorithms:
-            if alg not in ("tsp", "exact"):
-                raise ValueError(f"unknown algorithm {alg!r} (expected 'tsp' or 'exact')")
+            if alg not in names:
+                raise ValueError(f"unknown algorithm {alg!r} "
+                                 f"(expected {' or '.join(map(repr, names))})")
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be >= 1")
         if self.base_seed < 0:
@@ -121,8 +125,12 @@ class ExperimentConfig:
                           neighborhood_samples=self.neighborhood_samples, seed=seed)
 
     def oracle_budget(self) -> OracleBudget:
-        return OracleBudget(max_nodes=self.oracle_max_nodes,
-                            time_limit_s=self.oracle_time_limit_s)
+        keys = {"oracle_max_nodes": ("max_nodes", self.oracle_max_nodes),
+                "oracle_time_limit_s": ("time_limit_s", self.oracle_time_limit_s)}
+        try:
+            return OracleBudget(**dict(keys.values()))
+        except (TypeError, ValueError) as exc:  # named by the sweep's keys
+            raise type(exc)(named_by_flag(str(exc), keys)) from None
 
 
 @dataclass(frozen=True)
@@ -142,48 +150,42 @@ class RunRecord:
     status: str
 
 
+CSV_HEADER = tuple(f.name for f in fields(RunRecord))
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read a sweep configuration file (JSON, strict keys and kinds)."""
     return parse_config(ExperimentConfig, read_json(path), f"{path}: configuration object")
 
 
 def _base_instance(config: ExperimentConfig) -> ProblemInstance:
-    if config.instance_file is not None:
-        return load_problem(resolve_instance_path(config.instance_file))
-    assert config.generator is not None
-    return generate_instance(config.generator)
+    if config.generator is not None:
+        return generate_instance(config.generator)
+    return load_problem(resolve_instance_path(config.instance_file))
 
 
 def _instance_id(config: ExperimentConfig) -> str:
-    if config.instance_file is not None:
-        return resolve_instance_path(config.instance_file).stem
-    assert config.generator is not None
-    return f"gen{config.generator.pop_count}s{config.generator.seed}"
+    if config.generator is not None:
+        return f"gen{config.generator.pop_count}s{config.generator.seed}"
+    return resolve_instance_path(config.instance_file).stem
 
 
-def _seeds(config: ExperimentConfig, algorithm: str) -> list[int]:
-    if algorithm == "exact":
-        return [config.base_seed]  # deterministic: one run per point
-    return [config.base_seed + r for r in range(config.runs_per_point)]
-
-
-def _solutions_dir(config: ExperimentConfig) -> Path:
-    return Path(config.solutions_dir or Path(config.output).parent)
-
-
-def _solution_name(instance: str, vnfs: int, algorithm: str, seed: int) -> str:
-    return f"{instance}_v{vnfs}_{algorithm}_s{seed}.json"
+def _runs(config: ExperimentConfig) -> list[tuple[int, str, int]]:
+    """The sweep's runs as ``(vnf_count, algorithm, seed)``, in CSV order."""
+    return [(count, alg, config.base_seed + run) for count in sorted(set(config.vnf_counts))
+            for alg in sorted(set(config.algorithms))
+            for run in range(config.runs_per_point if ALGORITHMS[alg][1] else 1)]
 
 
 def solution_paths(config: ExperimentConfig) -> list[Path]:
-    """Every file the sweep may write a solution to: none unless it emits
-    solutions, one per run otherwise."""
+    """Where each run's solution goes, in the order of the runs (a failed run
+    writes none); no paths unless the sweep emits solutions."""
     if not config.emit_solutions:
         return []
+    directory = Path(config.solutions_dir or Path(config.output).parent)
     instance = _instance_id(config)
-    return [_solutions_dir(config) / _solution_name(instance, count, alg, seed)
-            for count in config.vnf_counts for alg in config.algorithms
-            for seed in _seeds(config, alg)]
+    return [directory / f"{instance}_v{count}_{alg}_s{seed}.json"
+            for count, alg, seed in _runs(config)]
 
 
 def _run_tsp(config: ExperimentConfig, instance: ProblemInstance,
@@ -200,12 +202,15 @@ def _run_tsp(config: ExperimentConfig, instance: ProblemInstance,
 
 def _run_exact(config: ExperimentConfig, instance: ProblemInstance,
                seed: int) -> tuple[str, Solution | None, int | None]:
-    """``(status, solution, nodes explored)`` of the exact solver; a budget
-    hit keeps no solution."""
+    """``(status, solution, nodes explored)`` of the exact solver; a budget hit keeps none."""
     result = solve_exact(instance, config.oracle_budget())
     if result.status is OracleStatus.OPTIMAL:
         return STATUS_OK, result.solution, result.nodes_explored
     return result.status.value, None, result.nodes_explored
+
+
+# Each algorithm's runner and whether it is seeded (runs runs_per_point times per point).
+ALGORITHMS = {"tsp": (_run_tsp, True), "exact": (_run_exact, False)}
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
@@ -213,82 +218,52 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     The output directories are made before the first run, so an output path
     that cannot be written fails before anything is solved."""
     base, instance_id = _base_instance(config), _instance_id(config)
-    out_path, sol_dir = Path(config.output), _solutions_dir(config)
-    if out_path.is_dir() or (config.emit_solutions and sol_dir.resolve() == out_path.resolve()):
+    out_path, paths = Path(config.output), solution_paths(config)
+    sol_dirs = {path.parent for path in paths}  # one, or none without emit_solutions
+    if out_path.is_dir() or any(d.resolve() == out_path.resolve() for d in sol_dirs):
         raise IsADirectoryError(f"{out_path} is a directory, not a CSV file")
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    if config.emit_solutions:
-        sol_dir.mkdir(parents=True, exist_ok=True)
+    for directory in (out_path.parent, *sol_dirs):
+        directory.mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
-    emitted: list[tuple[RunRecord, Solution]] = []
+    solutions: list[Solution | None] = []
 
-    for count in sorted(set(config.vnf_counts)):
-        point = with_uniform_vnfs(
-            base, count, seed=config.base_seed + count,
-            vnfm_delay_bound=config.vnfm_delay_bound,
-            nfvo_vnfm_delay_bound=config.nfvo_vnfm_delay_bound)
-        for alg in sorted(set(config.algorithms)):
-            runner = _run_tsp if alg == "tsp" else _run_exact
-            for seed in _seeds(config, alg):
-                start = time.perf_counter()
-                status, sol, iterations = runner(config, point, seed)
-                runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
-                counts = ((None,) * 3 if sol is None
-                          else (sol.objective, sol.plan.nfvo_count, sol.vnfm_count))
-                record = RunRecord(instance_id, point.pop_count, point.vnf_count, alg, seed,
-                                   *counts, iterations, runtime, status)
-                records.append(record)
-                if sol is not None and config.emit_solutions:
-                    emitted.append((record, sol))
+    point = None
+    for count, alg, seed in _runs(config):
+        if point is None or point.vnf_count != count:  # the runs come grouped by count
+            point = with_uniform_vnfs(
+                base, count, seed=config.base_seed + count,
+                vnfm_delay_bound=config.vnfm_delay_bound,
+                nfvo_vnfm_delay_bound=config.nfvo_vnfm_delay_bound)
+        start = time.perf_counter()
+        status, sol, iterations = ALGORITHMS[alg][0](config, point, seed)
+        runtime = (time.perf_counter() - start) * 1000 if config.wall_clock else 0.0
+        counts = ((None,) * 3 if sol is None
+                  else (sol.objective, sol.plan.nfvo_count, sol.vnfm_count))
+        records.append(RunRecord(instance_id, point.pop_count, point.vnf_count, alg, seed,
+                                 *counts, iterations, runtime, status))
+        solutions.append(sol)
 
     write_csv(records, out_path)
-    for record, sol in emitted:
-        name = _solution_name(record.instance, record.vnfs, record.algorithm, record.seed)
-        save_solution(sol, sol_dir / name)
+    for sol, path in zip(solutions, paths):  # no paths unless the sweep emits solutions
+        if sol is not None:
+            save_solution(sol, path)
     return records
 
 
-def _fmt_runtime(x: float | None) -> str:
-    return "" if x is None else f"{x:.3f}"
-
-
 def write_csv(records: list[RunRecord], path: str | Path) -> None:
-    """Write per-run rows plus one aggregate row per (point, algorithm) group.
-
-    Records are sorted canonically (VNF count, algorithm, seed) before
-    writing, so callers can batch runs in any order without changing the
-    output bytes.
-    """
+    """Write per-run rows plus one aggregate row per (point, algorithm) group,
+    in canonical order (VNF count, algorithm, seed) whatever the order of
+    ``records``, so callers can batch runs without changing the bytes."""
     records = sorted(records, key=lambda r: (r.vnfs, r.algorithm, r.seed))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for _key, rows in groupby(records, key=lambda r: (r.vnfs, r.algorithm)):
             group = list(rows)
-            for r in group:
-                writer.writerow([
-                    r.instance, r.pops, r.vnfs, r.algorithm, r.seed,
-                    "" if r.objective is None else r.objective,
-                    "" if r.nfvo_count is None else r.nfvo_count,
-                    "" if r.vnfm_count is None else r.vnfm_count,
-                    "" if r.iterations is None else r.iterations,
-                    _fmt_runtime(r.runtime_ms),
-                    r.status,
-                ])
+            writer.writerows(["" if value is None else f"{value:.3f}" if name == "runtime_ms"
+                              else value for name, value in vars(r).items()] for r in group)
             ok = [r for r in group if r.status == STATUS_OK]
-            sample = group[0]
-            if ok:
-                def mean(get) -> str:
-                    return f"{sum(get(r) for r in ok) / len(ok):.2f}"
-                writer.writerow([
-                    sample.instance, sample.pops, sample.vnfs,
-                    f"{sample.algorithm}:mean", "",
-                    mean(lambda r: r.objective), mean(lambda r: r.nfvo_count),
-                    mean(lambda r: r.vnfm_count), mean(lambda r: r.iterations),
-                    mean(lambda r: r.runtime_ms), STATUS_AGGREGATE,
-                ])
-            else:
-                writer.writerow([sample.instance, sample.pops, sample.vnfs,
-                                 f"{sample.algorithm}:mean", "", "", "", "", "", "",
-                                 STATUS_AGGREGATE])
+            means = {name: f"{sum(getattr(r, name) for r in ok) / len(ok):.2f}" if ok else ""
+                     for name in CSV_HEADER[5:10]}  # objective to runtime_ms
+            writer.writerow({**vars(group[0]), "algorithm": f"{group[0].algorithm}:mean",
+                             "seed": "", **means, "status": "aggregate"}.values())

@@ -268,6 +268,8 @@ def parse_solution(data) -> Solution:
         for i, p in enumerate(data["nfvos"]):
             if not 0 <= check_type(f"nfvos[{i}]", p, int) < len(head_of):
                 raise ValueError(f"nfvos entry {p} is not a valid PoP id")
+            if nfvo_at[p]:
+                raise ValueError(f"nfvos entry {p} is repeated")
             nfvo_at[p] = True
         vnfms = []
         for i, entry in enumerate(data["vnfms"]):
@@ -276,9 +278,13 @@ def parse_solution(data) -> Solution:
             vnfms.append(VnfmAssignment(
                 check_type(f"vnfms[{i}].location", entry["location"], int),
                 tuple(check_type(f"vnfms[{i}].vnf_ids[{j}]", x, int) for j, x in enumerate(ids))))
+        solution = Solution(DomainPlan.make(nfvo_at, head_of), tuple(vnfms))
+        if data.get("objective", solution.objective) != solution.objective:
+            raise ValueError(f"objective {data['objective']} differs from the solution's "
+                             f"count of orchestrators and managers, {solution.objective}")
     except (TypeError, ValueError) as exc:
         raise SolutionFormatError(f"solution: {exc}") from None
-    return Solution(DomainPlan.make(nfvo_at, head_of), tuple(vnfms))
+    return solution
 
 
 def load_solution(path: str | Path) -> Solution:

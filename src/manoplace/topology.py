@@ -33,6 +33,8 @@ value, and both ``parse_problem`` and ``problem_to_data`` read it.
 Every input file (instances, solutions, generator and sweep settings) is
 read with the same checks: ``read_json`` decodes it, ``check_keys`` rejects
 unknown and missing keys and ``check_type`` the values of the wrong kind.
+``named_by_flag`` renames the fields a settings error names to the flags or
+keys that set them.
 
 The solvers read the delays in one form, ``delays``, from which
 ``ProblemInstance.vnfs_served`` builds its table with prefix masks and
@@ -506,3 +508,18 @@ def parse_config(cls, data, where: str):
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{where}: {exc}") from exc
+
+
+def named_by_flag(message: str, flags: dict[str, tuple[str, object]], prefix: str = "",
+                  read: frozenset[str] = frozenset()) -> str:
+    """``message``, which names settings fields after ``prefix``, naming each
+    field that ``flags`` (``{flag: (field, value)}``) has by its flag, a
+    command-line flag or a sweep file's key; a message that then opens with a
+    flag drops ``prefix``, unless it still names a field of ``read``, the
+    fields read from the file ``prefix`` names."""
+    if not message.startswith(prefix):
+        return message
+    flag_of = {name: flag for flag, (name, _value) in flags.items()}
+    words = [flag_of.get(word, word) for word in message[len(prefix):].split(" ")]
+    flagged = words[0] in flags and read.isdisjoint(words)
+    return " ".join(words) if flagged else prefix + " ".join(words)

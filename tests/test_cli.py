@@ -96,7 +96,9 @@ class TestParsing:
           ({"vnfm_delay_bound": float("nan")}, "vnfm_delay_bound must be > 0"),
           ({"nfvo_vnfm_delay_bound": float("inf")},
            "nfvo_vnfm_delay_bound must be > 0 and finite"),
-          ({"oracle_time_limit_s": True}, "time_limit_s must be a number"),
+          ({"oracle_time_limit_s": True}, "oracle_time_limit_s must be a number, got True"),
+          ({"oracle_max_nodes": 0}, "oracle_max_nodes must be >= 1"),
+          ({"oracle_time_limit_s": 0}, "oracle_time_limit_s must be > 0"),
           ({"base_seed": -5, "vnf_counts": [2]}, "base_seed must be >= 0"),
           ({"generator": {"pop_count": 4, "vnf_count": 4, "seed": -1}},
            "seed must be >= 0"),
@@ -139,6 +141,12 @@ class TestParsing:
           ([0] * 7 + [9], [], "head of PoP 7 is 9, out of range"),
           ([0] * 8, [{"location": 99, "vnf_ids": [0]}], "location 99 is out of range"),
           ([0] * 8, [{"location": 0, "vnf_ids": [999]}], "unknown VNF id 999")]),
+    *(({"s.json": json.dumps({"objective": 3, "assignments": [0] * 8, "vnfms": [], **entries})},
+       ["check", "bundled:pop8", "s.json"], fragment)
+      for entries, fragment in [
+          ({"nfvos": [0, 0]}, "solution: nfvos entry 0 is repeated"),
+          ({"nfvos": [0]}, "solution: objective 3 differs from the solution's count of "
+                           "orchestrators and managers, 1")]),
 ], ids=["gen-unknown-key", "gen-bad-json", "gen-zero-pops", "sweep-zero-patience",
         "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
         "exact-zero-time", "exact-nan-time", "gen-float-pops", "gen-bool-pops",
@@ -147,14 +155,16 @@ class TestParsing:
         "sweep-int-solutions-dir", "sweep-solutions-dir-without-emit", "sweep-string-bound",
         "sweep-negative-bound", "sweep-negative-manager-bound", "sweep-nan-bound",
         "sweep-infinite-bound",
-        "sweep-bool-time-limit", "sweep-negative-seed", "sweep-negative-generator-seed",
+        "sweep-bool-time-limit", "sweep-zero-max-nodes", "sweep-zero-time-limit",
+        "sweep-negative-seed", "sweep-negative-generator-seed",
         "sweep-generator-manager-bound", "sweep-bound-without-generator-bound",
         "gen-negative-seed", "gen-config-negative-seed", "tsp-negative-seed",
         "gen-config-bad-jitter",
         "gen-bool-area", "gen-infinite-area", "gen-overflowing-delays", "gen-overflowing-area",
         "gen-config-overflowing-delays", "gen-flag-overflowing-config-delays",
         "sweep-overflowing-generator",
-        "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf"])
+        "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf",
+        "check-repeated-nfvo", "check-wrong-objective"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
     for name, text in files.items():
@@ -567,3 +577,15 @@ def test_readme_transcript(capsys, monkeypatch, tmp_path):
             expected = expected[:expected.index("...")]
             out = out[:len(expected)]
         assert out == expected, argv
+
+
+def test_readme_python_example(capsys):
+    """The README's Python block runs as written, and the heuristic it runs
+    is no better than the optimum it prints beside it."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    tsp, exact = namespace["solution"].objective, namespace["reference"].objective
+    assert exact is not None and tsp >= exact
+    assert capsys.readouterr().out == f"{tsp} {exact}\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -90,6 +91,8 @@ class TestConfig:
         ('{"generator": 7}', "generator must be an object"),
         ('{"instance_file": "x.json", "algorithms": ["simplex"]}',
          "unknown algorithm"),
+        ('{"instance_file": "x.json", "algorithms": [["tsp"]]}',
+         "unknown algorithm \\['tsp'\\] \\(expected 'tsp' or 'exact'\\)"),
     ])
     def test_load_rejects_malformed_files(self, tmp_path, payload, fragment):
         path = tmp_path / "bad.json"
@@ -208,3 +211,35 @@ class TestRunExperiment:
         assert len(agg) == 2
         for r in agg:
             assert r[4:10] == [""] * 6
+
+
+def test_sweep_outputs_are_pinned(tmp_path):
+    """The CSV and every solution file of a sweep whose groups all succeed
+    (3 VNFs), partly fail (8 VNFs: two of five tsp runs find a plan) or all
+    fail (40 VNFs overfill the four domains), with a count and an algorithm
+    repeated, byte for byte."""
+    config = ExperimentConfig(
+        generator=GeneratorConfig(pop_count=4, vnf_count=4, seed=2,
+                                  gso_nfvo_delay_bound=20.0, nfvo_capacity=4),
+        vnf_counts=(8, 3, 40, 8), algorithms=("tsp", "exact", "tsp"), runs_per_point=5,
+        stop_patience=1, output=str(tmp_path / "r.csv"), emit_solutions=True,
+        solutions_dir=str(tmp_path / "sols"))
+    statuses = [(r.vnfs, r.algorithm, r.status) for r in run_experiment(config)]
+    assert statuses.count((8, "tsp", "ok")) == 2
+    assert statuses.count((8, "tsp", "no_feasible_plan")) == 3
+    assert (40, "exact", "infeasible") in statuses
+    digest = hashlib.sha256((tmp_path / "r.csv").read_bytes()).hexdigest()
+    assert digest == "a017a40164c89e78284829a261142d767ae2ee4b10a6d34dbfbcc498ff2e486a"
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted((tmp_path / "sols").iterdir())}
+    v3, v3_tsp0, v8_exact, v8_tsp = (
+        "5d2d7886c90b18a2c698a6e1cbef313dd86d5212ba554df297d35308cfe1b6bc",
+        "02090d3727ed4d716a385af4c08f128cc51863c23363c5862f105407b22d52b6",
+        "26fbbe36689ca95717bcb42addbbb0139fd66f2b5a448c91420a467e6828180d",
+        "ba9e5313cb016107aecc41414b44b60bc238402dba0bb27bf53386da805fdb1e")
+    assert files == {
+        "gen4s2_v3_exact_s0.json": v3, "gen4s2_v3_tsp_s0.json": v3_tsp0,
+        **{f"gen4s2_v3_tsp_s{seed}.json": v3 for seed in (1, 2, 3, 4)},
+        "gen4s2_v8_exact_s0.json": v8_exact,
+        "gen4s2_v8_tsp_s2.json": v8_tsp, "gen4s2_v8_tsp_s3.json": v8_tsp,
+    }

@@ -169,6 +169,8 @@ class TestSolutionFiles:
         lambda d: d.update(nfvos=[9]),
         lambda d: d.update(vnfms=[{"location": 0}]),
         lambda d: d.update(vnfms=[{"location": 0, "vnf_ids": ["a"]}]),
+        lambda d: d.update(nfvos=[1, 1]),
+        lambda d: d.update(objective=3),
     ])
     def test_strict_parser_rejects(self, mutate):
         data = solution_to_data(base_solution())
