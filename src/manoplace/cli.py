@@ -297,7 +297,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except NoFeasiblePlan as exc:
         print(f"manoplace: no feasible plan: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:
         print(f"manoplace: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

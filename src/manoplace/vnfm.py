@@ -49,15 +49,17 @@ class DomainView:
     vnf_ids: tuple[int, ...]
 
 
+def domain_view(instance: ProblemInstance, head: int, members: int, located: int) -> DomainView:
+    """The domain headed by ``head`` with the masks ``members`` and ``located``."""
+    return DomainView(head, members, located,
+                      tuple(instance.vnfs[i].id for i in _bits(located)))
+
+
 def domains_of(instance: ProblemInstance, plan: DomainPlan) -> tuple[DomainView, ...]:
     """The plan's domains in ascending head order."""
     members = _members(plan.pop_count, plan.head_of)
-    views = []
-    for head in plan.active_pops:
-        _, located, _, _ = _domain(instance, head, members[head])
-        views.append(DomainView(head, members[head], located,
-                                tuple(instance.vnfs[i].id for i in _bits(located))))
-    return tuple(views)
+    return tuple(domain_view(instance, head, *_domain(instance, head, members[head])[:2])
+                 for head in plan.active_pops)
 
 
 def _host_order(instance: ProblemInstance, head: int, runs: dict[int, int], hosts,

@@ -21,6 +21,7 @@ from manoplace import (
     load_solution,
     save_problem,
 )
+from manoplace import cli
 from manoplace.cli import cli_main
 
 from conftest import make_instance
@@ -62,6 +63,9 @@ class TestParsing:
      ["gen", "--config", "gen.json", "--output", "i.json"], "unknown key"),
     ({"gen.json": "{not json"},
      ["gen", "--config", "gen.json", "--output", "i.json"], "not valid JSON"),
+    ({"gen.json": "[1, 2]"},
+     ["gen", "--config", "gen.json", "--output", "i.json"],
+     "gen.json must be an object, got [1, 2]"),
     ({}, ["gen", "--pops", "0", "--vnfs", "3", "--output", "i.json"],
      "error: --pops must be >= 1"),
     ({"sweep.json": json.dumps({"generator": {"pop_count": 4, "vnf_count": 4},
@@ -147,7 +151,7 @@ class TestParsing:
           ({"nfvos": [0, 0]}, "solution: nfvos entry 0 is repeated"),
           ({"nfvos": [0]}, "solution: objective 3 differs from the solution's count of "
                            "orchestrators and managers, 1")]),
-], ids=["gen-unknown-key", "gen-bad-json", "gen-zero-pops", "sweep-zero-patience",
+], ids=["gen-unknown-key", "gen-bad-json", "gen-list-config", "gen-zero-pops", "sweep-zero-patience",
         "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
         "exact-zero-time", "exact-nan-time", "gen-float-pops", "gen-bool-pops",
         "sweep-float-seed", "sweep-float-runs", "sweep-float-count", "sweep-bool-count",
@@ -385,6 +389,38 @@ class TestSolve:
     def test_exact_solves_and_reports_status(self, capsys, line3_file):
         assert cli_main(["solve-exact", line3_file]) == 0
         assert "status=optimal" in capsys.readouterr().out
+
+    def test_exact_writes_its_status_and_node_count(self, capsys, tmp_path, line3_file):
+        out = tmp_path / "e.json"
+        assert cli_main(["solve-exact", line3_file, "--output", str(out)]) == 0
+        status_line = capsys.readouterr().out.splitlines()[0]
+        data = json.loads(out.read_text())
+        assert status_line == (f"status={data['status']} "
+                               f"nodes_explored={data['nodes_explored']}")
+        assert data["status"] == "optimal"
+        assert cli_main(["check", line3_file, str(out)]) == 0
+        # An exceeded budget writes its incumbent, with the same two keys.
+        instance = tmp_path / "g.json"
+        assert cli_main(["gen", "--pops", "12", "--vnfs", "40", "--seed", "3",
+                         "--output", str(instance)]) == 0
+        capsys.readouterr()
+        assert cli_main(["solve-exact", str(instance), "--max-nodes", "200",
+                         "--output", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["status=budget_exceeded nodes_explored=201",
+                              "objective=6 nfvos=2 vnfms=4"]
+        data = json.loads(out.read_text())
+        assert (data["status"], data["nodes_explored"], data["objective"]) == (
+            "budget_exceeded", 201, 6)
+        assert cli_main(["check", str(instance), str(out)]) == 0
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "two_step_place_detailed", boom)
+        assert cli_main(["solve-tsp", "bundled:pop8"]) == 3
+        assert capsys.readouterr().err == "manoplace: internal error: boom\n"
 
     def test_exact_infeasible_exit_code(self, capsys, split_file):
         assert cli_main(["solve-exact", split_file]) == 2

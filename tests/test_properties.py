@@ -187,7 +187,10 @@ def test_enumeration_matches_a_product_over_reachable_heads(instance, data):
         fits += 1
         if naive_look_ahead(instance, head_of) == 0:
             floor = sum(math.ceil(counts[h] / params.vnfm_capacity) for h in heads)
-            expected.append((fits, (tuple(head_of), floor)))
+            domains = tuple((sum(1 << q for q in range(n) if head_of[q] == h),
+                             sum(1 << i for i, v in enumerate(instance.vnfs)
+                                 if head_of[v.location] == h)) for h in heads)
+            expected.append((fits, (domains, floor)))
     # Whenever the predicate turns true, here after the j-th tick, the walk
     # counts what is left rather than walking it.
     for j in range(fits + 1):
@@ -225,10 +228,12 @@ def walked_solve(instance, max_nodes):
                 if first_counted is None and beaten():
                     first_counted = nodes + 1
                 tick()
-                for head_of, floor in _feasible_assignments(instance, heads, tick,
+                for domains, floor in _feasible_assignments(instance, heads, tick,
                                                             lambda: False):
                     if best is not None and k + floor >= best:
                         continue
+                    head_of = tuple(next(h for h, (members, _) in zip(heads, domains)
+                                         if members >> q & 1) for q in range(n))
                     plan = DomainPlan(tuple(p in heads for p in range(n)), head_of)
                     vnfms = tuple(m for dom in domains_of(instance, plan)
                                   for m in place_domain(instance, dom))

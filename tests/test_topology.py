@@ -91,6 +91,8 @@ class TestParsing:
         (lambda d: d["params"].update(phi_nfvo=2.5), "integer"),
         (lambda d: d.update(delays=[[0.0, "x"], [1.0, 0.0]]), "number"),
         (lambda d: d.update(pops={}), "list"),
+        (lambda d: d["pops"][0].update(coordinates=[1.0]),
+         r"pop 0: coordinates must be \[x, y\], got \[1.0\]"),
     ])
     def test_strict_parser_rejects(self, mutate, message):
         data = good_data()
@@ -157,6 +159,13 @@ class TestValidation:
                                nfvo_capacity=0), "capacity"),
         (lambda: make_instance([[0, 10], [10, 0]], vnf_locs=(0,),
                                vnf_bounds=[(0.0, 45.0)]), "bound"),
+        (lambda: make_instance([]), "pops: instance has no PoPs"),
+        (lambda: replace(make_instance([[0, 10], [10, 0]]), pops=(PoP(0), PoP(2))),
+         "pops: ids are not dense and unique (expected 0..1)"),
+        (lambda: replace(make_instance([[0, 10], [10, 0]]), pops=(PoP(0), PoP(1), PoP(2))),
+         "delays: matrix has 2 rows but instance has 3 PoPs"),
+        (lambda: make_instance([[0, 10], [10, 0]], vnf_locs=(0,), vnfm_capacity=0),
+         "params: manager capacity must be >= 1"),
     ])
     def test_defects_are_reported(self, build, fragment):
         findings = validate_instance(build())
@@ -212,6 +221,10 @@ class TestGenerator:
             GeneratorConfig(pop_count=0, vnf_count=1)
         with pytest.raises(ValueError):
             GeneratorConfig(pop_count=1, vnf_count=1, delay_jitter_fraction=1.0)
+        with pytest.raises(ValueError, match="vnf_count must be >= 1"):
+            GeneratorConfig(pop_count=1, vnf_count=0)
+        with pytest.raises(ValueError, match="capacities must be >= 1"):
+            GeneratorConfig(pop_count=1, vnf_count=1, vnfm_capacity=0)
 
     def test_vnf_locations_look_uniform(self):
         # Chi-square goodness of fit on 2000 draws over 5 PoPs. The 0.999
