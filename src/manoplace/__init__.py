@@ -27,7 +27,6 @@ from .topology import (
     GeneratorConfig,
     ProblemInstance,
     generate_instance,
-    load_instance_ref,
     load_problem,
     resolve_instance_path,
     save_problem,
@@ -54,7 +53,6 @@ __all__ = [
     "export_lp",
     "generate_instance",
     "load_experiment_config",
-    "load_instance_ref",
     "load_problem",
     "load_solution",
     "resolve_instance_path",

@@ -17,6 +17,10 @@ errors.
 
 Instance arguments accept plain paths or ``bundled:<name>`` references to
 the topologies shipped with the package (``bundled:pop8``, ``bundled:pop16``).
+
+The commands parse and print. ``load_problem`` reads every instance
+argument, ``_settings`` turns flags (laid over a settings file, if any) into
+settings, and ``run_experiment`` guards a sweep's instance and CSV itself.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import (
     InstanceFormatError,
@@ -35,16 +38,16 @@ from .errors import (
 from .harness import load_experiment_config, run_experiment, solution_paths
 from .lp_export import export_lp
 from .model import check_feasibility, load_solution, save_solution
-from .oracle import OracleBudget, OracleStatus, solve_exact
+from .oracle import OracleBudget, solve_exact
 from .tabu import TabuParams
 from .topology import (
     GeneratorConfig,
     generate_instance,
-    load_instance_ref,
     load_problem,
     named_by_flag,
     parse_config,
     read_json,
+    refuse_overwrite,
     resolve_instance_path,
     save_problem,
 )
@@ -60,23 +63,22 @@ class _UsageError(Exception):
     pass
 
 
-def _from_flags(cls, flags: dict[str, tuple[str, object]], **fixed):
-    """Build a settings dataclass from ``{flag: (field, value)}`` and ``fixed``
-    fields; a value it rejects is a usage error that names the flag typed."""
+def _settings(cls, command: str, config: str | None, flags: dict[str, tuple[str, object]]):
+    """Settings dataclass ``cls`` built from the JSON object in file ``config``
+    (if any) with each flag of ``{flag: (field, value)}`` whose value is not
+    None laid on top. A rejected value is a usage error that names the flag
+    typed, or the key after the file's name (``command``'s without a file)."""
+    given = {flag: pair for flag, pair in flags.items() if pair[1] is not None}
+    where = config or command
+    data = {} if config is None else read_json(config)
+    read = frozenset()
+    if isinstance(data, dict):  # parse_config reports anything else
+        read = frozenset(data) - {name for name, _value in given.values()}
+        data = {**data, **dict(given.values())}
     try:
-        return cls(**fixed, **dict(flags.values()))
-    except ValueError as exc:  # the settings classes name the field first
-        raise _UsageError(named_by_flag(str(exc), flags)) from None
-
-
-def _refuse_overwrite(output: str | Path | None, *inputs: str | Path | None) -> None:
-    """A usage error when ``output`` resolves to one of ``inputs``, the files
-    the command reads: writing it would destroy the command's own input."""
-    if output is None:
-        return
-    target = Path(output).resolve()
-    if any(source is not None and Path(source).resolve() == target for source in inputs):
-        raise _UsageError(f"{output} is an input of this command and would be overwritten")
+        return parse_config(cls, data, where)
+    except InstanceFormatError as exc:
+        raise _UsageError(named_by_flag(str(exc), given, f"{where}: ", read)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,24 +140,12 @@ def _build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     if args.config is None and (args.pops is None or args.vnfs is None):
         raise _UsageError("gen requires --pops and --vnfs (or --config)")
-    _refuse_overwrite(args.output, args.config)
-    flags = {"--pops": ("pop_count", args.pops), "--vnfs": ("vnf_count", args.vnfs),
-             "--seed": ("seed", args.seed), "--area-km": ("area_side_km", args.area_km),
-             "--delay-per-km": ("delay_per_km", args.delay_per_km),
-             "--jitter": ("delay_jitter_fraction", args.jitter)}
-    given = {flag: pair for flag, pair in flags.items() if pair[1] is not None}
-    # The file's values, each flag given laid on top.
-    data = {} if args.config is None else read_json(args.config)
-    read = frozenset()
-    if isinstance(data, dict):  # parse_config reports anything else
-        read = frozenset(data) - {name for name, _value in given.values()}
-        data = {**data, **dict(given.values())}
-    where = args.config or "gen"
-    try:
-        config = parse_config(GeneratorConfig, data, where)
-    except InstanceFormatError as exc:
-        # A rejected flag value is named by its flag, not the settings field.
-        raise _UsageError(named_by_flag(str(exc), given, f"{where}: ", read)) from None
+    refuse_overwrite(args.output, args.config)
+    config = _settings(GeneratorConfig, args.command, args.config, {
+        "--pops": ("pop_count", args.pops), "--vnfs": ("vnf_count", args.vnfs),
+        "--seed": ("seed", args.seed), "--area-km": ("area_side_km", args.area_km),
+        "--delay-per-km": ("delay_per_km", args.delay_per_km),
+        "--jitter": ("delay_jitter_fraction", args.jitter)})
     instance = generate_instance(config)
     save_problem(instance, args.output)
     print(f"wrote {args.output}: {instance.pop_count} pops, "
@@ -165,7 +155,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        instance = load_instance_ref(args.instance)
+        instance = load_problem(args.instance)
     except InstanceValidationError as exc:
         for entry in exc.entries:
             print(entry)
@@ -175,53 +165,52 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _print_solution(solution) -> None:
+def _print_and_save(solution, output: str | None, extra: dict | None, *notes: str) -> int:
+    """Print ``solution`` and ``notes``; save it, with ``extra``'s keys, to any ``output``."""
     plan = solution.plan
     print(f"objective={solution.objective} nfvos={plan.nfvo_count} "
           f"vnfms={solution.vnfm_count}")
     print(f"nfvo locations: {sorted(plan.active_pops)}")
     for vnfm in solution.vnfms:
         print(f"vnfm at pop {vnfm.location}: manages {list(vnfm.managed)}")
+    for note in notes:
+        print(note)
+    if output:
+        save_solution(solution, output, extra)
+        print(f"wrote {output}")
+    return EXIT_OK
 
 
 def _cmd_solve_tsp(args) -> int:
-    _refuse_overwrite(args.output, resolve_instance_path(args.instance))
-    instance = load_instance_ref(args.instance)
-    params = _from_flags(TabuParams, {"--patience": ("stop_patience", args.patience),
-                                      "--tenure": ("tabu_tenure", args.tenure),
-                                      "--samples": ("neighborhood_samples", args.samples),
-                                      "--seed": ("seed", args.seed)})
+    refuse_overwrite(args.output, resolve_instance_path(args.instance))
+    instance = load_problem(args.instance)
+    params = _settings(TabuParams, args.command, None, {
+        "--patience": ("stop_patience", args.patience), "--tenure": ("tabu_tenure", args.tenure),
+        "--samples": ("neighborhood_samples", args.samples), "--seed": ("seed", args.seed)})
     result = two_step_place_detailed(instance, params)
-    _print_solution(result.solution)
-    print(f"iterations={result.search.iterations}")
-    if args.output:
-        save_solution(result.solution, args.output)
-        print(f"wrote {args.output}")
-    return EXIT_OK
+    return _print_and_save(result.solution, args.output, None,
+                           f"iterations={result.search.iterations}")
 
 
 def _cmd_solve_exact(args) -> int:
-    _refuse_overwrite(args.output, resolve_instance_path(args.instance))
-    instance = load_instance_ref(args.instance)
-    budget = _from_flags(OracleBudget, {"--max-nodes": ("max_nodes", args.max_nodes),
-                                        "--time-limit": ("time_limit_s", args.time_limit)})
+    refuse_overwrite(args.output, resolve_instance_path(args.instance))
+    instance = load_problem(args.instance)
+    budget = _settings(OracleBudget, args.command, None, {
+        "--max-nodes": ("max_nodes", args.max_nodes),
+        "--time-limit": ("time_limit_s", args.time_limit)})
     result = solve_exact(instance, budget)
-    print(f"status={result.status.value} nodes_explored={result.nodes_explored}")
+    status = result.status.value
+    print(f"status={status} nodes_explored={result.nodes_explored}")
     if result.solution is None:
-        print(f"manoplace: no solution: {result.status.value} after "
-              f"{result.nodes_explored} nodes", file=sys.stderr)
+        print(f"manoplace: no solution: {status} after {result.nodes_explored} nodes",
+              file=sys.stderr)
         return EXIT_INFEASIBLE
-    _print_solution(result.solution)
-    if args.output:
-        save_solution(result.solution, args.output,
-                      extra={"status": result.status.value,
-                             "nodes_explored": result.nodes_explored})
-        print(f"wrote {args.output}")
-    return EXIT_OK
+    return _print_and_save(result.solution, args.output,
+                           {"status": status, "nodes_explored": result.nodes_explored})
 
 
 def _cmd_check(args) -> int:
-    instance = load_instance_ref(args.instance)
+    instance = load_problem(args.instance)
     solution = load_solution(args.solution)
     try:
         report = check_feasibility(instance, solution)
@@ -243,7 +232,7 @@ def _cmd_export_lp(args) -> int:
     lp = path.with_suffix(".lp")
     # bundled:<name> writes <name>.lp here, not into the package's data.
     output = args.output or (lp.name if args.instance.startswith("bundled:") else str(lp))
-    _refuse_overwrite(output, path)
+    refuse_overwrite(output, path)
     instance = load_problem(path)
     summary = export_lp(instance, output)
     print(summary.line())
@@ -255,14 +244,8 @@ def _cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
     if args.output:
         config = replace(config, output=args.output)
-    ref = config.instance_file
-    inputs = args.config, None if ref is None else resolve_instance_path(ref)
-    _refuse_overwrite(config.output, *inputs)
-    for path in solution_paths(config):
-        _refuse_overwrite(path, *inputs)
-        if path.resolve() == Path(config.output).resolve():
-            raise _UsageError(f"{path} is the sweep's output and would be overwritten "
-                              "by a solution")
+    for path in (config.output, *solution_paths(config)):  # run_experiment guards the rest
+        refuse_overwrite(path, args.config)
     records = run_experiment(config)
     failed = sum(1 for r in records if r.status != "ok")
     print(f"wrote {config.output}: {len(records)} runs, {failed} failed")

@@ -6,7 +6,9 @@ and redraws its VNF inventory at each requested size with the seed
 seed)`` in CSV order: each distinct count and algorithm ascending, the
 two-step heuristic at the seeds ``base_seed + run`` for ``runs_per_point``
 runs, and the exact solver, which is deterministic, once at ``base_seed``.
-The sweep walks that list, and its solution files are named from it.
+The sweep walks that list, and its solution files are named from it. Before
+the topology loads, ``run_experiment`` refuses a CSV or solution path that
+resolves to the instance file, and a solution path that resolves to the CSV.
 
 The CSV's columns are the fields of :class:`RunRecord`: a run's row holds its
 record, None as an empty cell and ``runtime_ms`` to three decimals. Each
@@ -43,6 +45,7 @@ from .topology import (
     named_by_flag,
     parse_config,
     read_json,
+    refuse_overwrite,
     resolve_instance_path,
     with_uniform_vnfs,
 )
@@ -161,7 +164,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 def _base_instance(config: ExperimentConfig) -> ProblemInstance:
     if config.generator is not None:
         return generate_instance(config.generator)
-    return load_problem(resolve_instance_path(config.instance_file))
+    return load_problem(config.instance_file)
 
 
 def _instance_id(config: ExperimentConfig) -> str:
@@ -215,12 +218,22 @@ ALGORITHMS = {"tsp": (_run_tsp, True), "exact": (_run_exact, False)}
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """Execute the sweep, write the CSV, and return the per-run records.
-    The output directories are made before the first run, so an output path
-    that cannot be written fails before anything is solved."""
-    base, instance_id = _base_instance(config), _instance_id(config)
+    The CSV or a solution path resolving to the instance file, or a solution
+    path resolving to the CSV, raises :class:`FileExistsError` before the
+    instance loads; the output directories are made before the first run, so
+    a path that cannot be written fails before anything is solved."""
     out_path, paths = Path(config.output), solution_paths(config)
+    csv_file, ref = out_path.resolve(), config.instance_file
+    source = None if ref is None else resolve_instance_path(ref)
+    refuse_overwrite(config.output, source)
+    for path in paths:
+        refuse_overwrite(path, source)
+        if path.resolve() == csv_file:
+            raise FileExistsError(f"{path} is the sweep's output and would be overwritten "
+                                  "by a solution")
+    base, instance_id = _base_instance(config), _instance_id(config)
     sol_dirs = {path.parent for path in paths}  # one, or none without emit_solutions
-    if out_path.is_dir() or any(d.resolve() == out_path.resolve() for d in sol_dirs):
+    if out_path.is_dir() or any(d.resolve() == csv_file for d in sol_dirs):
         raise IsADirectoryError(f"{out_path} is a directory, not a CSV file")
     for directory in (out_path.parent, *sol_dirs):
         directory.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,9 @@ GSO location and the GSO/VIM delay bounds).
 
 Instances are plain frozen dataclasses. Constructing one does not validate
 it; ``validate_instance`` returns one finding per broken invariant, and
-``load_problem`` refuses files whose instances have any.
+``load_problem``, the one instance loader, refuses files whose instances have
+any. It takes a plain path or a ``bundled:<name>`` reference to a topology
+shipped in the package's ``data`` directory.
 
 File format (JSON, strict: unknown keys are rejected)::
 
@@ -34,7 +36,7 @@ Every input file (instances, solutions, generator and sweep settings) is
 read with the same checks: ``read_json`` decodes it, ``check_keys`` rejects
 unknown and missing keys and ``check_type`` the values of the wrong kind.
 ``named_by_flag`` renames the fields a settings error names to the flags or
-keys that set them.
+keys that set them, and ``refuse_overwrite`` keeps a command off its inputs.
 
 The solvers read the delays in one form, ``delays``, from which
 ``ProblemInstance.vnfs_served`` builds its table with prefix masks and
@@ -51,7 +53,6 @@ import math
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 
 from ._pcg64 import Pcg64
@@ -387,14 +388,24 @@ def read_json(path: str | Path):
         raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def refuse_overwrite(output: str | Path | None, *inputs: str | Path | None) -> None:
+    """Raise :class:`FileExistsError` when ``output`` resolves to one of
+    ``inputs``, the files a command reads: writing it would destroy them."""
+    if output is None:
+        return
+    target = Path(output).resolve()
+    if any(source is not None and Path(source).resolve() == target for source in inputs):
+        raise FileExistsError(f"{output} is an input of this command and would be overwritten")
+
+
 def load_problem(path: str | Path) -> ProblemInstance:
-    """Load and validate an instance file.
+    """Load and validate an instance file, a path or a ``bundled:<name>`` reference.
 
     Raises :class:`InstanceFormatError` for files that do not match the
     schema and :class:`InstanceValidationError` (carrying every broken
     invariant) for well-formed files describing an invalid instance.
     """
-    instance = parse_problem(read_json(path))
+    instance = parse_problem(read_json(resolve_instance_path(path)))
     findings = validate_instance(instance)
     if findings:
         raise InstanceValidationError(*findings)
@@ -476,18 +487,12 @@ def with_uniform_vnfs(instance: ProblemInstance, count: int, seed: int,
 
 def resolve_instance_path(ref: str | Path) -> Path:
     """Resolve a CLI/config instance reference; ``bundled:<name>`` is the
-    topology ``<name>`` shipped with the package (``pop8`` or ``pop16``)."""
+    topology ``<name>`` shipped in the package's ``data`` directory (``pop8``
+    or ``pop16``)."""
     s = str(ref)
     if not s.startswith("bundled:"):
         return Path(s)
-    data = resources.files("manoplace") / "data" / f"{s.split(':', 1)[1]}.json"
-    with resources.as_file(data) as p:
-        return Path(p)
-
-
-def load_instance_ref(ref: str | Path) -> ProblemInstance:
-    """:func:`load_problem` on a plain path or a ``bundled:<name>`` reference."""
-    return load_problem(resolve_instance_path(ref))
+    return Path(__file__).with_name("data") / f"{s.split(':', 1)[1]}.json"
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from manoplace import (
     solve_exact,
     two_step_place,
 )
+from manoplace import harness
 from manoplace.harness import CSV_HEADER, ExperimentConfig
 from manoplace.topology import with_uniform_vnfs
 
@@ -243,3 +244,36 @@ def test_sweep_outputs_are_pinned(tmp_path):
         "gen4s2_v8_exact_s0.json": v8_exact,
         "gen4s2_v8_tsp_s2.json": v8_tsp, "gen4s2_v8_tsp_s3.json": v8_tsp,
     }
+
+
+@pytest.mark.parametrize("target", ["output", "solution"])
+def test_sweep_refuses_to_write_over_its_instance(monkeypatch, tmp_path, target):
+    # The instance sits where the sweep's first solution would go, and
+    # i.json links to it; the CSV would go over the instance itself.
+    (tmp_path / "sols").mkdir()
+    real = tmp_path / "sols" / "i_v3_exact_s0.json"
+    save_problem(generate_instance(GeneratorConfig(pop_count=4, vnf_count=4, seed=0)), real)
+    (tmp_path / "i.json").symlink_to(real)
+    before = real.read_bytes()
+    loads, load = [], harness.load_problem
+    monkeypatch.setattr(harness, "load_problem", lambda path: loads.append(path) or load(path))
+    sweep = dict(instance_file=str(tmp_path / "i.json"), vnf_counts=(3,),
+                 algorithms=("exact", "tsp"), runs_per_point=1)
+    if target == "output":
+        config = ExperimentConfig(**sweep, output=str(real))
+    else:
+        config = ExperimentConfig(**sweep, output=str(tmp_path / "r.csv"),
+                                  emit_solutions=True, solutions_dir=str(tmp_path / "sols"))
+    with pytest.raises(FileExistsError) as caught:
+        run_experiment(config)
+    assert str(caught.value) == f"{real} is an input of this command and would be overwritten"
+    assert loads == []  # refused before the instance loads, so before any solve
+    assert real.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["i.json", "i_v3_exact_s0.json", "sols"]
+
+
+def test_a_missing_instance_is_reported_before_a_directory_output(tmp_path):
+    config = ExperimentConfig(instance_file=str(tmp_path / "missing.json"), vnf_counts=(3,),
+                              runs_per_point=1, output=str(tmp_path))
+    with pytest.raises(FileNotFoundError):
+        run_experiment(config)

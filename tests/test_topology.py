@@ -17,7 +17,6 @@ from manoplace import (
     InstanceFormatError,
     InstanceValidationError,
     generate_instance,
-    load_instance_ref,
     load_problem,
     save_problem,
 )
@@ -261,7 +260,7 @@ class TestRedraw:
 
     def test_redraw_has_a_pinned_digest(self):
         # A change to the stream fails here, with or without numpy.
-        redrawn = with_uniform_vnfs(load_instance_ref("bundled:pop16"), 45, seed=3)
+        redrawn = with_uniform_vnfs(load_problem("bundled:pop16"), 45, seed=3)
         text = json.dumps(problem_to_data(redrawn), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "c52b868a789bcb41042d6ec0903cccb5482d43867f2154421f654e332fb6e72e")
@@ -403,13 +402,15 @@ class TestServedTable:
     def test_empty_and_single_pop_tables(self):
         empty = with_uniform_vnfs(generate_instance(GeneratorConfig(6, 4, seed=1)), 0, seed=1)
         assert empty.vnfs_served == ((0,) * 6,) * 6
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            with_uniform_vnfs(empty, -1, seed=1)
         assert make_instance([[0.0]], (0, 0)).vnfs_served == ((0b11,),)
 
 
 class TestBundled:
     @pytest.mark.parametrize("name, pops", [("pop8", 8), ("pop16", 16)])
     def test_bundled_instances_load_and_validate(self, name, pops):
-        inst = load_instance_ref(f"bundled:{name}")
+        inst = load_problem(f"bundled:{name}")
         assert inst.pop_count == pops
         assert inst.vnf_count == 10
         assert validate_instance(inst) == ()
@@ -426,4 +427,4 @@ class TestBundled:
         inst = parse_problem(good_data())
         path = tmp_path / "x.json"
         save_problem(inst, path)
-        assert load_instance_ref(str(path)) == inst
+        assert load_problem(str(path)) == inst

@@ -31,7 +31,7 @@ from manoplace import (
     TabuParams,
     check_feasibility,
     generate_instance,
-    load_instance_ref,
+    load_problem,
     load_solution,
     save_problem,
     solve_exact,
@@ -279,7 +279,7 @@ class TestTwoStep:
         # This exact redraw once drove the branch and bound into a state
         # where a host's spare count hit zero mid-stack and the open branch
         # corrupted the backtracking dict.
-        base = load_instance_ref("bundled:pop8")
+        base = load_problem("bundled:pop8")
         inst = with_uniform_vnfs(base, 10, seed=110)
         sol = two_step_place(inst, TabuParams(seed=0))
         assert check_feasibility(inst, sol).ok
