@@ -264,10 +264,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
 
 
 def write_csv(records: list[RunRecord], path: str | Path) -> None:
-    """Write per-run rows plus one aggregate row per (point, algorithm) group,
-    in canonical order (VNF count, algorithm, seed) whatever the order of
-    ``records``, so callers can batch runs without changing the bytes."""
-    records = sorted(records, key=lambda r: (r.vnfs, r.algorithm, r.seed))
+    """Write per-run rows plus one aggregate row per (point, algorithm) group;
+    ``records`` come in canonical order (VNF count, algorithm, seed)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)

@@ -258,8 +258,11 @@ _SOLUTION_KEYS = {"nfvos": list, "assignments": list, "vnfms": list,
 
 def parse_solution(data) -> Solution:
     """Build a solution from already-decoded JSON data (strict keys and kinds)."""
-    try:
+    try:  # check_keys names the solution itself
         check_keys("solution", data, _SOLUTION_KEYS, ("objective", "status", "nodes_explored"))
+    except TypeError as exc:
+        raise SolutionFormatError(str(exc)) from None
+    try:
         for key, value in data.items():
             check_type(key, value, _SOLUTION_KEYS[key])
         head_of = [check_type(f"assignments[{i}]", h, int)

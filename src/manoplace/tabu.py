@@ -2,24 +2,30 @@
 
 The search walks over domain plans, starting from one orchestrator at every
 PoP, and minimises the number of orchestrators while driving a penalty to
-zero. The penalty counts broken placement rules at unit weight: heads that
-are not active orchestrators, activation/self-heading mismatches,
-orchestrators out of the GSO's reach, PoPs out of their head's reach, and,
-as a look-ahead for the manager step, VNFs whose domain offers no PoP
-satisfying both manager delay bounds. Domains holding more VNFs than the
-orchestrator capacity are penalised as well, because no later step can
-repair an overfull domain.
+zero. The penalty counts broken placement rules at unit weight:
+activation/self-heading mismatches, orchestrators out of the GSO's reach,
+PoPs out of their head's reach, and, as a look-ahead for the manager step,
+VNFs whose domain offers no PoP satisfying both manager delay bounds.
+Domains holding more VNFs than the orchestrator capacity are penalised as
+well, because no later step can repair an overfull domain.
 
 Two move kinds are sampled uniformly: toggling a PoP's orchestrator
 (deactivating one re-homes its member PoPs to their nearest surviving
 orchestrator) and reassigning a single PoP to a different active
-orchestrator. Moves whose attribute was used recently are tabu unless the
-result would beat the best plan seen so far. Each iteration accepts the
-best-scoring sampled neighbour if it improves on the best-found score and
-otherwise the sampled neighbour with the fewest orchestrators, letting the
-walk oscillate across the feasibility boundary instead of stalling. The
-search stops after ``stop_patience`` consecutive iterations without
-improving the best-found score.
+orchestrator. Every plan the search visits keeps one invariant: each PoP's
+head hosts an active orchestrator. The all-on start holds it, and each move
+keeps it: a toggle-off re-homes every member to an active PoP other than
+the one switched off, a reassignment targets an active PoP, and a toggle-on
+makes the PoP, which heads no other PoP, head itself. So the rule that a
+head be active never breaks, and the search does not score it.
+
+Moves whose attribute was used recently are tabu unless the result would
+beat the best plan seen so far. Each iteration accepts the best-scoring
+sampled neighbour if it improves on the best-found score and otherwise the
+sampled neighbour with the fewest orchestrators, letting the walk oscillate
+across the feasibility boundary instead of stalling. The search stops after
+``stop_patience`` consecutive iterations without improving the best-found
+score.
 
 The penalty is a sum of per-PoP terms and per-domain terms, so a neighbour
 is scored from its move alone: the few PoPs and domains the move changes.
@@ -166,10 +172,12 @@ class _Candidate(NamedTuple):
 class _Position:
     """A plan with the tables that score its neighbours from their moves alone.
 
-    Per PoP it keeps the PoP's term; per head ``h`` the domain's masks
-    ``(members, located, once, twice)`` and its term. ``once`` holds the VNFs
-    that at least one member can manage under ``h``, ``twice`` those that at
-    least two can, so removing a member needs no rescan of the others.
+    The plan must keep the search's invariant, every PoP's head active: the
+    scores count no inactive head, and every move keeps the invariant. Per
+    PoP it keeps the PoP's term; per head ``h`` the domain's masks
+    ``(members, located, once, twice)`` and its term. ``once`` holds the
+    VNFs that at least one member can manage under ``h``, ``twice`` those
+    that at least two can, so removing a member needs no rescan of the others.
     ``active`` lists the orchestrators in PoP order, and ``by_delay[q]`` every
     PoP by its delay from ``q`` (ties on the lower id), so the first active PoP
     in it is ``q``'s nearest orchestrator. ``nfvo_at`` and ``head_of`` are
@@ -190,8 +198,7 @@ class _Position:
         self.gso_far = [d[params.gso_location][q] > params.gso_nfvo_delay_bound
                         for q in range(n)]
         self.by_delay = [sorted(range(n), key=d[q].__getitem__) for q in range(n)]
-        self.pop_terms = [self._term(q, h, self.nfvo_at[q], self.nfvo_at[h])
-                          for q, h in enumerate(self.head_of)]
+        self.pop_terms = [self._term(q, h, self.nfvo_at[q]) for q, h in enumerate(self.head_of)]
         self.domains = [_domain(instance, h, m)
                         for h, m in enumerate(_members(n, self.head_of))]
         self.domain_terms = [_domain_term(instance, located, once)
@@ -203,12 +210,12 @@ class _Position:
     def plan(self) -> DomainPlan:
         return DomainPlan(tuple(self.nfvo_at), tuple(self.head_of))
 
-    def _term(self, q: int, h: int, q_on: bool, h_on: bool) -> int:
-        """Rules broken at PoP ``q`` when its head is ``h`` and ``q_on`` and
-        ``h_on`` say whether ``q`` and ``h`` host orchestrators: the head is not
-        an active orchestrator, activation vs self-heading mismatch, an
-        orchestrator out of the GSO's reach, and ``q`` out of its head's reach."""
-        return ((not h_on) + ((h == q) != q_on) + (q_on and self.gso_far[q])
+    def _term(self, q: int, h: int, q_on: bool) -> int:
+        """Rules broken at PoP ``q`` when its head is ``h``, an active
+        orchestrator, and ``q_on`` says whether ``q`` hosts one: activation vs
+        self-heading mismatch, an orchestrator out of the GSO's reach, and
+        ``q`` out of its head's reach."""
+        return (((h == q) != q_on) + (q_on and self.gso_far[q])
                 + (self.delays[h][q] > self.vim_bound))
 
     def _leave(self, h: int, q: int) -> int:
@@ -233,7 +240,7 @@ class _Position:
         nfvo_at = self.nfvo_at
         penalty = (self.score.penalty + self._leave(self.head_of[pop], pop)
                    + self._join(target, (pop,))
-                   + self._term(pop, target, nfvo_at[pop], nfvo_at[target])
+                   + self._term(pop, target, nfvo_at[pop])
                    - self.pop_terms[pop])
         return _Candidate(("reassign", pop, target), (penalty, self.score.nfvo_count), -1,
                           ((pop, target),))
@@ -242,7 +249,8 @@ class _Position:
         """Neighbour that toggles ``pop``'s orchestrator; None when that would
         remove the last one. Switching one off re-homes its members to their
         nearest surviving orchestrator (ties on the lowest PoP id); switching
-        one on makes it head itself."""
+        one on, which heads no PoP while off, moves it alone into a domain of
+        its own."""
         nfvo_at, head_of = self.nfvo_at, self.head_of
         pop_terms = self.pop_terms
         members = self.domains[pop][0]
@@ -262,26 +270,17 @@ class _Position:
                         break
                 moves.append((q, h))
                 joining.setdefault(h, []).append(q)
-                penalty += self._term(q, h, nfvo_at[q] and q != pop, True) - pop_terms[q]
+                penalty += self._term(q, h, nfvo_at[q] and q != pop) - pop_terms[q]
             penalty -= self.domain_terms[pop]
             for h, pops in joining.items():
                 penalty += self._join(h, pops)
             if not members >> pop & 1:  # pop sits in another domain: only its activation changes
-                h = head_of[pop]
-                penalty += self._term(pop, h, False, nfvo_at[h]) - pop_terms[pop]
+                penalty += self._term(pop, head_of[pop], False) - pop_terms[pop]
             count = self.score.nfvo_count - 1
         else:
-            old = head_of[pop]
-            if old != pop:
-                penalty += self._leave(old, pop) + self._join(pop, (pop,))
-                moves.append((pop, pop))
-            rest = members & ~(1 << pop)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                q = low.bit_length() - 1
-                penalty += self._term(q, pop, nfvo_at[q], True) - pop_terms[q]
-            penalty += self._term(pop, pop, True, True) - pop_terms[pop]
+            penalty += (self._leave(head_of[pop], pop) + self._join(pop, (pop,))
+                        + self._term(pop, pop, True) - pop_terms[pop])
+            moves.append((pop, pop))
             count = self.score.nfvo_count + 1
         return _Candidate(("toggle", pop), (penalty, count), pop, tuple(moves))
 
@@ -290,23 +289,6 @@ class _Position:
         if attribute[0] == "toggle":
             return self.toggled(attribute[1])
         return self.reassigned(attribute[1], attribute[2])
-
-    def toggle_on_floor(self, pop: int) -> int:
-        """A lower bound on the penalty after switching inactive ``pop`` on:
-        the current penalty less every term the move rewrites, those of
-        ``pop`` and of its domain's members and those of its domain and of
-        its old head's domain."""
-        floor = self.score.penalty - self.domain_terms[pop]
-        old = self.head_of[pop]
-        if old != pop:
-            floor -= self.domain_terms[old]
-        pop_terms = self.pop_terms
-        rest = self.domains[pop][0] | 1 << pop
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            floor -= pop_terms[low.bit_length() - 1]
-        return floor
 
     def move_to(self, cand: _Candidate) -> None:
         """Make ``cand`` the position: apply its move in place and rebuild
@@ -330,18 +312,12 @@ class _Position:
                           twice | once & serves)
             domain_terms[h] = _domain_term(instance, located | at[q], once | serves)
             head_of[q] = h
-            pop_terms[q] = self._term(q, h, nfvo_at[q], nfvo_at[h])
+            pop_terms[q] = self._term(q, h, nfvo_at[q])
         if left:
             domains[old] = _domain(instance, old, domains[old][0] & ~left)
             domain_terms[old] = _domain_term(instance, *domains[old][1:3])
-        if pop >= 0:
-            rest = domains[pop][0] | 1 << pop
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                q = low.bit_length() - 1
-                h = head_of[q]
-                pop_terms[q] = self._term(q, h, nfvo_at[q], nfvo_at[h])
+        if pop >= 0:  # a term reads only its own PoP's activation: the flip rewrites pop's
+            pop_terms[pop] = self._term(pop, head_of[pop], nfvo_at[pop])
         self.score = Score(*cand.score)
 
 
@@ -379,8 +355,8 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
     reads no other neighbour's penalty. The penalty is a sum of non-negative
     terms, so the current penalty less the terms a move rewrites bounds the
     neighbour's penalty from below: for a reassignment the PoP's term and its
-    old and new domain's, for a toggle-on ``_Position.toggle_on_floor``, and
-    for a toggle-off, which re-homes a whole domain, zero. A neighbour whose
+    old and new domain's, for a toggle-on the same with the PoP's own domain,
+    which is empty, and for a toggle-off, which re-homes a whole domain, zero. A neighbour whose
     bound and orchestrator count cannot beat ``best_score`` is kept unscored,
     or dropped if it is tabu, since it cannot aspire.
 
@@ -424,7 +400,8 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
                     attribute = ("toggle", pop)
                     cand = (position.toggled(pop)
                             if (off_limit >= 0 if on  # a toggle-off's bound is zero
-                                else on_limit >= 0 and position.toggle_on_floor(pop) <= on_limit)
+                                else penalty - pop_terms[pop] - domain_terms[head_of[pop]]
+                                <= on_limit)
                             else None)
                     if tabu.get(attribute, -1) < iteration or (cand is not None
                                                                and cand.score < best_score):

@@ -511,7 +511,7 @@ def parse_config(cls, data, where: str):
         raise InstanceFormatError(str(exc)) from None
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InstanceFormatError) as exc:  # the last: a sweep's generator
         raise InstanceFormatError(f"{where}: {exc}") from exc
 
 

@@ -151,6 +151,14 @@ class TestParsing:
           ({"nfvos": [0, 0]}, "solution: nfvos entry 0 is repeated"),
           ({"nfvos": [0]}, "solution: objective 3 differs from the solution's count of "
                            "orchestrators and managers, 1")]),
+    # A file that is no solution object is named once, not as "solution: solution".
+    ({"s.json": "[1, 2]"}, ["check", "bundled:pop8", "s.json"],
+     "error: solution must be an object, got [1, 2]"),
+    ({"s.json": json.dumps({"nfvos": [0], "assignments": [0] * 8})},
+     ["check", "bundled:pop8", "s.json"], "error: solution: missing key(s) ['vnfms']"),
+    ({"s.json": (resources.files("manoplace") / "data" / "pop8.json").read_text()},
+     ["check", "bundled:pop8", "s.json"],
+     "error: solution: unknown key(s) ['delays', 'params', 'pops', 'vnfs']"),
 ], ids=["gen-unknown-key", "gen-bad-json", "gen-list-config", "gen-zero-pops", "sweep-zero-patience",
         "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
         "exact-zero-time", "exact-nan-time", "gen-float-pops", "gen-bool-pops",
@@ -168,7 +176,8 @@ class TestParsing:
         "gen-config-overflowing-delays", "gen-flag-overflowing-config-delays",
         "sweep-overflowing-generator",
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf",
-        "check-repeated-nfvo", "check-wrong-objective"])
+        "check-repeated-nfvo", "check-wrong-objective", "check-list-solution",
+        "check-missing-key", "check-instance-as-solution"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
     for name, text in files.items():

@@ -101,6 +101,19 @@ class TestConfig:
         with pytest.raises(InstanceFormatError, match=fragment):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("generator, message", [
+        ({"pop_count": 4, "vnf_count": 4, "popz": 1}, "generator: unknown key(s) ['popz']"),
+        ({"pop_count": 4}, "generator: missing key(s) ['vnf_count']"),
+        ({"pop_count": 0, "vnf_count": 4}, "generator: pop_count must be >= 1"),
+        (7, "generator must be an object, got 7"),
+    ], ids=["unknown-key", "missing-key", "bad-value", "not-an-object"])
+    def test_generator_errors_name_the_sweep_file(self, tmp_path, generator, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"generator": generator}))
+        with pytest.raises(InstanceFormatError) as caught:
+            load_experiment_config(path)
+        assert str(caught.value) == f"{path}: configuration object: {message}"
+
 
 class TestRunExperiment:
     def test_csv_shape_and_canonical_order(self, tmp_path):

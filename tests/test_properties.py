@@ -78,8 +78,8 @@ from manoplace.vnfm import domains_of, place_domain
 from conftest import _parse_lp
 from test_acceptance import hand_feasible, model_holds, plug_z, structured_assignments
 from test_lp_export import _solve_lp
-from test_tabu import (check_neighbour, naive_capacity, naive_look_ahead, naive_penalty,
-                       neighbour_plan, random_plan, tables)
+from test_tabu import (check_neighbour, heads_active, naive_capacity, naive_look_ahead,
+                       naive_penalty, neighbour_plan, random_plan, search_plan, tables)
 from test_vnfm import by_member, eligibility, flow_minimum, runnable
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -390,9 +390,33 @@ def test_incremental_scores_match_a_full_rescore():
             chosen = moves[pick % len(moves)]
             plan = neighbour_plan(position, chosen)
             position.move_to(chosen)
+            assert heads_active(position), chosen.attribute
             assert tables(position) == tables(_Position(instance, plan.nfvo_at, plan.head_of))
 
     check_every_pop_count(walk_from_the_start, sizes)
+
+
+def test_every_move_of_the_search_keeps_every_head_active(monkeypatch):
+    """The invariant the position's scores rely on holds after each move the
+    search makes: toggle-offs, toggle-ons and reassignments alike."""
+    moves = Counter()
+    move_to = _Position.move_to
+
+    def checked_move_to(position, cand):
+        pop = cand.flipped
+        moves["reassign" if pop < 0 else "off" if position.nfvo_at[pop] else "on"] += 1
+        move_to(position, cand)
+        assert heads_active(position), cand.attribute
+
+    monkeypatch.setattr(_Position, "move_to", checked_move_to)
+
+    @SMALL
+    @given(st.one_of(generated(8), mixed_bounds(8)), st.integers(0, 3))
+    def search_from_the_start(instance, seed):
+        search(instance, TabuParams(seed=seed))
+
+    search_from_the_start()
+    assert moves["off"] and moves["on"] and moves["reassign"], moves
 
 
 def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration, best_score,
@@ -451,18 +475,19 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
                                                       for row in instance.delays))
         rng = random.Random(seed)
         for _ in range(10):
-            # Heads are drawn freely, so some are inactive and some PoPs head others.
-            plan = random_plan(rng, n)
-            nfvo_at = plan.nfvo_at
+            # Heads are drawn among the active PoPs, so some active PoPs sit in
+            # another domain and some head others.
+            plan = search_plan(rng, n)
+            nfvo_at, head_of = plan.nfvo_at, plan.head_of
             if rng.random() < 0.25:
                 one = rng.randrange(n)
-                nfvo_at = [p == one for p in range(n)]
+                nfvo_at, head_of = [p == one for p in range(n)], [one] * n
             tabu = {("toggle", rng.randrange(n)): rng.randrange(4) for _ in range(n)}
             tabu.update({("reassign", rng.randrange(n), rng.randrange(n)): rng.randrange(4)
                          for _ in range(n * n // 2)})
             best_score = Score(rng.randrange(7), rng.randrange(n + 1))
             samples = rng.randint(1, 4 * n)
-            position = _Position(instance, nfvo_at, plan.head_of)
+            position = _Position(instance, nfvo_at, head_of)
             reference_rng = random.Random()
             reference_rng.setstate(rng.getstate())
             improving, offs, same, ons = _propose_candidates(position, samples, tabu, 2,
