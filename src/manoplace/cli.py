@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .errors import (
     InstanceFormatError,
@@ -79,6 +80,15 @@ def _settings(cls, command: str, config: str | None, flags: dict[str, tuple[str,
         return parse_config(cls, data, where)
     except InstanceFormatError as exc:
         raise _UsageError(named_by_flag(str(exc), given, f"{where}: ", read)) from None
+
+
+def _refuse_output(output: str | None, *inputs) -> None:
+    """Refuse, before any work, an output that is an input, a directory or in a missing one."""
+    refuse_overwrite(output, *inputs)
+    if output and Path(output).is_dir():
+        raise _UsageError(f"{output} is a directory")
+    if output and not Path(output).parent.is_dir():
+        raise _UsageError(f"{output}: directory {Path(output).parent} does not exist")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +150,7 @@ def _build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     if args.config is None and (args.pops is None or args.vnfs is None):
         raise _UsageError("gen requires --pops and --vnfs (or --config)")
-    refuse_overwrite(args.output, args.config)
+    _refuse_output(args.output, args.config)
     config = _settings(GeneratorConfig, args.command, args.config, {
         "--pops": ("pop_count", args.pops), "--vnfs": ("vnf_count", args.vnfs),
         "--seed": ("seed", args.seed), "--area-km": ("area_side_km", args.area_km),
@@ -166,7 +176,10 @@ def _cmd_validate(args) -> int:
 
 
 def _print_and_save(solution, output: str | None, extra: dict | None, *notes: str) -> int:
-    """Print ``solution`` and ``notes``; save it, with ``extra``'s keys, to any ``output``."""
+    """Save ``solution``, with ``extra``'s keys, to any ``output``; then print it and ``notes``."""
+    if output:
+        save_solution(solution, output, extra)
+        notes += (f"wrote {output}",)
     plan = solution.plan
     print(f"objective={solution.objective} nfvos={plan.nfvo_count} "
           f"vnfms={solution.vnfm_count}")
@@ -175,14 +188,11 @@ def _print_and_save(solution, output: str | None, extra: dict | None, *notes: st
         print(f"vnfm at pop {vnfm.location}: manages {list(vnfm.managed)}")
     for note in notes:
         print(note)
-    if output:
-        save_solution(solution, output, extra)
-        print(f"wrote {output}")
     return EXIT_OK
 
 
 def _cmd_solve_tsp(args) -> int:
-    refuse_overwrite(args.output, resolve_instance_path(args.instance))
+    _refuse_output(args.output, resolve_instance_path(args.instance))
     instance = load_problem(args.instance)
     params = _settings(TabuParams, args.command, None, {
         "--patience": ("stop_patience", args.patience), "--tenure": ("tabu_tenure", args.tenure),
@@ -193,7 +203,7 @@ def _cmd_solve_tsp(args) -> int:
 
 
 def _cmd_solve_exact(args) -> int:
-    refuse_overwrite(args.output, resolve_instance_path(args.instance))
+    _refuse_output(args.output, resolve_instance_path(args.instance))
     instance = load_problem(args.instance)
     budget = _settings(OracleBudget, args.command, None, {
         "--max-nodes": ("max_nodes", args.max_nodes),
@@ -232,7 +242,7 @@ def _cmd_export_lp(args) -> int:
     lp = path.with_suffix(".lp")
     # bundled:<name> writes <name>.lp here, not into the package's data.
     output = args.output or (lp.name if args.instance.startswith("bundled:") else str(lp))
-    refuse_overwrite(output, path)
+    _refuse_output(output, path)
     instance = load_problem(path)
     summary = export_lp(instance, output)
     print(summary.line())

@@ -32,14 +32,12 @@ class NoFeasiblePlan(ManoPlaceError):
     ``parts`` splits the best plan's penalty by the rules that make it up.
     """
 
-    def __init__(self, best_penalty: int, parts: dict[str, int] | None = None):
+    def __init__(self, best_penalty: int, parts: dict[str, int]):
         self.best_penalty = best_penalty
-        self.parts = dict(parts or {})
+        self.parts = dict(parts)
         split = " + ".join(f"{name} {count}" for name, count in self.parts.items())
-        super().__init__(
-            f"no feasible orchestrator plan found (best penalty reached: {best_penalty}"
-            f"{' = ' + split if split else ''})"
-        )
+        super().__init__("no feasible orchestrator plan found"
+                         f" (best penalty reached: {best_penalty} = {split})")
 
 
 class InfeasibleDomain(ManoPlaceError):

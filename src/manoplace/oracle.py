@@ -44,8 +44,8 @@ from itertools import combinations
 from typing import Iterator
 
 from .model import DomainPlan, Solution, VnfmAssignment
-from .tabu import _bits, _domain_term
-from .topology import ProblemInstance, check_type
+from .tabu import _domain_term
+from .topology import ProblemInstance, bits, check_type
 from .vnfm import domain_view, place_domain
 
 
@@ -207,7 +207,7 @@ def solve_exact(instance: ProblemInstance,
                     if best_objective is None or total < best_objective:
                         best_objective = total
                         head_of = {q: h for h, (members, _) in zip(heads, domains)
-                                   for q in _bits(members)}
+                                   for q in bits(members)}
                         plan = DomainPlan(tuple(p in heads for p in range(n)),
                                           tuple(head_of[q] for q in range(n)))
                         best_solution = Solution(plan, tuple(vnfms))

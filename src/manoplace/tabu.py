@@ -53,10 +53,10 @@ alone. Integers are drawn straight from ``getrandbits`` by the rejection
 rule of ``random.Random.randrange``, so the draws are those of
 ``randrange``.
 
-The hot path walks set bits inline (``_bits``, a generator, serves the cold
-callers), and the chosen move grows the domains that PoPs join in place,
-rebuilding only the one domain they leave. At P=64, V=240 the search spends
-about 2.7 µs of CPU per sampled neighbour (Python 3.11.7, 2-vCPU VM).
+The hot path walks set bits inline, and the chosen move grows the domains
+that PoPs join in place, rebuilding only the one domain they leave. At
+P=64, V=240 the search spends about 2.7 µs of CPU per sampled neighbour
+(Python 3.11.7, 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .model import DomainPlan
 from .topology import ProblemInstance, check_type
@@ -118,14 +118,6 @@ def _members(pop_count: int, head_of) -> list[int]:
     return members
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _domain(instance: ProblemInstance, h: int, members: int) -> tuple[int, int, int, int]:
     """``(members, located, once, twice)`` of the domain headed by ``h`` whose
     member PoPs are the mask ``members``: the VNFs located on them, and the
@@ -157,16 +149,14 @@ class _Candidate(NamedTuple):
     and the search applies the chosen one's move to the position in place.
     A neighbour left unscored has no candidate, only its attribute.
 
-    ``attribute`` is what the tabu list remembers of the move:
+    ``attribute`` is what the tabu list remembers of the move, and names it:
     ``("toggle", pop)`` or ``("reassign", pop, new_head)``. ``score`` is a
-    plain ``(penalty, nfvo_count)`` tuple. ``flipped`` is the PoP whose
-    orchestrator the move toggles, or -1; ``moves`` holds the
-    ``(pop, new_head)`` pairs it re-homes, all out of one domain."""
+    plain ``(penalty, nfvo_count)`` tuple, and ``moves`` holds the
+    ``(pop, new_head)`` pairs the move re-homes, all out of one domain."""
 
     attribute: tuple
     score: tuple[int, int]
-    flipped: int = -1
-    moves: tuple[tuple[int, int], ...] = ()
+    moves: tuple[tuple[int, int], ...]
 
 
 class _Position:
@@ -242,23 +232,21 @@ class _Position:
                    + self._join(target, (pop,))
                    + self._term(pop, target, nfvo_at[pop])
                    - self.pop_terms[pop])
-        return _Candidate(("reassign", pop, target), (penalty, self.score.nfvo_count), -1,
+        return _Candidate(("reassign", pop, target), (penalty, self.score.nfvo_count),
                           ((pop, target),))
 
-    def toggled(self, pop: int) -> _Candidate | None:
-        """Neighbour that toggles ``pop``'s orchestrator; None when that would
-        remove the last one. Switching one off re-homes its members to their
-        nearest surviving orchestrator (ties on the lowest PoP id); switching
-        one on, which heads no PoP while off, moves it alone into a domain of
-        its own."""
+    def toggled(self, pop: int) -> _Candidate:
+        """Neighbour that toggles ``pop``'s orchestrator, which must not be the
+        last one on: the sampler never draws that move. Switching one off
+        re-homes its members to their nearest surviving orchestrator (ties on
+        the lowest PoP id); switching one on, which heads no PoP while off,
+        moves it alone into a domain of its own."""
         nfvo_at, head_of = self.nfvo_at, self.head_of
         pop_terms = self.pop_terms
         members = self.domains[pop][0]
         penalty = self.score.penalty
         moves: list[tuple[int, int]] = []
         if nfvo_at[pop]:
-            if len(self.active) == 1:
-                return None
             joining: dict[int, list[int]] = {}
             rest = members
             while rest:
@@ -282,10 +270,10 @@ class _Position:
                         + self._term(pop, pop, True) - pop_terms[pop])
             moves.append((pop, pop))
             count = self.score.nfvo_count + 1
-        return _Candidate(("toggle", pop), (penalty, count), pop, tuple(moves))
+        return _Candidate(("toggle", pop), (penalty, count), tuple(moves))
 
-    def neighbour(self, attribute: tuple) -> _Candidate | None:
-        """The scored neighbour that the move ``attribute`` leads to."""
+    def neighbour(self, attribute: tuple) -> _Candidate:
+        """The scored neighbour that the move ``attribute``, one the sampler kept, leads to."""
         if attribute[0] == "toggle":
             return self.toggled(attribute[1])
         return self.reassigned(attribute[1], attribute[2])
@@ -298,8 +286,8 @@ class _Position:
         nfvo_at, head_of = self.nfvo_at, self.head_of
         domains, domain_terms, pop_terms = self.domains, self.domain_terms, self.pop_terms
         at, served = instance.vnfs_at, instance.vnfs_served
-        pop = cand.flipped
-        if pop >= 0:
+        kind, pop = cand.attribute[:2]
+        if kind == "toggle":
             nfvo_at[pop] = not nfvo_at[pop]
             self.active = [p for p, on in enumerate(nfvo_at) if on]
         left = 0  # the PoPs that leave domain old
@@ -316,7 +304,7 @@ class _Position:
         if left:
             domains[old] = _domain(instance, old, domains[old][0] & ~left)
             domain_terms[old] = _domain_term(instance, *domains[old][1:3])
-        if pop >= 0:  # a term reads only its own PoP's activation: the flip rewrites pop's
+        if kind == "toggle":  # a term reads only its own PoP's activation: the flip rewrites pop's
             pop_terms[pop] = self._term(pop, head_of[pop], nfvo_at[pop])
         self.score = Score(*cand.score)
 
@@ -396,7 +384,7 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
             if pop not in toggles:
                 on = nfvo_at[pop]
                 kept = None
-                if not (on and len(active) == 1):  # the last orchestrator stays on
+                if not (on and len(active) == 1):  # the one guard: the last orchestrator stays on
                     attribute = ("toggle", pop)
                     cand = (position.toggled(pop)
                             if (off_limit >= 0 if on  # a toggle-off's bound is zero

@@ -40,7 +40,8 @@ keys that set them, and ``refuse_overwrite`` keeps a command off its inputs.
 
 The solvers read the delays in one form, ``delays``, from which
 ``ProblemInstance.vnfs_served`` builds its table with prefix masks and
-``bisect``. The generator (``generate_instance``, ``with_uniform_vnfs``)
+``bisect``. ``bits``, beside it and ``vnfs_at``, walks the set bits of
+their masks. The generator (``generate_instance``, ``with_uniform_vnfs``)
 draws from ``Pcg64``, numpy's ``default_rng(seed)`` stream in pure Python,
 so generated instances equal numpy's and the package imports nothing outside
 the standard library.
@@ -54,6 +55,7 @@ from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 from ._pcg64 import Pcg64
 from .errors import InstanceFormatError, InstanceValidationError
@@ -156,6 +158,14 @@ class ProblemInstance:
         for i, v in enumerate(self.vnfs):
             masks[v.location] |= 1 << i
         return tuple(masks)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleDomain, NoFeasiblePlan
 from .model import DomainPlan, Solution, VnfmAssignment
-from .tabu import SearchResult, TabuParams, _bits, _domain, _members, penalty_parts, search
-from .topology import ProblemInstance
+from .tabu import SearchResult, TabuParams, _domain, _members, penalty_parts, search
+from .topology import ProblemInstance, bits
 
 EXACT_THRESHOLD = 20  # read by no code here; bench/run.py still imports it
 
@@ -52,7 +52,7 @@ class DomainView:
 def domain_view(instance: ProblemInstance, head: int, members: int, located: int) -> DomainView:
     """The domain headed by ``head`` with the masks ``members`` and ``located``."""
     return DomainView(head, members, located,
-                      tuple(instance.vnfs[i].id for i in _bits(located)))
+                      tuple(instance.vnfs[i].id for i in bits(located)))
 
 
 def domains_of(instance: ProblemInstance, plan: DomainPlan) -> tuple[DomainView, ...]:
@@ -100,7 +100,7 @@ def _augment(runs: dict[int, int], slots: dict[int, int], held: dict[int, int],
             if held[p].bit_count() < slots[p]:
                 held[p] |= 1 << i
                 return True
-            for j in _bits(held[p]):
+            for j in bits(held[p]):
                 if _augment(runs, slots, held, seen, j):
                     held[p] ^= 1 << j | 1 << i
                     return True
@@ -187,13 +187,13 @@ def place_domain(instance: ProblemInstance, domain: DomainView,
     :class:`InfeasibleDomain` when a VNF has no member PoP satisfying both
     delay bounds, and :class:`TimeoutError` when the search runs past
     ``deadline`` (a ``time.monotonic()`` reading)."""
-    ids = dict(zip(_bits(domain.located), domain.vnf_ids))
+    ids = dict(zip(bits(domain.located), domain.vnf_ids))
     serves = instance.vnfs_served[domain.head]
-    runs = {p: serves[p] & domain.located for p in _bits(domain.members)}
+    runs = {p: serves[p] & domain.located for p in bits(domain.members)}
     parts = _parts(runs)
     unserved = domain.located & ~sum(parts)  # parts are disjoint: their sum is their union
     if unserved:
-        raise InfeasibleDomain(ids[next(_bits(unserved))], domain.head)
+        raise InfeasibleDomain(ids[next(bits(unserved))], domain.head)
     # Most-constrained VNF first: fewest hosts, then lowest id.
     order = sorted(ids, key=lambda i: (sum(mask >> i & 1 for mask in runs.values()), ids[i]))
     held: dict[int, int] = {}
@@ -201,7 +201,7 @@ def place_domain(instance: ProblemInstance, domain: DomainView,
         held.update(_exact_assign(instance, domain.head, runs,
                                   [i for i in order if part >> i & 1], deadline))
     cap = instance.params.vnfm_capacity
-    managed = {host: sorted(ids[i] for i in _bits(mask)) for host, mask in sorted(held.items())}
+    managed = {host: sorted(ids[i] for i in bits(mask)) for host, mask in sorted(held.items())}
     return tuple(VnfmAssignment(host, tuple(vnfs[k:k + cap]))
                  for host, vnfs in managed.items() for k in range(0, len(vnfs), cap))
 

@@ -241,6 +241,38 @@ def test_writing_over_an_input_is_a_usage_error(capsys, monkeypatch, tmp_path, l
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+MISSING = "directory nodir does not exist"
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["gen", "--pops", "3", "--vnfs", "2", "--output", "nodir/g.json"], MISSING),
+    (["gen", "--pops", "3", "--vnfs", "2", "--output", "adir"], "adir is a directory"),
+    (["solve-tsp", "bundled:pop16", "--output", "nodir/s.json"], MISSING),
+    (["solve-tsp", "bundled:pop8", "--output", "adir"], "adir is a directory"),
+    (["solve-tsp", "bundled:pop8", "--output", "f.json/s.json"],
+     "directory f.json does not exist"),
+    (["solve-exact", "bundled:pop8", "--output", "nodir/e.json"], MISSING),
+    (["solve-exact", "bundled:pop8", "--output", "adir"], "adir is a directory"),
+    (["export-lp", "bundled:pop8", "--output", "nodir/x.lp"], MISSING),
+    (["export-lp", "bundled:pop8", "--output", "adir"], "adir is a directory"),
+], ids=["gen-missing-dir", "gen-dir", "tsp-missing-dir", "tsp-dir", "tsp-dir-is-a-file",
+        "exact-missing-dir", "exact-dir", "export-lp-missing-dir", "export-lp-dir"])
+def test_an_unwritable_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv,
+                                                         fragment):
+    monkeypatch.chdir(tmp_path)
+    Path("adir").mkdir()
+    Path("f.json").write_text("{}")
+    for name in ("load_problem", "generate_instance"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("manoplace: error:") and err.count("\n") == 1, err
+    assert fragment in err and argv[-1] in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # sha256 of the file ``gen`` writes with these flags: a change to the stream
 # that draws generated instances fails here, with or without numpy.
 GEN_P16 = ("--pops", "16", "--vnfs", "60", "--seed", "7")

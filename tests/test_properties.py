@@ -377,14 +377,13 @@ def test_incremental_scores_match_a_full_rescore():
         position = _start(instance)
         for toggle, pop, pick in walk:
             pop %= n
-            neighbours = [position.toggled(p) for p in range(n)]
+            # The moves the sampler can draw: it keeps the last orchestrator on.
+            neighbours = [position.toggled(p) for p in range(n) if position.active != [p]]
             neighbours += [position.reassigned(pop, t) for t in position.active
                            if t != position.head_of[pop]]
             for cand in neighbours:
-                if cand is not None:
-                    check_neighbour(position, cand)
-            moves = [c for c in neighbours if c is not None
-                     and (c.attribute[0] == "toggle") == toggle]
+                check_neighbour(position, cand)
+            moves = [c for c in neighbours if (c.attribute[0] == "toggle") == toggle]
             if not moves:
                 continue
             chosen = moves[pick % len(moves)]
@@ -403,8 +402,8 @@ def test_every_move_of_the_search_keeps_every_head_active(monkeypatch):
     move_to = _Position.move_to
 
     def checked_move_to(position, cand):
-        pop = cand.flipped
-        moves["reassign" if pop < 0 else "off" if position.nfvo_at[pop] else "on"] += 1
+        kind, pop = cand.attribute[:2]
+        moves[kind if kind == "reassign" else "off" if position.nfvo_at[pop] else "on"] += 1
         move_to(position, cand)
         assert heads_active(position), cand.attribute
 

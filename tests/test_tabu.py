@@ -179,9 +179,11 @@ class TestScoreAndMove:
             for _ in range(30):
                 pop = rng.randrange(instance.pop_count)
                 others = [p for p in position.active if p != position.head_of[pop]]
-                cand = (position.reassigned(pop, rng.choice(others))
-                        if others and rng.random() < 0.5 else position.toggled(pop))
-                if cand is None:
+                if others and rng.random() < 0.5:
+                    cand = position.reassigned(pop, rng.choice(others))
+                elif position.active != [pop]:  # the sampler keeps the last orchestrator on
+                    cand = position.toggled(pop)
+                else:
                     continue
                 position.move_to(cand)
                 assert type(position.score) is Score
@@ -262,9 +264,7 @@ class TestIncrementalScore:
 class TestMoves:
     def test_toggle_off_rehomes_members_to_nearest_survivor(self, line3):
         start = _start(line3)
-        cand = start.toggled(1)
-        assert cand is not None
-        plan = neighbour_plan(start, cand)
+        plan = neighbour_plan(start, start.toggled(1))
         assert plan.nfvo_at == (True, False, True)
         # PoP 1 is 10 ms from both survivors; the tie goes to the lower id.
         assert plan.head_of == (0, 0, 2)
@@ -275,8 +275,14 @@ class TestMoves:
         assert plan.nfvo_at == (True, True, True)
         assert plan.head_of == (0, 1, 2)
 
-    def test_last_orchestrator_cannot_be_toggled_off(self, line3):
-        assert _Position(line3, [False, True, False], [1, 1, 1]).toggled(1) is None
+    def test_the_sampler_never_toggles_off_the_last_orchestrator(self, line3):
+        position = _Position(line3, [False, True, False], [1, 1, 1])
+        drawn = set()
+        for seed in range(200):
+            drawn |= attributes(_propose_candidates(position, 20, {}, 0, position.score,
+                                                    random.Random(seed)))
+        # PoP 1, the last orchestrator, stays on, and no PoP has another head to join.
+        assert drawn == {("toggle", 0), ("toggle", 2)}
 
     def test_kind_frequencies_are_balanced(self, two_clusters):
         _, offs, same, ons = propose(two_clusters, 10_000, random.Random(99))

@@ -40,8 +40,7 @@ from manoplace import (
 )
 from manoplace.cli import cli_main
 from manoplace.model import DomainPlan, solution_to_data
-from manoplace.tabu import _bits
-from manoplace.topology import with_uniform_vnfs
+from manoplace.topology import bits, with_uniform_vnfs
 from manoplace.vnfm import DomainView, domains_of, place_domain
 
 from conftest import make_instance, pairs_instance, symmetric
@@ -107,8 +106,8 @@ def runnable(instance, domain):
     """Per member PoP of ``domain``, the ids of the VNFs a manager there can
     run, read from the domain's masks as the placer reads them."""
     serves = instance.vnfs_served[domain.head]
-    return {p: {instance.vnfs[i].id for i in _bits(serves[p] & domain.located)}
-            for p in _bits(domain.members)}
+    return {p: {instance.vnfs[i].id for i in bits(serves[p] & domain.located)}
+            for p in bits(domain.members)}
 
 
 def by_member(elig, members):
