@@ -82,12 +82,19 @@ def _settings(cls, command: str, config: str | None, flags: dict[str, tuple[str,
         raise _UsageError(named_by_flag(str(exc), given, f"{where}: ", read)) from None
 
 
+def _output_path(text: str) -> str:
+    """An ``--output`` value: a path, never empty (an omitted flag is None)."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got ''")
+    return text
+
+
 def _refuse_output(output: str | None, *inputs) -> None:
     """Refuse, before any work, an output that is an input, a directory or in a missing one."""
     refuse_overwrite(output, *inputs)
-    if output and Path(output).is_dir():
+    if output is not None and Path(output).is_dir():
         raise _UsageError(f"{output} is a directory")
-    if output and not Path(output).parent.is_dir():
+    if output is not None and not Path(output).parent.is_dir():
         raise _UsageError(f"{output}: directory {Path(output).parent} does not exist")
 
 
@@ -111,7 +118,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--jitter", type=float)
     gen.add_argument("--config", help="generator configuration file (JSON); "
                                       "the flags given override its values")
-    gen.add_argument("--output", required=True, help="instance file to write")
+    gen.add_argument("--output", type=_output_path, required=True, help="instance file to write")
 
     val = sub.add_parser("validate", help="validate an instance file")
     val.add_argument("instance")
@@ -122,14 +129,14 @@ def _build_parser() -> _Parser:
     tsp.add_argument("--patience", type=int, help="stop after this many stale iterations")
     tsp.add_argument("--tenure", type=int, help="tabu tenure in iterations")
     tsp.add_argument("--samples", type=int, help="candidate moves per iteration")
-    tsp.add_argument("--output", help="solution file to write")
+    tsp.add_argument("--output", type=_output_path, help="solution file to write")
 
     exact = sub.add_parser("solve-exact", help="run the exact solver")
     exact.add_argument("instance")
     exact.add_argument("--max-nodes", type=int, default=OracleBudget.max_nodes)
     exact.add_argument("--time-limit", type=float, default=OracleBudget.time_limit_s,
                        help="budget in seconds")
-    exact.add_argument("--output", help="solution file to write")
+    exact.add_argument("--output", type=_output_path, help="solution file to write")
 
     chk = sub.add_parser("check", help="check a solution against an instance")
     chk.add_argument("instance")
@@ -137,12 +144,12 @@ def _build_parser() -> _Parser:
 
     lp = sub.add_parser("export-lp", help="write the ILP model in LP format")
     lp.add_argument("instance")
-    lp.add_argument("--output", help="LP file to write (default: <instance>.lp, "
-                                      "or <name>.lp in the current directory for bundled:<name>)")
+    lp.add_argument("--output", type=_output_path, help="LP file to write (default: "
+                    "<instance>.lp, or <name>.lp in the current directory for bundled:<name>)")
 
     exp = sub.add_parser("experiment", help="run a sweep from a configuration file")
     exp.add_argument("--config", required=True, help="sweep configuration (JSON)")
-    exp.add_argument("--output", help="override the configured CSV path")
+    exp.add_argument("--output", type=_output_path, help="override the configured CSV path")
 
     return parser
 
@@ -177,7 +184,7 @@ def _cmd_validate(args) -> int:
 
 def _print_and_save(solution, output: str | None, extra: dict | None, *notes: str) -> int:
     """Save ``solution``, with ``extra``'s keys, to any ``output``; then print it and ``notes``."""
-    if output:
+    if output is not None:
         save_solution(solution, output, extra)
         notes += (f"wrote {output}",)
     plan = solution.plan
@@ -240,8 +247,9 @@ def _cmd_check(args) -> int:
 def _cmd_export_lp(args) -> int:
     path = resolve_instance_path(args.instance)
     lp = path.with_suffix(".lp")
-    # bundled:<name> writes <name>.lp here, not into the package's data.
-    output = args.output or (lp.name if args.instance.startswith("bundled:") else str(lp))
+    output = args.output
+    if output is None:  # bundled:<name> writes <name>.lp here, not into the package's data.
+        output = lp.name if args.instance.startswith("bundled:") else str(lp)
     _refuse_output(output, path)
     instance = load_problem(path)
     summary = export_lp(instance, output)
@@ -252,7 +260,7 @@ def _cmd_export_lp(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
-    if args.output:
+    if args.output is not None:
         config = replace(config, output=args.output)
     for path in (config.output, *solution_paths(config)):  # run_experiment guards the rest
         refuse_overwrite(path, args.config)

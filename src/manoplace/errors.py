@@ -29,15 +29,15 @@ class InstanceValidationError(ManoPlaceError):
 class NoFeasiblePlan(ManoPlaceError):
     """The orchestrator search finished without ever reaching a zero-penalty plan.
 
-    ``parts`` splits the best plan's penalty by the rules that make it up.
+    ``parts`` splits the best plan's penalty, ``best_penalty``, by the rules that make it up.
     """
 
-    def __init__(self, best_penalty: int, parts: dict[str, int]):
-        self.best_penalty = best_penalty
+    def __init__(self, parts: dict[str, int]):
         self.parts = dict(parts)
+        self.best_penalty = sum(self.parts.values())
         split = " + ".join(f"{name} {count}" for name, count in self.parts.items())
         super().__init__("no feasible orchestrator plan found"
-                         f" (best penalty reached: {best_penalty} = {split})")
+                         f" (best penalty reached: {self.best_penalty} = {split})")
 
 
 class InfeasibleDomain(ManoPlaceError):

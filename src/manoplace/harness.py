@@ -82,9 +82,9 @@ class ExperimentConfig:
             # A sweep file gives the generator as a JSON object.
             object.__setattr__(self, "generator",
                                parse_config(GeneratorConfig, self.generator, "generator"))
-        for name in ("instance_file", "solutions_dir"):
-            if getattr(self, name) is not None:
-                check_type(name, getattr(self, name), str)
+        for name in ("instance_file", "solutions_dir", "output"):  # "" is no path
+            if getattr(self, name) is not None and not check_type(name, getattr(self, name), str):
+                raise ValueError(f"{name} must name a path, got ''")
         for name, kind in (("vnf_counts", list), ("algorithms", list), ("runs_per_point", int),
                            ("base_seed", int), ("output", str), ("emit_solutions", bool),
                            ("wall_clock", bool), ("vnfm_delay_bound", float),

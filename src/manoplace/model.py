@@ -31,6 +31,11 @@ C15         a manager is within the VNF's bound of its domain head
 Families marked structural cannot be expressed as broken by these types, so
 they never produce entries. Out-of-range ids are programming errors and
 raise ``ValueError`` instead of reporting.
+
+Solution files are read and written through ``SOLUTION_FORMAT``, a key map
+in ``topology``'s form, as strictly as instances; ``parse_solution`` adds the
+two rules that span keys: distinct, in-range ``nfvos`` entries, and an
+``objective`` equal to the count of orchestrators plus managers.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import InstanceFormatError, SolutionFormatError
-from .topology import ProblemInstance, check_keys, check_type, read_json
+from .topology import ProblemInstance, _object, _read, _write, check_keys, read_json
 
 
 @dataclass(frozen=True)
@@ -231,59 +236,42 @@ def check_feasibility(instance: ProblemInstance, solution: Solution) -> Violatio
 # Solution files
 
 
+# Keys in file order; the last two and ``objective`` are optional.
+SOLUTION_FORMAT = {"objective": int, "nfvos": [int], "assignments": [int],
+                   "vnfms": [_object(VnfmAssignment, {"location": ("location", int),
+                                                      "vnf_ids": ("managed", [int])})],
+                   "status": str, "nodes_explored": int}
+
+
 def solution_to_data(solution: Solution, extra: dict | None = None) -> dict:
-    data = {
-        "objective": solution.objective,
-        "nfvos": [int(p) for p in solution.plan.active_pops],
-        "assignments": [int(h) for h in solution.plan.head_of],
-        "vnfms": [
-            {"location": int(m.location), "vnf_ids": [int(v) for v in m.managed]}
-            for m in solution.vnfms
-        ],
-    }
-    if extra:
-        data.update(extra)
-    return data
+    data = {"objective": solution.objective, "nfvos": solution.plan.active_pops,
+            "assignments": solution.plan.head_of, "vnfms": solution.vnfms, **(extra or {})}
+    return {key: _write(value, SOLUTION_FORMAT[key]) for key, value in data.items()}
 
 
 def save_solution(solution: Solution, path: str | Path, extra: dict | None = None) -> None:
-    """Write a solution file; ``extra`` adds top-level keys (solver status etc.)."""
+    """Write a solution file; ``extra`` adds the optional keys (solver status etc.)."""
     Path(path).write_text(json.dumps(solution_to_data(solution, extra), indent=2) + "\n")
-
-
-# Solution file keys and the kinds of their values.
-_SOLUTION_KEYS = {"nfvos": list, "assignments": list, "vnfms": list,
-                  "objective": int, "status": str, "nodes_explored": int}
 
 
 def parse_solution(data) -> Solution:
     """Build a solution from already-decoded JSON data (strict keys and kinds)."""
     try:  # check_keys names the solution itself
-        check_keys("solution", data, _SOLUTION_KEYS, ("objective", "status", "nodes_explored"))
+        check_keys("solution", data, SOLUTION_FORMAT, ("objective", "status", "nodes_explored"))
     except TypeError as exc:
         raise SolutionFormatError(str(exc)) from None
     try:
-        for key, value in data.items():
-            check_type(key, value, _SOLUTION_KEYS[key])
-        head_of = [check_type(f"assignments[{i}]", h, int)
-                   for i, h in enumerate(data["assignments"])]
-        nfvo_at = [False] * len(head_of)
-        for i, p in enumerate(data["nfvos"]):
-            if not 0 <= check_type(f"nfvos[{i}]", p, int) < len(head_of):
+        read = {key: _read(value, SOLUTION_FORMAT[key], key) for key, value in data.items()}
+        nfvo_at = [False] * len(read["assignments"])
+        for p in read["nfvos"]:
+            if not 0 <= p < len(nfvo_at):
                 raise ValueError(f"nfvos entry {p} is not a valid PoP id")
             if nfvo_at[p]:
                 raise ValueError(f"nfvos entry {p} is repeated")
             nfvo_at[p] = True
-        vnfms = []
-        for i, entry in enumerate(data["vnfms"]):
-            check_keys(f"vnfms[{i}]", entry, ("location", "vnf_ids"))
-            ids = check_type(f"vnfms[{i}].vnf_ids", entry["vnf_ids"], list)
-            vnfms.append(VnfmAssignment(
-                check_type(f"vnfms[{i}].location", entry["location"], int),
-                tuple(check_type(f"vnfms[{i}].vnf_ids[{j}]", x, int) for j, x in enumerate(ids))))
-        solution = Solution(DomainPlan.make(nfvo_at, head_of), tuple(vnfms))
-        if data.get("objective", solution.objective) != solution.objective:
-            raise ValueError(f"objective {data['objective']} differs from the solution's "
+        solution = Solution(DomainPlan.make(nfvo_at, read["assignments"]), read["vnfms"])
+        if read.get("objective", solution.objective) != solution.objective:
+            raise ValueError(f"objective {read['objective']} differs from the solution's "
                              f"count of orchestrators and managers, {solution.objective}")
     except (TypeError, ValueError) as exc:
         raise SolutionFormatError(f"solution: {exc}") from None

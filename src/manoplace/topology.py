@@ -26,17 +26,17 @@ File format (JSON, strict: unknown keys are rejected)::
                  "gso_pop": 0}
     }
 
-``coordinates`` is optional and only informative (the generator records the
-sampled points; the algorithms read delays only). The key map
-``INSTANCE_FORMAT`` is the one definition of this format: it gives each
-object's keys in file order with the field each fills and the kind of its
-value, and both ``parse_problem`` and ``problem_to_data`` read it.
+``coordinates`` is optional and only informative. The key map
+``INSTANCE_FORMAT`` is the one definition of this format: each object's keys
+in file order, with the field each fills and the kind of its value. ``_read``
+and ``_write`` walk it, and ``model.SOLUTION_FORMAT`` for solution files,
+which then keep two rules that span keys: ``nfvos`` entries are distinct PoP
+ids, and an ``objective`` counts the orchestrators plus managers.
 
-Every input file (instances, solutions, generator and sweep settings) is
-read with the same checks: ``read_json`` decodes it, ``check_keys`` rejects
-unknown and missing keys and ``check_type`` the values of the wrong kind.
-``named_by_flag`` renames the fields a settings error names to the flags or
-keys that set them, and ``refuse_overwrite`` keeps a command off its inputs.
+Every input file is read with the same checks: ``read_json`` decodes it,
+``check_keys`` rejects unknown and missing keys and ``check_type`` the values
+of the wrong kind. ``named_by_flag`` names a settings field by the flag or key
+that set it, and ``refuse_overwrite`` keeps a command off its inputs.
 
 The solvers read the delays in one form, ``delays``, from which
 ``ProblemInstance.vnfs_served`` builds its table with prefix masks and

@@ -217,8 +217,7 @@ def two_step_place_detailed(instance: ProblemInstance,
     """Like :func:`two_step_place` but keeps the search accounting."""
     result = search(instance, params)
     if result.plan is None:
-        raise NoFeasiblePlan(result.best_score.penalty,
-                             penalty_parts(instance, result.best_plan))
+        raise NoFeasiblePlan(penalty_parts(instance, result.best_plan))
     vnfms = tuple(m for domain in domains_of(instance, result.plan)
                   for m in place_domain(instance, domain))
     return TwoStepResult(Solution(result.plan, vnfms), result)

@@ -110,7 +110,10 @@ class TestParsing:
            "generator.vnfm_delay_bound (1.0) differs from vnfm_delay_bound (30.0)"),
           ({"generator": {"pop_count": 4, "vnf_count": 4, "nfvo_vnfm_delay_bound": 1.0},
             "nfvo_vnfm_delay_bound": 1.0, "vnfm_delay_bound": 20.0},
-           "generator.vnfm_delay_bound (30.0) differs from vnfm_delay_bound (20.0)")]),
+           "generator.vnfm_delay_bound (30.0) differs from vnfm_delay_bound (20.0)"),
+          ({"solutions_dir": "", "emit_solutions": True},
+           "configuration object: solutions_dir must name a path, got ''"),
+          ({"output": ""}, "configuration object: output must name a path, got ''")]),
     ({}, ["gen", "--pops", "3", "--vnfs", "2", "--seed", "-1", "--output", "i.json"],
      "error: --seed must be >= 0"),
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3}'},
@@ -159,6 +162,13 @@ class TestParsing:
     ({"s.json": (resources.files("manoplace") / "data" / "pop8.json").read_text()},
      ["check", "bundled:pop8", "s.json"],
      "error: solution: unknown key(s) ['delays', 'params', 'pops', 'vnfs']"),
+    ({"sweep.json": json.dumps({"instance_file": "", "output": "r.csv"})},
+     ["experiment", "--config", "sweep.json"],
+     "configuration object: instance_file must name a path, got ''"),
+    ({"sweep.json": json.dumps({"generator": {"pop_count": 4, "vnf_count": 4},
+                                "output": "r.csv"})},
+     ["experiment", "--config", "sweep.json", "--output", ""],
+     "error: argument --output: must name a file, got ''"),
 ], ids=["gen-unknown-key", "gen-bad-json", "gen-list-config", "gen-zero-pops", "sweep-zero-patience",
         "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
         "exact-zero-time", "exact-nan-time", "gen-float-pops", "gen-bool-pops",
@@ -170,6 +180,7 @@ class TestParsing:
         "sweep-bool-time-limit", "sweep-zero-max-nodes", "sweep-zero-time-limit",
         "sweep-negative-seed", "sweep-negative-generator-seed",
         "sweep-generator-manager-bound", "sweep-bound-without-generator-bound",
+        "sweep-empty-solutions-dir", "sweep-empty-output",
         "gen-negative-seed", "gen-config-negative-seed", "tsp-negative-seed",
         "gen-config-bad-jitter",
         "gen-bool-area", "gen-infinite-area", "gen-overflowing-delays", "gen-overflowing-area",
@@ -177,7 +188,8 @@ class TestParsing:
         "sweep-overflowing-generator",
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf",
         "check-repeated-nfvo", "check-wrong-objective", "check-list-solution",
-        "check-missing-key", "check-instance-as-solution"])
+        "check-missing-key", "check-instance-as-solution", "sweep-empty-instance-file",
+        "experiment-empty-output"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
     for name, text in files.items():
@@ -242,6 +254,7 @@ def test_writing_over_an_input_is_a_usage_error(capsys, monkeypatch, tmp_path, l
 
 
 MISSING = "directory nodir does not exist"
+EMPTY = "error: argument --output: must name a file, got ''"
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -255,8 +268,13 @@ MISSING = "directory nodir does not exist"
     (["solve-exact", "bundled:pop8", "--output", "adir"], "adir is a directory"),
     (["export-lp", "bundled:pop8", "--output", "nodir/x.lp"], MISSING),
     (["export-lp", "bundled:pop8", "--output", "adir"], "adir is a directory"),
+    (["gen", "--pops", "3", "--vnfs", "2", "--output", ""], EMPTY),
+    (["solve-tsp", "bundled:pop8", "--output", ""], EMPTY),
+    (["solve-exact", "bundled:pop8", "--output", ""], EMPTY),
+    (["export-lp", "bundled:pop8", "--output", ""], EMPTY),
 ], ids=["gen-missing-dir", "gen-dir", "tsp-missing-dir", "tsp-dir", "tsp-dir-is-a-file",
-        "exact-missing-dir", "exact-dir", "export-lp-missing-dir", "export-lp-dir"])
+        "exact-missing-dir", "exact-dir", "export-lp-missing-dir", "export-lp-dir",
+        "gen-empty", "tsp-empty", "exact-empty", "export-lp-empty"])
 def test_an_unwritable_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv,
                                                          fragment):
     monkeypatch.chdir(tmp_path)

@@ -183,3 +183,54 @@ class TestSolutionFiles:
         path.write_text("{nope")
         with pytest.raises(SolutionFormatError, match="JSON"):
             load_solution(path)
+
+
+# One fault per key and per entry field of a solution file, with the full
+# message ``check`` reports after ``manoplace: error:``. Each row changes
+# one key of ``base_solution``'s data; a row whose value is None drops it.
+SOLUTION_FAULTS = [
+    ("nfvos", "x", "solution: nfvos must be a list, got 'x'"),
+    ("nfvos", ["1"], "solution: nfvos[0] must be an integer, got '1'"),
+    ("nfvos", [7], "solution: nfvos entry 7 is not a valid PoP id"),
+    ("nfvos", [-1], "solution: nfvos entry -1 is not a valid PoP id"),
+    ("nfvos", [1, 1], "solution: nfvos entry 1 is repeated"),
+    ("assignments", None, "solution: missing key(s) ['assignments']"),
+    ("assignments", {}, "solution: assignments must be a list, got {}"),
+    ("assignments", [1, True, 1], "solution: assignments[1] must be an integer, got True"),
+    ("vnfms", 3, "solution: vnfms must be a list, got 3"),
+    ("vnfms", [[1]], "solution: vnfms[0] must be an object, got [1]"),
+    ("vnfms", [{"location": 1}], "solution: vnfms[0]: missing key(s) ['vnf_ids']"),
+    ("vnfms", [{"location": 1, "vnf_ids": [0], "load": 1}],
+     "solution: vnfms[0]: unknown key(s) ['load']"),
+    ("vnfms", [{"location": "1", "vnf_ids": [0]}],
+     "solution: vnfms[0].location must be an integer, got '1'"),
+    ("vnfms", [{"location": 1, "vnf_ids": "012"}],
+     "solution: vnfms[0].vnf_ids must be a list, got '012'"),
+    ("vnfms", [{"location": 1, "vnf_ids": [0, 1.0, 2]}],
+     "solution: vnfms[0].vnf_ids[1] must be an integer, got 1.0"),
+    ("objective", 2.0, "solution: objective must be an integer, got 2.0"),
+    ("objective", 3, "solution: objective 3 differs from the solution's count of "
+                     "orchestrators and managers, 2"),
+    ("status", 1, "solution: status must be a string, got 1"),
+    ("nodes_explored", True, "solution: nodes_explored must be an integer, got True"),
+    ("surprise", 1, "solution: unknown key(s) ['surprise']"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", SOLUTION_FAULTS,
+                         ids=[f"{key}-{i}" for i, (key, _, _) in enumerate(SOLUTION_FAULTS)])
+def test_each_solution_fault_has_its_message(key, value, message):
+    data = solution_to_data(base_solution())
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(SolutionFormatError) as err:
+        parse_solution(data)
+    assert str(err.value) == message
+
+
+def test_a_solution_file_that_is_no_object_is_named_once():
+    with pytest.raises(SolutionFormatError) as err:
+        parse_solution([1, 2])
+    assert str(err.value) == "solution must be an object, got [1, 2]"
