@@ -15,7 +15,9 @@ plans every domain's manager count must equal an exhaustive max-flow
 minimum. Along random walks of search moves every incrementally scored
 neighbour must equal a full rescore, and from equal random states on
 arbitrary plans the sampled neighbourhood must equal one drawn and built
-plan by plan. The MILP solver
+plan by plan. A plan with fewer orchestrators than ⌈V/φ_nfvo⌉ must be over
+capacity, and once the search holds a plan without penalty it must score no
+neighbour below that floor. The MILP solver
 on the exported LP must reach the exact optimum, and on a drawn domain plan
 the rows read back from the exported file must hold, with each z set to its
 product, exactly for the manager assignments that satisfy the products
@@ -459,9 +461,25 @@ def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration
     return out
 
 
+def scored_without_the_floor(position, attribute, best_score):
+    """Whether the sampler's bound, without its orchestrator-floor rule, would
+    score the neighbour ``attribute`` of ``position``."""
+    penalty, count = position.score
+    best_penalty, best_count = best_score
+    pop = attribute[1]
+    rest = penalty - position.pop_terms[pop] - position.domain_terms[position.head_of[pop]]
+    if attribute[0] == "reassign":
+        return rest - position.domain_terms[attribute[2]] <= best_penalty - (count >= best_count)
+    if position.nfvo_at[pop]:  # a toggle-off's bound is zero
+        return 0 <= best_penalty - (count - 1 >= best_count)
+    return rest <= best_penalty - (count + 1 >= best_count)
+
+
 def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
     sizes = Counter()
-    kept = Counter()  # neighbours scored and left unscored, and draws with an improving one
+    # Neighbours scored and left unscored, those left unscored by the floor
+    # rule alone, and draws with an improving neighbour.
+    kept = Counter()
 
     @SMALL
     @given(mixed_bounds(8), st.sampled_from([0, 20, 60]), st.integers(0, 2**32 - 1))
@@ -506,6 +524,8 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
                     else:
                         assert (c.attribute, c.score) == (attribute, score)
                     kept[c is None] += 1
+                    kept["floor"] += c is None and scored_without_the_floor(position, attribute,
+                                                                            best_score)
                     plan = neighbour_plan(position, c or position.neighbour(attribute))
                     assert (plan.nfvo_at, plan.head_of) == (want_nfvo_at, want_head_of)
             # The improving list is the reference's lowest-score ties below best_score.
@@ -518,9 +538,67 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
             assert rng.getstate() == reference_rng.getstate()
 
     check_every_pop_count(draw_from_random_states, sizes)
-    print(f"neighbours scored {kept[False]}, left unscored {kept[True]}; "
+    print(f"neighbours scored {kept[False]}, left unscored {kept[True]} "
+          f"({kept['floor']} by the floor rule alone); "
           f"draws with an improving neighbour {kept['improving']}")
-    assert kept[False] and kept[True] and kept["improving"]
+    assert kept[False] and kept[True] and kept["floor"] and kept["improving"]
+
+
+def nfvo_floor(instance):
+    """⌈V/φ_nfvo⌉: fewer orchestrators head too few domains to hold every VNF."""
+    return math.ceil(instance.vnf_count / instance.params.nfvo_capacity)
+
+
+def test_a_plan_below_the_orchestrator_floor_is_over_capacity():
+    # The fact the sampler's floor rule rests on: below the floor some domain
+    # is overfull, so the penalty is at least one.
+    below = Counter()
+
+    @SMALL
+    @given(st.one_of(generated(8), mixed_bounds(8)), st.integers(0, 2**32 - 1))
+    def draw_plans(instance, seed):
+        rng = random.Random(seed)
+        floor = nfvo_floor(instance)
+        for _ in range(20):
+            plan = search_plan(rng, instance.pop_count)
+            is_below = sum(plan.nfvo_at) < floor
+            below[is_below] += 1
+            if is_below:
+                assert penalty_parts(instance, plan)["capacity"] >= 1, plan
+
+    draw_plans()
+    assert below[True] and below[False], below
+
+
+def test_no_neighbour_below_the_orchestrator_floor_is_scored_once_a_plan_is_feasible(
+        monkeypatch):
+    """Once the best plan has no penalty, the sampler scores no neighbour with
+    fewer orchestrators than the floor: such a neighbour cannot beat it."""
+    seen = Counter()  # calls at best penalty zero, and unscored neighbours below the floor
+    def checked(position, samples, tabu, iteration, best_score, rng):
+        proposal = _propose_candidates(position, samples, tabu, iteration, best_score, rng)
+        if best_score.penalty == 0:
+            floor = nfvo_floor(position.instance)
+            seen["feasible"] += 1
+            # Toggle-offs, reassignments and toggle-ons, by orchestrator count.
+            for kind, delta in zip(proposal[1:], (-1, 0, 1)):
+                below = position.score.nfvo_count + delta < floor
+                for attribute, cand in kind:
+                    assert cand is None or not below, (attribute, cand.score, floor)
+                    seen["below"] += below
+        return proposal
+
+    monkeypatch.setattr("manoplace.tabu._propose_candidates", checked)
+
+    @SMALL
+    @given(st.one_of(generated(8), mixed_bounds(8)), st.integers(0, 3))
+    def search_from_the_start(instance, seed):
+        search(instance, TabuParams(seed=seed))
+
+    search_from_the_start()
+    search(generate_instance(GeneratorConfig(pop_count=64, vnf_count=240, seed=1)),
+           TabuParams(seed=0))
+    assert seen["feasible"] and seen["below"], seen
 
 
 @st.composite

@@ -385,7 +385,9 @@ class TestSearch:
 # instances (V = 3.75 P): (pops, vnfs, instance seed, search seed, active
 # PoPs as 0/1, head map, best score, iterations, last improvement). The
 # P = 64 rows, the benchmark's size, were recorded before neighbours were
-# scored from their moves alone; their head map is ``head_digest``'s.
+# scored from their moves alone, and the P = 128 rows, whose search walks a
+# long tail below the orchestrator floor, before that tail went unscored;
+# the head map of both is ``head_digest``'s.
 GOLDEN = [
     (8, 30, 1, 0, "00000110", (6, 6, 6, 5, 5, 5, 6, 6), (0, 2), 38, 6),
     (8, 30, 1, 1, "01000001", (1, 1, 7, 7, 7, 7, 1, 7), (0, 2), 38, 6),
@@ -423,6 +425,14 @@ GOLDEN = [
     (64, 240, 2, 1,
      "0011010100011000000001010010000000110001000001000100010000000100",
      "883b06d43398b370", (0, 16), 304, 48),
+    (128, 480, 1, 0,
+     "1000100000000011000001100010010010100010000000010001001011000101"
+     "1000100011000000000000100000001011100001000000001000010000001001",
+     "263f3b4feda239a4", (0, 32), 608, 96),
+    (128, 480, 2, 0,
+     "1000000000000010001100100001110010000100010010000111001000001001"
+     "0001100000000010000001010001000101000010000100011000000010000000",
+     "ff1144ef3ee00de7", (0, 31), 609, 97),
 ]
 
 
