@@ -85,6 +85,8 @@ class ExperimentConfig:
         for name in ("instance_file", "solutions_dir", "output"):  # "" is no path
             if getattr(self, name) is not None and not check_type(name, getattr(self, name), str):
                 raise ValueError(f"{name} must name a path, got ''")
+        if self.instance_file is not None:
+            resolve_instance_path(self.instance_file)  # an unknown bundled:<name> fails here
         for name, kind in (("vnf_counts", list), ("algorithms", list), ("runs_per_point", int),
                            ("base_seed", int), ("output", str), ("emit_solutions", bool),
                            ("wall_clock", bool), ("vnfm_delay_bound", float),

@@ -495,14 +495,21 @@ def with_uniform_vnfs(instance: ProblemInstance, count: int, seed: int,
 # Bundled data
 
 
+BUNDLED = ("pop8", "pop16")  # the topologies in the package's data directory
+
+
 def resolve_instance_path(ref: str | Path) -> Path:
     """Resolve a CLI/config instance reference; ``bundled:<name>`` is the
-    topology ``<name>`` shipped in the package's ``data`` directory (``pop8``
-    or ``pop16``)."""
+    topology ``<name>`` shipped in the package's ``data`` directory, one of
+    ``BUNDLED``. Any other name raises :class:`InstanceFormatError`."""
     s = str(ref)
     if not s.startswith("bundled:"):
         return Path(s)
-    return Path(__file__).with_name("data") / f"{s.split(':', 1)[1]}.json"
+    name = s.split(":", 1)[1]
+    if name not in BUNDLED:
+        raise InstanceFormatError(f"{s}: no such bundled topology; "
+                                  f"the bundled ones are {', '.join(BUNDLED)}")
+    return Path(__file__).with_name("data") / f"{name}.json"
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,13 @@ class TestParsing:
                                 "output": "r.csv"})},
      ["experiment", "--config", "sweep.json", "--output", ""],
      "error: argument --output: must name a file, got ''"),
+    ({}, ["solve-tsp", "bundled:nope"],
+     "error: bundled:nope: no such bundled topology; the bundled ones are pop8, pop16"),
+    ({}, ["export-lp", "bundled:nope"], "error: bundled:nope: no such bundled topology"),
+    ({"sweep.json": json.dumps({"instance_file": "bundled:nope", "output": "r.csv"})},
+     ["experiment", "--config", "sweep.json"],
+     "sweep.json: configuration object: bundled:nope: no such bundled topology; "
+     "the bundled ones are pop8, pop16"),
 ], ids=["gen-unknown-key", "gen-bad-json", "gen-list-config", "gen-zero-pops", "sweep-zero-patience",
         "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
         "exact-zero-time", "exact-nan-time", "gen-float-pops", "gen-bool-pops",
@@ -189,7 +196,8 @@ class TestParsing:
         "check-pop-count", "check-head-range", "check-manager-location", "check-unknown-vnf",
         "check-repeated-nfvo", "check-wrong-objective", "check-list-solution",
         "check-missing-key", "check-instance-as-solution", "sweep-empty-instance-file",
-        "experiment-empty-output"])
+        "experiment-empty-output", "tsp-unknown-bundled", "lp-unknown-bundled",
+        "sweep-unknown-bundled"])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
     for name, text in files.items():

@@ -478,7 +478,8 @@ def scored_without_the_floor(position, attribute, best_score):
 def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
     sizes = Counter()
     # Neighbours scored and left unscored, those left unscored by the floor
-    # rule alone, and draws with an improving neighbour.
+    # rule alone, draws with an improving neighbour, and draws that kept one
+    # toggle more than once.
     kept = Counter()
 
     @SMALL
@@ -535,13 +536,17 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
                 if score == lowest and lowest < best_score]
             assert all(c is not None and c.score == lowest for _, c in improving)
             kept["improving"] += bool(improving)
+            toggles = [attribute for attribute, _ in offs + ons]
+            kept["repeated"] += len(toggles) != len(set(toggles))
             assert rng.getstate() == reference_rng.getstate()
 
     check_every_pop_count(draw_from_random_states, sizes)
     print(f"neighbours scored {kept[False]}, left unscored {kept[True]} "
           f"({kept['floor']} by the floor rule alone); "
-          f"draws with an improving neighbour {kept['improving']}")
-    assert kept[False] and kept[True] and kept["floor"] and kept["improving"]
+          f"draws with an improving neighbour {kept['improving']}, "
+          f"with a toggle kept twice {kept['repeated']}")
+    assert (kept[False] and kept[True] and kept["floor"] and kept["improving"]
+            and kept["repeated"])
 
 
 def nfvo_floor(instance):

@@ -22,6 +22,7 @@ from manoplace import (
 )
 from manoplace._pcg64 import Pcg64
 from manoplace.topology import (
+    BUNDLED,
     ManoParameters,
     PoP,
     ProblemInstance,
@@ -422,6 +423,10 @@ class TestBundled:
         path = resolve_instance_path(f"bundled:{name}")
         save_problem(load_problem(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_bundled_names_the_data_directory(self):
+        data = resolve_instance_path("bundled:pop8").parent
+        assert sorted(BUNDLED) == sorted(path.stem for path in data.glob("*.json"))
 
     def test_plain_paths_still_resolve(self, tmp_path):
         inst = parse_problem(good_data())
