@@ -58,7 +58,8 @@ def domain_view(instance: ProblemInstance, head: int, members: int, located: int
 def domains_of(instance: ProblemInstance, plan: DomainPlan) -> tuple[DomainView, ...]:
     """The plan's domains in ascending head order."""
     members = _members(plan.pop_count, plan.head_of)
-    return tuple(domain_view(instance, head, *_domain(instance, head, members[head])[:2])
+    return tuple(domain_view(instance, head, members[head],
+                             _domain(instance, head, members[head])[0])
                  for head in plan.active_pops)
 
 

@@ -17,7 +17,8 @@ neighbour must equal a full rescore, and from equal random states on
 arbitrary plans the sampled neighbourhood must equal one drawn and built
 plan by plan. A plan with fewer orchestrators than ⌈V/φ_nfvo⌉ must be over
 capacity, and once the search holds a plan without penalty it must score no
-neighbour below that floor. The MILP solver
+neighbour below that floor; where it moves the plan alone, the tables it
+rebuilds on climbing back must equal a fresh build. The MILP solver
 on the exported LP must reach the exact optimum, and on a drawn domain plan
 the rows read back from the exported file must hold, with each z set to its
 product, exactly for the manager assignments that satisfy the products
@@ -399,17 +400,23 @@ def test_incremental_scores_match_a_full_rescore():
 
 def test_every_move_of_the_search_keeps_every_head_active(monkeypatch):
     """The invariant the position's scores rely on holds after each move the
-    search makes: toggle-offs, toggle-ons and reassignments alike."""
+    search makes: toggle-offs, toggle-ons and reassignments alike, whether it
+    moves the plan and its tables or the plan alone."""
     moves = Counter()
-    move_to = _Position.move_to
+    move_to, move_unscored = _Position.move_to, _Position.move_unscored
 
-    def checked_move_to(position, cand):
-        kind, pop = cand.attribute[:2]
-        moves[kind if kind == "reassign" else "off" if position.nfvo_at[pop] else "on"] += 1
-        move_to(position, cand)
-        assert heads_active(position), cand.attribute
+    def checked(move, regime):
+        def checked_move(position, arg):
+            attribute = arg if regime == "plan-only" else arg.attribute
+            kind, pop = attribute[:2]
+            moves[regime, kind if kind == "reassign"
+                  else "off" if position.nfvo_at[pop] else "on"] += 1
+            move(position, arg)
+            assert heads_active(position), attribute
+        return checked_move
 
-    monkeypatch.setattr(_Position, "move_to", checked_move_to)
+    monkeypatch.setattr(_Position, "move_to", checked(move_to, "scored"))
+    monkeypatch.setattr(_Position, "move_unscored", checked(move_unscored, "plan-only"))
 
     @SMALL
     @given(st.one_of(generated(8), mixed_bounds(8)), st.integers(0, 3))
@@ -417,7 +424,9 @@ def test_every_move_of_the_search_keeps_every_head_active(monkeypatch):
         search(instance, TabuParams(seed=seed))
 
     search_from_the_start()
-    assert moves["off"] and moves["on"] and moves["reassign"], moves
+    print(f"moves by regime and kind {sorted(moves.items())}")
+    assert all(moves["scored", kind] for kind in ("off", "on", "reassign")), moves
+    assert sum(n for (regime, _), n in moves.items() if regime == "plan-only"), moves
 
 
 def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration, best_score,
@@ -587,7 +596,7 @@ def test_no_neighbour_below_the_orchestrator_floor_is_scored_once_a_plan_is_feas
             seen["feasible"] += 1
             # Toggle-offs, reassignments and toggle-ons, by orchestrator count.
             for kind, delta in zip(proposal[1:], (-1, 0, 1)):
-                below = position.score.nfvo_count + delta < floor
+                below = len(position.active) + delta < floor
                 for attribute, cand in kind:
                     assert cand is None or not below, (attribute, cand.score, floor)
                     seen["below"] += below
@@ -604,6 +613,57 @@ def test_no_neighbour_below_the_orchestrator_floor_is_scored_once_a_plan_is_feas
     search(generate_instance(GeneratorConfig(pop_count=64, vnf_count=240, seed=1)),
            TabuParams(seed=0))
     assert seen["feasible"] and seen["below"], seen
+
+
+def test_the_tables_rebuilt_on_leaving_the_unscored_regime_match_a_fresh_build(
+        monkeypatch):
+    """Once the best plan has no penalty, a position two or more below the
+    orchestrator floor scores nothing, so the search moves its plan alone:
+    no neighbour is scored there, the plan stays that of a fresh build, and
+    the move that climbs to one below the floor rebuilds the score tables,
+    which must equal a fresh build's."""
+    seen = Counter()  # iterations in the regime, and the rebuilds on leaving it
+    regime = [False]
+    move_unscored = _Position.move_unscored
+
+    def checked_propose(position, samples, tabu, iteration, best_score, rng):
+        regime[0] = (best_score.penalty == 0
+                     and len(position.active) + 1 < nfvo_floor(position.instance))
+        seen["regime"] += regime[0]
+        return _propose_candidates(position, samples, tabu, iteration, best_score, rng)
+
+    def checked_move_unscored(position, attribute):
+        assert regime[0], attribute
+        move_unscored(position, attribute)
+        fresh = tables(_Position(position.instance, position.nfvo_at, position.head_of))
+        if len(position.active) + 1 < nfvo_floor(position.instance):
+            assert tables(position)[:4] == fresh[:4], attribute
+        else:
+            seen["rebuilt"] += 1
+            assert tables(position) == fresh, attribute
+
+    def unscored_in_the_regime(scorer):
+        def checked(position, *move):
+            assert not regime[0], (scorer.__name__, move)
+            return scorer(position, *move)
+        return checked
+
+    monkeypatch.setattr("manoplace.tabu._propose_candidates", checked_propose)
+    monkeypatch.setattr(_Position, "move_unscored", checked_move_unscored)
+    monkeypatch.setattr(_Position, "toggled", unscored_in_the_regime(_Position.toggled))
+    monkeypatch.setattr(_Position, "reassigned", unscored_in_the_regime(_Position.reassigned))
+
+    @SMALL
+    @given(st.one_of(generated(8, 24), mixed_bounds(8, 24)), st.integers(0, 3))
+    def search_from_the_start(instance, seed):
+        search(instance, TabuParams(seed=seed))
+
+    search_from_the_start()
+    search(generate_instance(GeneratorConfig(pop_count=64, vnf_count=240, seed=1)),
+           TabuParams(seed=0))
+    print(f"iterations in the unscored regime {seen['regime']}, "
+          f"rebuilds on leaving it {seen['rebuilt']}")
+    assert seen["regime"] and seen["rebuilt"], seen
 
 
 @st.composite
@@ -653,9 +713,19 @@ def eager_search(instance, params):
     return SearchResult(best, best_score, iteration, last_improvement, patience)
 
 
-def test_search_matches_the_eager_search():
+def test_search_matches_the_eager_search(monkeypatch):
     sizes = Counter()
     infeasible = Counter()
+    unscored = Counter()  # moves of the plan alone, and the rebuilds among them
+    move_unscored = _Position.move_unscored
+
+    def counted_move_unscored(position, attribute):
+        pop_terms = position.pop_terms
+        move_unscored(position, attribute)
+        unscored["plan-only"] += 1
+        unscored["rebuilds"] += position.pop_terms is not pop_terms
+
+    monkeypatch.setattr(_Position, "move_unscored", counted_move_unscored)
 
     @SMALL
     @given(st.one_of(mixed_bounds(12), tight_bounds(12)), st.integers(0, 3))
@@ -676,7 +746,9 @@ def test_search_matches_the_eager_search():
         search_both_ways = example(instance, n % 4)(search_both_ways)
     search_both_ways()
     print(f"search_both_ways PoP counts {sorted(sizes.items())}; best penalty above zero "
-          f"in {infeasible[True]} of {sum(infeasible.values())}")
+          f"in {infeasible[True]} of {sum(infeasible.values())}; plan-only iterations "
+          f"{unscored['plan-only']}, rebuilds {unscored['rebuilds']}")
+    assert unscored["plan-only"] and unscored["rebuilds"], unscored
     assert sorted(sizes) == list(range(2, 13))
     assert infeasible[True] and infeasible[False]
 

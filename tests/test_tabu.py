@@ -93,9 +93,10 @@ def check_neighbour(position, cand):
 
 
 def tables(position):
-    """Everything a position keeps, for comparison with a fresh build."""
-    return (position.nfvo_at, position.head_of, position.pop_terms, position.domains,
-            position.domain_terms, position.active, position.score)
+    """Everything a position keeps, for comparison with a fresh build: its
+    plan (the first four entries), then its score tables."""
+    return (position.nfvo_at, position.head_of, position.active, position.members,
+            position.pop_terms, position.domains, position.domain_terms, position.score)
 
 
 def random_plan(rng, n):
