@@ -47,33 +47,32 @@ plan without penalty is found, no neighbour below the floor is scored. The
 others compete for the fewest-orchestrators pick on their count alone, so
 every draw and every choice is the one that scoring all of them would make.
 
-On generated instances the walk after the last improvement sits mostly two
-or more below the floor, where no neighbour is scored and none can improve:
-nothing there reads a score. So the search moves the plan alone there, the
-active PoPs and each domain's members included, and leaves the score
-tables stale. A move that climbs to one below the floor, where a
-neighbour can be scored again, rebuilds them from the plan with the code
-that builds them for a new position. In six searches of generated 64-PoP,
-240-VNF instances (instance seeds 0-2, search seeds 0 and 1), 1,495 of the
-1,819 iterations move the plan alone.
+A neighbour the search picks unscored cannot beat the best plan, so nothing
+reads its score: the search moves the plan alone to it, the active PoPs and
+each domain's members included, counts no improvement and leaves the score
+tables stale. The sampler rebuilds stale tables from the plan, with the code
+that builds them for a new position, when it next may score a neighbour.
+On generated instances most picks are unscored: in 280 searches of 10-PoP
+instances with 10 to 40 VNFs, 11,308 of the 14,362 moves are of the plan
+alone.
 
 A kept neighbour is filed by kind: toggle-offs, reassignments and
 toggle-ons have one orchestrator fewer than the position, as many and one
 more, so the fewest-orchestrators pick is among the first of them that
 holds any. The scored neighbours that beat the best at the lowest score
-are filed aside as well, and an unscored neighbour is its tabu attribute
-alone. Each draw takes one path: its move yields its attribute, its kind
-and its candidate, and one tabu and aspiration check keeps or drops it. A
-toggle drawn twice in one iteration is scored twice. Integers are drawn
-straight from ``getrandbits`` by the rejection rule of
+are filed aside as well. A neighbour is its tabu attribute and its score,
+None if it was left unscored. Each draw takes one path: its move yields its
+attribute, its kind and its score, and one tabu and aspiration check keeps
+or drops it. A toggle drawn twice in one iteration is scored twice.
+Integers are drawn straight from ``getrandbits`` by the rejection rule of
 ``random.Random.randrange``, so the draws are those of ``randrange``.
 
 The hot path walks set bits inline, and the chosen move grows the domains
 that PoPs join in place, rebuilding only the one domain they leave. At
-P=64, V=240 the search spends about 0.72 µs of CPU per sampled neighbour
-(Python 3.11.7, 2-vCPU VM). About two thirds of it goes to drawing,
-checking and filing the neighbours, since most iterations score none of
-them and move the plan alone.
+P=64, V=240 the search spends about 0.64 µs of CPU per sampled neighbour
+(Python 3.11.7, 2-vCPU VM). Most of it goes to drawing, checking and filing
+the neighbours, since most iterations score none of them and move the plan
+alone.
 """
 
 from __future__ import annotations
@@ -161,21 +160,6 @@ def _domain_term(instance: ProblemInstance, located: int, served: int) -> int:
             + (located.bit_count() > instance.params.nfvo_capacity))
 
 
-class _Candidate(NamedTuple):
-    """A scored neighbour, held as its move alone: no plan is built for it,
-    and the search applies the chosen one's move to the position in place.
-    A neighbour left unscored has no candidate, only its attribute.
-
-    ``attribute`` is what the tabu list remembers of the move, and names it:
-    ``("toggle", pop)`` or ``("reassign", pop, new_head)``. ``score`` is a
-    plain ``(penalty, nfvo_count)`` tuple, and ``moves`` holds the
-    ``(pop, new_head)`` pairs the move re-homes, all out of one domain."""
-
-    attribute: tuple
-    score: tuple[int, int]
-    moves: tuple[tuple[int, int], ...]
-
-
 class _Position:
     """A plan with the tables that score its neighbours from their moves alone.
 
@@ -196,9 +180,9 @@ class _Position:
     ⌈V/φ_nfvo⌉: a plan with fewer orchestrators has an overfull domain, so
     its penalty is at least one.
 
-    ``move_to`` moves the plan and its tables. ``move_unscored`` moves the
-    plan alone, for the search while it scores nothing, and leaves the tables
-    stale until the count reaches one below the floor, where it rebuilds them.
+    ``move`` moves the plan, and its tables too when the neighbour was
+    scored. A move to an unscored neighbour leaves the tables stale and
+    ``score`` None, until the sampler rebuilds them with ``_build_tables``.
     """
 
     def __init__(self, instance: ProblemInstance, nfvo_at, head_of):
@@ -273,28 +257,27 @@ class _Position:
             moves.append((q, h))
         return moves
 
-    def reassigned(self, pop: int, target: int) -> _Candidate:
-        """Neighbour that moves ``pop`` into the domain headed by ``target``."""
+    def reassigned(self, pop: int, target: int) -> tuple[int, int]:
+        """Score of the neighbour that moves ``pop`` into the domain headed by ``target``."""
         nfvo_at = self.nfvo_at
         penalty = (self.score.penalty + self._leave(self.head_of[pop], pop)
                    + self._join(target, (pop,))
                    + self._term(pop, target, nfvo_at[pop])
                    - self.pop_terms[pop])
-        return _Candidate(("reassign", pop, target), (penalty, self.score.nfvo_count),
-                          ((pop, target),))
+        return penalty, self.score.nfvo_count
 
-    def toggled(self, pop: int) -> _Candidate:
-        """Neighbour that toggles ``pop``'s orchestrator, which must not be the
-        last one on: the sampler never draws that move. Switching one off
-        re-homes its members as ``_rehomed`` says; switching one on, which
-        heads no PoP while off, moves it alone into a domain of its own."""
+    def toggled(self, pop: int) -> tuple[int, int]:
+        """Score of the neighbour that toggles ``pop``'s orchestrator, which
+        must not be the last one on: the sampler never draws that move.
+        Switching one off re-homes its members as ``_rehomed`` says; switching
+        one on, which heads no PoP while off, moves it alone into a domain of
+        its own."""
         nfvo_at, head_of = self.nfvo_at, self.head_of
         pop_terms = self.pop_terms
         penalty = self.score.penalty
         if nfvo_at[pop]:
-            moves = self._rehomed(pop)
             joining: dict[int, list[int]] = {}
-            for q, h in moves:
+            for q, h in self._rehomed(pop):
                 joining.setdefault(h, []).append(q)
                 penalty += self._term(q, h, nfvo_at[q] and q != pop) - pop_terms[q]
             penalty -= self.domain_terms[pop]
@@ -303,25 +286,28 @@ class _Position:
             # pop sits in another domain: only its activation changes.
             if not self.members[pop] >> pop & 1:
                 penalty += self._term(pop, head_of[pop], False) - pop_terms[pop]
-            count = self.score.nfvo_count - 1
-        else:
-            penalty += (self._leave(head_of[pop], pop) + self._join(pop, (pop,))
-                        + self._term(pop, pop, True) - pop_terms[pop])
-            moves = [(pop, pop)]
-            count = self.score.nfvo_count + 1
-        return _Candidate(("toggle", pop), (penalty, count), tuple(moves))
+            return penalty, self.score.nfvo_count - 1
+        penalty += (self._leave(head_of[pop], pop) + self._join(pop, (pop,))
+                    + self._term(pop, pop, True) - pop_terms[pop])
+        return penalty, self.score.nfvo_count + 1
 
-    def neighbour(self, attribute: tuple) -> _Candidate:
-        """The scored neighbour that the move ``attribute``, one the sampler kept, leads to."""
-        if attribute[0] == "toggle":
-            return self.toggled(attribute[1])
-        return self.reassigned(attribute[1], attribute[2])
-
-    def _move_plan(self, attribute: tuple, moves) -> None:
-        """Apply the move ``attribute``, which re-homes ``moves``, to the plan."""
+    def move(self, attribute: tuple, score: tuple[int, int] | None) -> None:
+        """Make the neighbour that the move ``attribute``, one the sampler
+        kept, leads to the position; ``score`` is its score, or None if it was
+        left unscored. The plan moves in place. If the neighbour was scored,
+        only the tables the move touched are rebuilt: a domain that PoPs join
+        grows by their masks, and the one domain they leave is rebuilt from its
+        remaining members. Otherwise the tables go stale and ``score`` None."""
+        kind, pop = attribute[:2]
         nfvo_at, head_of, members = self.nfvo_at, self.head_of, self.members
-        if attribute[0] == "toggle":
-            pop = attribute[1]
+        if kind == "reassign":
+            moves = ((pop, attribute[2]),)
+        elif nfvo_at[pop]:
+            moves = self._rehomed(pop)
+        else:
+            moves = ((pop, pop),)
+        old = head_of[moves[0][0]] if moves else None  # the domain the PoPs leave
+        if kind == "toggle":
             nfvo_at[pop] = not nfvo_at[pop]
             self.active = [p for p, on in enumerate(nfvo_at) if on]
         for q, h in moves:
@@ -329,18 +315,12 @@ class _Position:
             members[head_of[q]] &= ~bit
             members[h] |= bit
             head_of[q] = h
-
-    def move_to(self, cand: _Candidate) -> None:
-        """Make ``cand`` the position: apply its move in place and rebuild
-        only the tables it touched. A domain that PoPs join grows by their
-        masks; the one domain they leave is rebuilt from its remaining members."""
+        if score is None:
+            self.score = None
+            return
         instance = self.instance
-        nfvo_at, head_of = self.nfvo_at, self.head_of
         domains, domain_terms, pop_terms = self.domains, self.domain_terms, self.pop_terms
         at, served = instance.vnfs_at, instance.vnfs_served
-        moves = cand.moves
-        old = head_of[moves[0][0]] if moves else None  # the domain the PoPs leave
-        self._move_plan(cand.attribute, moves)
         for q, h in moves:
             located, once, twice = domains[h]
             serves = served[h][q]
@@ -348,29 +328,11 @@ class _Position:
             domain_terms[h] = _domain_term(instance, located | at[q], once | serves)
             pop_terms[q] = self._term(q, h, nfvo_at[q])
         if moves:
-            domains[old] = _domain(instance, old, self.members[old])
+            domains[old] = _domain(instance, old, members[old])
             domain_terms[old] = _domain_term(instance, *domains[old][:2])
-        kind, pop = cand.attribute[:2]
         if kind == "toggle":  # a term reads only its own PoP's activation: the flip rewrites pop's
             pop_terms[pop] = self._term(pop, head_of[pop], nfvo_at[pop])
-        self.score = Score(*cand.score)
-
-    def move_unscored(self, attribute: tuple) -> None:
-        """Apply the move ``attribute``, one the sampler kept, to the plan
-        alone. The search calls it only while no neighbour can be scored, at
-        a count at least two below the floor, so the score tables go stale; a
-        move up to one below the floor, where a neighbour can be scored again,
-        rebuilds them from the plan."""
-        kind, pop = attribute[:2]
-        if kind == "reassign":
-            moves = ((pop, attribute[2]),)
-        elif self.nfvo_at[pop]:
-            moves = self._rehomed(pop)
-        else:
-            moves = ((pop, pop),)
-        self._move_plan(attribute, moves)
-        if len(self.active) + 1 >= self.nfvo_floor:
-            self._build_tables()
+        self.score = Score(*score)
 
 
 def penalty_parts(instance: ProblemInstance, plan: DomainPlan) -> dict[str, int]:
@@ -395,13 +357,13 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
     Returns ``(improving, offs, same, ons)``. ``offs``, ``same`` and ``ons``
     hold the kept toggle-offs, reassignments and toggle-ons in draw order,
     whose orchestrator counts are one less than the position's, equal to it
-    and one more. Each entry is an ``(attribute, candidate)`` pair, the
-    candidate None for a neighbour left unscored. ``improving`` holds the
-    entries of the scored neighbours that beat ``best_score`` at the lowest
-    score, in draw order.
+    and one more. Each entry is an ``(attribute, score)`` pair, the score a
+    plain ``(penalty, nfvo_count)`` tuple, or None for a neighbour left
+    unscored. ``improving`` holds the entries of the scored neighbours that
+    beat ``best_score`` at the lowest score, in draw order.
 
     Each draw takes one path. Its move kind yields the move's attribute,
-    the list it is filed in and its candidate, or None, and then one check
+    the list it is filed in and its score, or None, and then one check
     keeps or drops it: a move stays tabu while its attribute's entry in
     ``tabu`` is at least ``iteration``, unless its result would beat
     ``best_score`` (aspiration). A move drawn twice is filed twice.
@@ -416,9 +378,9 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
     penalty of at least one, whatever its terms. A neighbour whose bound and
     orchestrator count cannot beat ``best_score`` is kept unscored, or
     dropped if it is tabu, since it cannot aspire. A bound is read only under
-    a limit that is not negative, so once ``best_score`` has no penalty a
-    position two or more below the floor reads no term: the search moves
-    such a position's plan alone and leaves its score tables stale.
+    a limit that is not negative, so the limits are worked out first: if the
+    position's tables are stale and a limit is not negative, they are rebuilt
+    before any term is read.
 
     Integers are drawn from ``rng.getrandbits`` by the rejection rule of
     ``random.Random.randrange`` (``k = n.bit_length()`` bits, drawn again
@@ -428,8 +390,7 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
     n = position.instance.pop_count
     nfvo_at, head_of = position.nfvo_at, position.head_of
     active = position.active
-    pop_terms, domain_terms = position.pop_terms, position.domain_terms
-    penalty, count = position.score.penalty, len(active)
+    count = len(active)
     # A neighbour with c orchestrators whose penalty is at least b can beat
     # best_score only if b <= best_penalty, strictly unless c < best_count.
     # Below the floor its penalty is at least one, so a limit under one there
@@ -442,6 +403,11 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
         return -1 if c < floor and b < 1 else b
 
     off_limit, reassign_limit, on_limit = limit(count - 1), limit(count), limit(count + 1)
+    if position.score is None and max(off_limit, reassign_limit, on_limit) >= 0:
+        position._build_tables()
+    pop_terms, domain_terms = position.pop_terms, position.domain_terms
+    # Stale tables have no penalty, and then no limit lets a bound read one.
+    penalty = None if position.score is None else position.score.penalty
     rand, getrandbits = rng.random, rng.getrandbits
     k = n.bit_length()
     # A reassignment target is drawn from the active PoPs other than the
@@ -463,11 +429,11 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
         if toggle:
             on = nfvo_at[pop]
             attribute, kind = ("toggle", pop), offs if on else ons
-            cand = (position.toggled(pop)
-                    if (off_limit >= 0 if on  # a toggle-off's bound is zero
-                        else on_limit >= 0 and penalty - pop_terms[pop]
-                        - domain_terms[head_of[pop]] <= on_limit)
-                    else None)
+            score = (position.toggled(pop)
+                     if (off_limit >= 0 if on  # a toggle-off's bound is zero
+                         else on_limit >= 0 and penalty - pop_terms[pop]
+                         - domain_terms[head_of[pop]] <= on_limit)
+                     else None)
         else:
             i = getrandbits(bits)
             while i >= others:
@@ -475,20 +441,19 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
             h = head_of[pop]
             target = active[i] if active[i] < h else active[i + 1]  # skip the head in place
             attribute, kind = ("reassign", pop, target), same
-            cand = (position.reassigned(pop, target) if reassign_limit >= 0 and penalty
-                    - pop_terms[pop] - domain_terms[h] - domain_terms[target] <= reassign_limit
-                    else None)
-        if tabu.get(attribute, -1) >= iteration and (cand is None
-                                                     or not cand.score < best_score):
+            score = (position.reassigned(pop, target) if reassign_limit >= 0 and penalty
+                     - pop_terms[pop] - domain_terms[h] - domain_terms[target] <= reassign_limit
+                     else None)
+        if tabu.get(attribute, -1) >= iteration and (score is None or not score < best_score):
             continue  # tabu, and not good enough for aspiration
-        entry = (attribute, cand)
+        entry = (attribute, score)
         kind.append(entry)
-        if cand is not None:
+        if score is not None:
             # improving is not empty exactly when low beats best_score.
-            if cand.score < low:
-                low = cand.score
+            if score < low:
+                low = score
                 improving = [entry]
-            elif improving and cand.score == low:
+            elif improving and score == low:
                 improving.append(entry)
     return improving, offs, same, ons
 
@@ -533,19 +498,11 @@ def search(instance: ProblemInstance, params: TabuParams | None = None) -> Searc
         if not tied:
             no_improvement += 1
             continue
-        attribute, chosen = tied[rng.randrange(len(tied))]
+        attribute, score = tied[rng.randrange(len(tied))]
         tabu[attribute] = iteration + tenure
-        if best_score.penalty == 0 and len(position.active) + 1 < position.nfvo_floor:
-            # Every neighbour is below the floor, so none was scored and none
-            # improves: move the plan alone.
-            position.move_unscored(attribute)
-            no_improvement += 1
-            continue
-        if chosen is None:
-            chosen = position.neighbour(attribute)
-        position.move_to(chosen)
-
-        if chosen.score < best_score:
+        position.move(attribute, score)
+        # The sampler scores every neighbour that could beat the best.
+        if score is not None and score < best_score:
             best = position.plan
             best_score = position.score
             no_improvement = 0

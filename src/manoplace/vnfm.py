@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleDomain, NoFeasiblePlan
 from .model import DomainPlan, Solution, VnfmAssignment
-from .tabu import SearchResult, TabuParams, _domain, _members, penalty_parts, search
+from .tabu import SearchResult, TabuParams, _members, penalty_parts, search
 from .topology import ProblemInstance, bits
 
 EXACT_THRESHOLD = 20  # read by no code here; bench/run.py still imports it
@@ -57,9 +57,11 @@ def domain_view(instance: ProblemInstance, head: int, members: int, located: int
 
 def domains_of(instance: ProblemInstance, plan: DomainPlan) -> tuple[DomainView, ...]:
     """The plan's domains in ascending head order."""
+    at = instance.vnfs_at
     members = _members(plan.pop_count, plan.head_of)
+    # The PoPs' VNF masks are disjoint, so their sum is their union.
     return tuple(domain_view(instance, head, members[head],
-                             _domain(instance, head, members[head])[0])
+                             sum(at[q] for q in bits(members[head])))
                  for head in plan.active_pops)
 
 

@@ -17,8 +17,9 @@ neighbour must equal a full rescore, and from equal random states on
 arbitrary plans the sampled neighbourhood must equal one drawn and built
 plan by plan. A plan with fewer orchestrators than ⌈V/φ_nfvo⌉ must be over
 capacity, and once the search holds a plan without penalty it must score no
-neighbour below that floor; where it moves the plan alone, the tables it
-rebuilds on climbing back must equal a fresh build. The MILP solver
+neighbour below that floor. Every neighbour must be scored from the tables
+a fresh build makes, and where the search moves the plan alone the plan
+must be a fresh build's. The MILP solver
 on the exported LP must reach the exact optimum, and on a drawn domain plan
 the rows read back from the exported file must hold, with each z set to its
 product, exactly for the manager assignments that satisfy the products
@@ -76,13 +77,14 @@ from manoplace.model import DomainPlan, Solution, VnfmAssignment
 from manoplace.oracle import OracleResult, _feasible_assignments
 from manoplace.tabu import (Score, SearchResult, TabuParams, _Position, _propose_candidates,
                             _start, penalty_parts, search)
+from manoplace.topology import with_uniform_vnfs
 from manoplace.vnfm import domains_of, place_domain
 
 from conftest import _parse_lp
 from test_acceptance import hand_feasible, model_holds, plug_z, structured_assignments
 from test_lp_export import _solve_lp
 from test_tabu import (check_neighbour, heads_active, naive_capacity, naive_look_ahead,
-                       naive_penalty, neighbour_plan, random_plan, search_plan, tables)
+                       naive_penalty, neighbour_plan, random_plan, scored, search_plan, tables)
 from test_vnfm import by_member, eligibility, flow_minimum, runnable
 
 SMALL = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -381,18 +383,19 @@ def test_incremental_scores_match_a_full_rescore():
         for toggle, pop, pick in walk:
             pop %= n
             # The moves the sampler can draw: it keeps the last orchestrator on.
-            neighbours = [position.toggled(p) for p in range(n) if position.active != [p]]
-            neighbours += [position.reassigned(pop, t) for t in position.active
+            attributes = [("toggle", p) for p in range(n) if position.active != [p]]
+            attributes += [("reassign", pop, t) for t in position.active
                            if t != position.head_of[pop]]
-            for cand in neighbours:
-                check_neighbour(position, cand)
-            moves = [c for c in neighbours if (c.attribute[0] == "toggle") == toggle]
+            neighbours = [(attribute, scored(position, attribute)) for attribute in attributes]
+            for attribute, score in neighbours:
+                check_neighbour(position, attribute, score)
+            moves = [(a, score) for a, score in neighbours if (a[0] == "toggle") == toggle]
             if not moves:
                 continue
-            chosen = moves[pick % len(moves)]
-            plan = neighbour_plan(position, chosen)
-            position.move_to(chosen)
-            assert heads_active(position), chosen.attribute
+            attribute, score = moves[pick % len(moves)]
+            plan = neighbour_plan(position, attribute)
+            position.move(attribute, score)
+            assert heads_active(position), attribute
             assert tables(position) == tables(_Position(instance, plan.nfvo_at, plan.head_of))
 
     check_every_pop_count(walk_from_the_start, sizes)
@@ -403,20 +406,16 @@ def test_every_move_of_the_search_keeps_every_head_active(monkeypatch):
     search makes: toggle-offs, toggle-ons and reassignments alike, whether it
     moves the plan and its tables or the plan alone."""
     moves = Counter()
-    move_to, move_unscored = _Position.move_to, _Position.move_unscored
+    move = _Position.move
 
-    def checked(move, regime):
-        def checked_move(position, arg):
-            attribute = arg if regime == "plan-only" else arg.attribute
-            kind, pop = attribute[:2]
-            moves[regime, kind if kind == "reassign"
-                  else "off" if position.nfvo_at[pop] else "on"] += 1
-            move(position, arg)
-            assert heads_active(position), attribute
-        return checked_move
+    def checked_move(position, attribute, score):
+        kind, pop = attribute[:2]
+        moves["plan-only" if score is None else "scored", kind if kind == "reassign"
+              else "off" if position.nfvo_at[pop] else "on"] += 1
+        move(position, attribute, score)
+        assert heads_active(position), attribute
 
-    monkeypatch.setattr(_Position, "move_to", checked(move_to, "scored"))
-    monkeypatch.setattr(_Position, "move_unscored", checked(move_unscored, "plan-only"))
+    monkeypatch.setattr(_Position, "move", checked_move)
 
     @SMALL
     @given(st.one_of(generated(8), mixed_bounds(8)), st.integers(0, 3))
@@ -424,9 +423,9 @@ def test_every_move_of_the_search_keeps_every_head_active(monkeypatch):
         search(instance, TabuParams(seed=seed))
 
     search_from_the_start()
-    print(f"moves by regime and kind {sorted(moves.items())}")
+    print(f"moves by how and kind {sorted(moves.items())}")
     assert all(moves["scored", kind] for kind in ("off", "on", "reassign")), moves
-    assert sum(n for (regime, _), n in moves.items() if regime == "plan-only"), moves
+    assert sum(n for (how, _), n in moves.items() if how == "plan-only"), moves
 
 
 def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration, best_score,
@@ -527,23 +526,23 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
             for kind, delta in ((offs, -1), (same, 0), (ons, 1)):
                 want_kind = [w for w in want if w[1].nfvo_count == count + delta]
                 assert [attribute for attribute, _ in kind] == [w[0] for w in want_kind]
-                for (attribute, c), (_, score, want_nfvo_at, want_head_of) in zip(kind,
-                                                                                  want_kind):
-                    if c is None:  # left unscored: it must not be able to beat the best
+                for (attribute, got), (_, score, want_nfvo_at, want_head_of) in zip(kind,
+                                                                                    want_kind):
+                    if got is None:  # left unscored: it must not be able to beat the best
                         assert not score < best_score, attribute
                     else:
-                        assert (c.attribute, c.score) == (attribute, score)
-                    kept[c is None] += 1
-                    kept["floor"] += c is None and scored_without_the_floor(position, attribute,
-                                                                            best_score)
-                    plan = neighbour_plan(position, c or position.neighbour(attribute))
+                        assert got == score, attribute
+                    kept[got is None] += 1
+                    kept["floor"] += got is None and scored_without_the_floor(position, attribute,
+                                                                              best_score)
+                    plan = neighbour_plan(position, attribute)
                     assert (plan.nfvo_at, plan.head_of) == (want_nfvo_at, want_head_of)
             # The improving list is the reference's lowest-score ties below best_score.
             lowest = min((score for _, score, _, _ in want), default=best_score)
             assert [attribute for attribute, _ in improving] == [
                 attribute for attribute, score, _, _ in want
                 if score == lowest and lowest < best_score]
-            assert all(c is not None and c.score == lowest for _, c in improving)
+            assert all(got is not None and got == lowest for _, got in improving)
             kept["improving"] += bool(improving)
             toggles = [attribute for attribute, _ in offs + ons]
             kept["repeated"] += len(toggles) != len(set(toggles))
@@ -597,8 +596,8 @@ def test_no_neighbour_below_the_orchestrator_floor_is_scored_once_a_plan_is_feas
             # Toggle-offs, reassignments and toggle-ons, by orchestrator count.
             for kind, delta in zip(proposal[1:], (-1, 0, 1)):
                 below = len(position.active) + delta < floor
-                for attribute, cand in kind:
-                    assert cand is None or not below, (attribute, cand.score, floor)
+                for attribute, score in kind:
+                    assert score is None or not below, (attribute, score, floor)
                     seen["below"] += below
         return proposal
 
@@ -615,43 +614,55 @@ def test_no_neighbour_below_the_orchestrator_floor_is_scored_once_a_plan_is_feas
     assert seen["feasible"] and seen["below"], seen
 
 
-def test_the_tables_rebuilt_on_leaving_the_unscored_regime_match_a_fresh_build(
-        monkeypatch):
-    """Once the best plan has no penalty, a position two or more below the
-    orchestrator floor scores nothing, so the search moves its plan alone:
-    no neighbour is scored there, the plan stays that of a fresh build, and
-    the move that climbs to one below the floor rebuilds the score tables,
-    which must equal a fresh build's."""
-    seen = Counter()  # iterations in the regime, and the rebuilds on leaving it
-    regime = [False]
-    move_unscored = _Position.move_unscored
+def sweep_instances():
+    """10-PoP instances as an experiment sweep makes them: two generated
+    topologies, each with a fresh uniform inventory of 10 to 40 VNFs."""
+    for topology_seed in (0, 1):
+        base = generate_instance(GeneratorConfig(pop_count=10, vnf_count=10,
+                                                 seed=topology_seed))
+        for count in range(10, 41, 10):
+            yield with_uniform_vnfs(base, count, seed=count)
 
-    def checked_propose(position, samples, tabu, iteration, best_score, rng):
-        regime[0] = (best_score.penalty == 0
-                     and len(position.active) + 1 < nfvo_floor(position.instance))
-        seen["regime"] += regime[0]
-        return _propose_candidates(position, samples, tabu, iteration, best_score, rng)
 
-    def checked_move_unscored(position, attribute):
-        assert regime[0], attribute
-        move_unscored(position, attribute)
-        fresh = tables(_Position(position.instance, position.nfvo_at, position.head_of))
-        if len(position.active) + 1 < nfvo_floor(position.instance):
-            assert tables(position)[:4] == fresh[:4], attribute
-        else:
-            seen["rebuilt"] += 1
-            assert tables(position) == fresh, attribute
+def test_no_neighbour_is_scored_from_stale_tables(monkeypatch):
+    """A move to a neighbour the sampler left unscored moves the plan alone
+    and leaves the score tables stale. Every neighbour is scored from the
+    tables a fresh build on the position's plan makes, and after every move
+    of the plan alone the plan is a fresh build's."""
+    seen = Counter()  # plan-only moves and rebuilds, over all rows and the 10-PoP rows
+    move = _Position.move
+    fresh: dict = {}  # the tables of a fresh build on the last instance and plan asked for
 
-    def unscored_in_the_regime(scorer):
+    def fresh_tables(position):
+        plan = (tuple(position.nfvo_at), tuple(position.head_of))
+        if fresh.get("instance") is not position.instance or fresh["plan"] != plan:
+            fresh.update(instance=position.instance, plan=plan,
+                         tables=tables(_Position(position.instance, *plan)))
+        return fresh["tables"]
+
+    def checked_move(position, attribute, score):
+        move(position, attribute, score)
+        if score is None:
+            seen["plan-only"] += 1
+            assert position.score is None, attribute
+            assert tables(position)[:4] == fresh_tables(position)[:4], attribute
+
+    def counted_propose(position, *args):
+        stale = position.score is None
+        proposal = _propose_candidates(position, *args)
+        seen["rebuilds"] += stale and position.score is not None
+        return proposal
+
+    def from_fresh_tables(scorer):
         def checked(position, *move):
-            assert not regime[0], (scorer.__name__, move)
+            assert tables(position) == fresh_tables(position), (scorer.__name__, move)
             return scorer(position, *move)
         return checked
 
-    monkeypatch.setattr("manoplace.tabu._propose_candidates", checked_propose)
-    monkeypatch.setattr(_Position, "move_unscored", checked_move_unscored)
-    monkeypatch.setattr(_Position, "toggled", unscored_in_the_regime(_Position.toggled))
-    monkeypatch.setattr(_Position, "reassigned", unscored_in_the_regime(_Position.reassigned))
+    monkeypatch.setattr(_Position, "move", checked_move)
+    monkeypatch.setattr("manoplace.tabu._propose_candidates", counted_propose)
+    monkeypatch.setattr(_Position, "toggled", from_fresh_tables(_Position.toggled))
+    monkeypatch.setattr(_Position, "reassigned", from_fresh_tables(_Position.reassigned))
 
     @SMALL
     @given(st.one_of(generated(8, 24), mixed_bounds(8, 24)), st.integers(0, 3))
@@ -659,11 +670,16 @@ def test_the_tables_rebuilt_on_leaving_the_unscored_regime_match_a_fresh_build(
         search(instance, TabuParams(seed=seed))
 
     search_from_the_start()
+    seen.clear()
+    for instance in sweep_instances():
+        for seed in (0, 1):
+            search(instance, TabuParams(seed=seed))
+    sweep = dict(seen)
     search(generate_instance(GeneratorConfig(pop_count=64, vnf_count=240, seed=1)),
            TabuParams(seed=0))
-    print(f"iterations in the unscored regime {seen['regime']}, "
-          f"rebuilds on leaving it {seen['rebuilt']}")
-    assert seen["regime"] and seen["rebuilt"], seen
+    print(f"10-PoP rows: plan-only moves {sweep.get('plan-only')}, "
+          f"rebuilds {sweep.get('rebuilds')}")
+    assert sweep.get("plan-only") and sweep.get("rebuilds"), sweep
 
 
 @st.composite
@@ -716,16 +732,21 @@ def eager_search(instance, params):
 def test_search_matches_the_eager_search(monkeypatch):
     sizes = Counter()
     infeasible = Counter()
-    unscored = Counter()  # moves of the plan alone, and the rebuilds among them
-    move_unscored = _Position.move_unscored
+    unscored = Counter()  # moves of the plan alone, and rebuilds of the stale tables
+    move = _Position.move
 
-    def counted_move_unscored(position, attribute):
-        pop_terms = position.pop_terms
-        move_unscored(position, attribute)
-        unscored["plan-only"] += 1
-        unscored["rebuilds"] += position.pop_terms is not pop_terms
+    def counted_move(position, attribute, score):
+        move(position, attribute, score)
+        unscored["plan-only"] += score is None
 
-    monkeypatch.setattr(_Position, "move_unscored", counted_move_unscored)
+    def counted_propose(position, *args):
+        stale = position.score is None
+        proposal = _propose_candidates(position, *args)
+        unscored["rebuilds"] += stale and position.score is not None
+        return proposal
+
+    monkeypatch.setattr(_Position, "move", counted_move)
+    monkeypatch.setattr("manoplace.tabu._propose_candidates", counted_propose)
 
     @SMALL
     @given(st.one_of(mixed_bounds(12), tight_bounds(12)), st.integers(0, 3))

@@ -71,22 +71,29 @@ def naive_capacity(instance, head_of):
     return sum(1 for c in counts.values() if c > instance.params.nfvo_capacity)
 
 
-def neighbour_plan(position, cand):
-    """The plan of ``position``'s neighbour ``cand``: its move applied to a
-    fresh position built on the same plan."""
+def scored(position, attribute):
+    """The score of the neighbour that the move ``attribute`` leads to."""
+    if attribute[0] == "toggle":
+        return position.toggled(attribute[1])
+    return position.reassigned(*attribute[1:])
+
+
+def neighbour_plan(position, attribute):
+    """The plan of the neighbour that the move ``attribute`` leads to from
+    ``position``: the move applied to a fresh position built on the same plan."""
     fresh = _Position(position.instance, position.nfvo_at, position.head_of)
-    fresh.move_to(cand)
+    fresh.move(attribute, None)
     return fresh.plan
 
 
-def check_neighbour(position, cand):
-    """An incrementally scored neighbour must equal a full rescore of its plan,
-    and the full rescore must equal the per-VNF restatement of the rules.
-    Returns the neighbour's plan."""
+def check_neighbour(position, attribute, score):
+    """A neighbour's incremental ``score`` must equal a full rescore of its
+    plan, and the full rescore must equal the per-VNF restatement of the
+    rules. Returns the neighbour's plan."""
     instance = position.instance
-    plan = neighbour_plan(position, cand)
+    plan = neighbour_plan(position, attribute)
     full = _Position(instance, plan.nfvo_at, plan.head_of).score
-    assert cand.score == full, cand.attribute
+    assert score == full, attribute
     assert full == Score(naive_penalty(instance, plan) + naive_capacity(instance, plan.head_of),
                          sum(plan.nfvo_at))
     return plan
@@ -181,14 +188,15 @@ class TestScoreAndMove:
                 pop = rng.randrange(instance.pop_count)
                 others = [p for p in position.active if p != position.head_of[pop]]
                 if others and rng.random() < 0.5:
-                    cand = position.reassigned(pop, rng.choice(others))
+                    attribute = ("reassign", pop, rng.choice(others))
                 elif position.active != [pop]:  # the sampler keeps the last orchestrator on
-                    cand = position.toggled(pop)
+                    attribute = ("toggle", pop)
                 else:
                     continue
-                position.move_to(cand)
+                score = scored(position, attribute)
+                position.move(attribute, score)
                 assert type(position.score) is Score
-                assert position.score == cand.score
+                assert position.score == score
 
 
 class TestPenalty:
@@ -241,10 +249,10 @@ class TestIncrementalScore:
                                            (2, 4): 40, (3, 4): 40}),
                              vnf_locs=(0, 1, 1, 2, 3, 4))
         position = _Position(inst, [True, False, False, True, True], [0, 0, 0, 3, 4])
-        cand = position.toggled(0)
-        plan = check_neighbour(position, cand)
+        score = position.toggled(0)
+        plan = check_neighbour(position, ("toggle", 0), score)
         assert plan.head_of == (4, 3, 3, 3, 4)
-        position.move_to(cand)
+        position.move(("toggle", 0), score)
         assert tables(position) == tables(_Position(inst, plan.nfvo_at, plan.head_of))
 
     def test_reassigning_the_only_server_of_a_group(self):
@@ -255,24 +263,24 @@ class TestIncrementalScore:
                              vnf_locs=(1, 1, 2))
         position = _Position(inst, [True, False, False, True], [0, 0, 0, 3])
         assert position.score == Score(0, 2)
-        cand = position.reassigned(2, 3)
-        assert cand.score == Score(2, 2)  # both VNFs at PoP 1 lose their manager host
-        plan = check_neighbour(position, cand)
-        position.move_to(cand)
+        score = position.reassigned(2, 3)
+        assert score == Score(2, 2)  # both VNFs at PoP 1 lose their manager host
+        plan = check_neighbour(position, ("reassign", 2, 3), score)
+        position.move(("reassign", 2, 3), score)
         assert tables(position) == tables(_Position(inst, plan.nfvo_at, plan.head_of))
 
 
 class TestMoves:
     def test_toggle_off_rehomes_members_to_nearest_survivor(self, line3):
         start = _start(line3)
-        plan = neighbour_plan(start, start.toggled(1))
+        plan = neighbour_plan(start, ("toggle", 1))
         assert plan.nfvo_at == (True, False, True)
         # PoP 1 is 10 ms from both survivors; the tie goes to the lower id.
         assert plan.head_of == (0, 0, 2)
 
     def test_toggle_on_self_assigns(self, line3):
         position = _Position(line3, [True, False, True], [0, 0, 2])
-        plan = neighbour_plan(position, position.toggled(1))
+        plan = neighbour_plan(position, ("toggle", 1))
         assert plan.nfvo_at == (True, True, True)
         assert plan.head_of == (0, 1, 2)
 
@@ -298,13 +306,12 @@ class TestMoves:
         start = _start(two_clusters)
         _, _, same, _ = propose(two_clusters, 500, random.Random(7))
         assert same
-        for attribute, cand in same:
+        for attribute, _ in same:
             kind, pop, new_head = attribute
             assert kind == "reassign"
             assert start.head_of[pop] != new_head
             assert start.nfvo_at[new_head]
-            # An unscored neighbour is scored first, as the search does when it picks one.
-            plan = neighbour_plan(start, cand or start.neighbour(attribute))
+            plan = neighbour_plan(start, attribute)
             assert plan.head_of[pop] == new_head
 
     def test_tabu_filter_and_aspiration(self, line3):
