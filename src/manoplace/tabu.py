@@ -56,22 +56,23 @@ On generated instances most picks are unscored: in 280 searches of 10-PoP
 instances with 10 to 40 VNFs, 11,308 of the 14,362 moves are of the plan
 alone.
 
-A kept neighbour is filed by kind: toggle-offs, reassignments and
-toggle-ons have one orchestrator fewer than the position, as many and one
-more, so the fewest-orchestrators pick is among the first of them that
-holds any. The scored neighbours that beat the best at the lowest score
-are filed aside as well. A neighbour is its tabu attribute and its score,
-None if it was left unscored. Each draw takes one path: its move yields its
-attribute, its kind and its score, and one tabu and aspiration check keeps
-or drops it. A toggle drawn twice in one iteration is scored twice.
+The sampler returns the one list the search picks from: the scored
+neighbours that beat the best at the lowest score, tabu or not, if any
+does, else the neighbours with the fewest orchestrators that are not tabu
+(a toggle-off has one fewer than the position, a reassignment as many, a
+toggle-on one more). Once a neighbour beats the best, or when a draw has
+more orchestrators than the fewest kept, only a draw that beats the best
+can join, so the others skip the tabu lookup. A neighbour is its tabu
+attribute and its score, None if it was left unscored. Each draw takes one
+path, and a toggle drawn twice in one iteration is scored twice.
 Integers are drawn straight from ``getrandbits`` by the rejection rule of
 ``random.Random.randrange``, so the draws are those of ``randrange``.
 
 The hot path walks set bits inline, and the chosen move grows the domains
 that PoPs join in place, rebuilding only the one domain they leave. At
-P=64, V=240 the search spends about 0.64 µs of CPU per sampled neighbour
-(Python 3.11.7, 2-vCPU VM). Most of it goes to drawing, checking and filing
-the neighbours, since most iterations score none of them and move the plan
+P=64, V=240 the search spends about 0.61 µs of CPU per sampled neighbour
+(Python 3.11.7, 2-vCPU VM). Most of it goes to drawing and checking the
+neighbours, since most iterations score none of them and move the plan
 alone.
 """
 
@@ -351,22 +352,21 @@ def _start(instance: ProblemInstance) -> _Position:
 
 def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int],
                         iteration: int, best_score: Score, rng: random.Random
-                        ) -> tuple[list[tuple], list[tuple], list[tuple], list[tuple]]:
-    """Sample the tabu-filtered neighbourhood of ``position``.
+                        ) -> list[tuple]:
+    """Sample the tabu-filtered neighbourhood of ``position`` and return
+    the list the search picks from, in draw order: the scored neighbours
+    that beat ``best_score`` at the lowest score if any does, else the kept
+    neighbours with the fewest orchestrators. Each entry is an
+    ``(attribute, score)`` pair, the score a plain ``(penalty, nfvo_count)``
+    tuple, or None for a neighbour left unscored.
 
-    Returns ``(improving, offs, same, ons)``. ``offs``, ``same`` and ``ons``
-    hold the kept toggle-offs, reassignments and toggle-ons in draw order,
-    whose orchestrator counts are one less than the position's, equal to it
-    and one more. Each entry is an ``(attribute, score)`` pair, the score a
-    plain ``(penalty, nfvo_count)`` tuple, or None for a neighbour left
-    unscored. ``improving`` holds the entries of the scored neighbours that
-    beat ``best_score`` at the lowest score, in draw order.
-
-    Each draw takes one path. Its move kind yields the move's attribute,
-    the list it is filed in and its score, or None, and then one check
-    keeps or drops it: a move stays tabu while its attribute's entry in
-    ``tabu`` is at least ``iteration``, unless its result would beat
-    ``best_score`` (aspiration). A move drawn twice is filed twice.
+    Each draw takes one path. Its move kind yields the move's attribute, its
+    orchestrator count and its score, or None. A neighbour is kept unless it
+    is tabu: its attribute's entry in ``tabu`` is at least ``iteration`` and
+    its result would not beat ``best_score`` (aspiration). Once one beats
+    ``best_score``, or when a draw has more orchestrators than the fewest
+    kept, only a neighbour that beats it can join the list, so the draw
+    skips the tabu lookup. A move drawn twice is returned twice.
 
     Only a neighbour that could beat ``best_score`` is scored: the search
     reads no other neighbour's penalty. The penalty is a sum of non-negative
@@ -415,10 +415,9 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
     others = len(active) - 1
     bits = others.bit_length()
     improving: list[tuple] = []
-    offs: list[tuple] = []
-    same: list[tuple] = []
-    ons: list[tuple] = []
+    fewest: list[tuple] = []
     low = best_score  # the lowest score drawn that beats best_score
+    least = count + 1  # the fewest orchestrators kept; no draw has more
     for _ in range(samples):
         toggle = rand() < 0.5
         pop = getrandbits(k)
@@ -427,35 +426,36 @@ def _propose_candidates(position: _Position, samples: int, tabu: dict[tuple, int
         if not others and (nfvo_at[pop] or not toggle):
             continue  # the one guard: the last orchestrator stays on and heads every PoP
         if toggle:
-            on = nfvo_at[pop]
-            attribute, kind = ("toggle", pop), offs if on else ons
-            score = (position.toggled(pop)
-                     if (off_limit >= 0 if on  # a toggle-off's bound is zero
-                         else on_limit >= 0 and penalty - pop_terms[pop]
-                         - domain_terms[head_of[pop]] <= on_limit)
-                     else None)
+            attribute = ("toggle", pop)
+            if nfvo_at[pop]:  # a toggle-off's bound is zero
+                c = count - 1
+                score = position.toggled(pop) if off_limit >= 0 else None
+            else:
+                c = count + 1
+                score = (position.toggled(pop) if on_limit >= 0 and penalty - pop_terms[pop]
+                         - domain_terms[head_of[pop]] <= on_limit else None)
         else:
             i = getrandbits(bits)
             while i >= others:
                 i = getrandbits(bits)
             h = head_of[pop]
             target = active[i] if active[i] < h else active[i + 1]  # skip the head in place
-            attribute, kind = ("reassign", pop, target), same
+            attribute, c = ("reassign", pop, target), count
             score = (position.reassigned(pop, target) if reassign_limit >= 0 and penalty
                      - pop_terms[pop] - domain_terms[h] - domain_terms[target] <= reassign_limit
                      else None)
-        if tabu.get(attribute, -1) >= iteration and (score is None or not score < best_score):
-            continue  # tabu, and not good enough for aspiration
-        entry = (attribute, score)
-        kind.append(entry)
-        if score is not None:
-            # improving is not empty exactly when low beats best_score.
-            if score < low:
-                low = score
-                improving = [entry]
-            elif improving and score == low:
-                improving.append(entry)
-    return improving, offs, same, ons
+        # A score at or below low beats best_score and aspires past the tabu
+        # list; once one does, no draw that does not can be picked.
+        if score is not None and score < low:
+            low, improving = score, [(attribute, score)]
+        elif improving:
+            if score == low:
+                improving.append((attribute, score))
+        elif c <= least and tabu.get(attribute, -1) < iteration:
+            if c < least:
+                least, fewest = c, []
+            fewest.append((attribute, score))
+    return improving or fewest
 
 
 @dataclass(frozen=True)
@@ -490,11 +490,7 @@ def search(instance: ProblemInstance, params: TabuParams | None = None) -> Searc
 
     while no_improvement < patience:
         iteration += 1
-        improving, offs, same, ons = _propose_candidates(position, samples, tabu, iteration,
-                                                         best_score, rng)
-        # Without a sampled neighbour that improves on the best found, take
-        # one with the fewest orchestrators, feasible or not, and keep moving.
-        tied = improving or offs or same or ons
+        tied = _propose_candidates(position, samples, tabu, iteration, best_score, rng)
         if not tied:
             no_improvement += 1
             continue

@@ -33,10 +33,11 @@ and ``_write`` walk it, and ``model.SOLUTION_FORMAT`` for solution files,
 which then keep two rules that span keys: ``nfvos`` entries are distinct PoP
 ids, and an ``objective`` counts the orchestrators plus managers.
 
-Every input file is read with the same checks: ``read_json`` decodes it,
-``check_keys`` rejects unknown and missing keys and ``check_type`` the values
-of the wrong kind. ``named_by_flag`` names a settings field by the flag or key
-that set it, and ``refuse_overwrite`` keeps a command off its inputs.
+Every input file is read with the same checks: ``read_json`` decodes it
+as UTF-8, ``check_keys`` rejects unknown and missing keys and
+``check_type`` the values of the wrong kind. ``named_by_flag`` names a
+settings field by the flag or key that set it, and ``refuse_overwrite``
+keeps a command off its inputs.
 
 The solvers read the delays in one form, ``delays``, from which
 ``ProblemInstance.vnfs_served`` builds its table with prefix masks and
@@ -390,12 +391,17 @@ def parse_problem(data) -> ProblemInstance:
 
 
 def read_json(path: str | Path):
-    """Decode a JSON input file; malformed JSON raises :class:`InstanceFormatError`."""
+    """Decode a JSON input file read as UTF-8. A file that is not UTF-8, not
+    valid JSON or nested too deeply to decode raises :class:`InstanceFormatError`."""
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InstanceFormatError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def refuse_overwrite(output: str | Path | None, *inputs: str | Path | None) -> None:

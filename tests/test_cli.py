@@ -58,6 +58,11 @@ class TestParsing:
         assert "gen requires" in capsys.readouterr().err
 
 
+# Files that are not UTF-8, or JSON nested deeper than the decoder goes.
+NOT_UTF8 = b'{"pop_count": \xff}'
+DEEP = b"[" * 3000 + b"]" * 3000
+
+
 @pytest.mark.parametrize("files, argv, fragment", [
     ({"gen.json": '{"pop_count": 4, "vnf_count": 3, "popz": 1}'},
      ["gen", "--config", "gen.json", "--output", "i.json"], "unknown key"),
@@ -176,6 +181,12 @@ class TestParsing:
      ["experiment", "--config", "sweep.json"],
      "sweep.json: configuration object: bundled:nope: no such bundled topology; "
      "the bundled ones are pop8, pop16"),
+    *[({"bad.json": text}, argv, fragment)
+      for text, fragment in ((NOT_UTF8, "bad.json: not UTF-8 text"),
+                             (DEEP, "bad.json: JSON nested too deeply to decode"))
+      for argv in (["validate", "bad.json"], ["check", "bundled:pop8", "bad.json"],
+                   ["experiment", "--config", "bad.json"],
+                   ["gen", "--config", "bad.json", "--output", "i.json"])],
 ], ids=["gen-unknown-key", "gen-bad-json", "gen-list-config", "gen-zero-pops", "sweep-zero-patience",
         "tsp-zero-patience", "tsp-zero-tenure", "tsp-zero-samples", "exact-zero-nodes",
         "exact-zero-time", "exact-nan-time", "gen-float-pops", "gen-bool-pops",
@@ -197,11 +208,14 @@ class TestParsing:
         "check-repeated-nfvo", "check-wrong-objective", "check-list-solution",
         "check-missing-key", "check-instance-as-solution", "sweep-empty-instance-file",
         "experiment-empty-output", "tsp-unknown-bundled", "lp-unknown-bundled",
-        "sweep-unknown-bundled"])
+        "sweep-unknown-bundled",
+        *[f"{command}-{fault}" for fault in ("not-utf8", "deep")
+          for command in ("validate", "check", "experiment", "gen")]])
 def test_bad_inputs_are_usage_errors(capsys, monkeypatch, tmp_path, files, argv, fragment):
     monkeypatch.chdir(tmp_path)  # so a sweep that wrongly runs writes r.csv here
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        path = tmp_path / name
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
     assert cli_main(argv) == 1
     err = capsys.readouterr().err

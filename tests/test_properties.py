@@ -469,6 +469,19 @@ def reference_neighbourhood(instance, nfvo_at, head_of, samples, tabu, iteration
     return out
 
 
+def reference_pick(candidates, best_score):
+    """The neighbours of a reference draw that the search picks from: those
+    at the lowest score if it beats ``best_score``, else those with the
+    fewest orchestrators, in draw order."""
+    if not candidates:
+        return []
+    lowest = min(score for _, score, _, _ in candidates)
+    if lowest < best_score:
+        return [c for c in candidates if c[1] == lowest]
+    min_nfvo = min(score.nfvo_count for _, score, _, _ in candidates)
+    return [c for c in candidates if c[1].nfvo_count == min_nfvo]
+
+
 def scored_without_the_floor(position, attribute, best_score):
     """Whether the sampler's bound, without its orchestrator-floor rule, would
     score the neighbour ``attribute`` of ``position``."""
@@ -485,9 +498,9 @@ def scored_without_the_floor(position, attribute, best_score):
 
 def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
     sizes = Counter()
-    # Neighbours scored and left unscored, those left unscored by the floor
-    # rule alone, draws with an improving neighbour, and draws that kept one
-    # toggle more than once.
+    # Neighbours returned scored and unscored, those left unscored by the
+    # floor rule alone, draws with an improving neighbour, and draws that
+    # returned one toggle more than once.
     kept = Counter()
 
     @SMALL
@@ -516,35 +529,28 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
             position = _Position(instance, nfvo_at, head_of)
             reference_rng = random.Random()
             reference_rng.setstate(rng.getstate())
-            improving, offs, same, ons = _propose_candidates(position, samples, tabu, 2,
-                                                             best_score, rng)
+            tied = _propose_candidates(position, samples, tabu, 2, best_score, rng)
             want = reference_neighbourhood(instance, position.nfvo_at, position.head_of,
                                            samples, tabu, 2, best_score, reference_rng)
-            # Each kind holds the reference's kept neighbours of its orchestrator count.
-            count = position.score.nfvo_count
-            assert len(offs) + len(same) + len(ons) == len(want)
-            for kind, delta in ((offs, -1), (same, 0), (ons, 1)):
-                want_kind = [w for w in want if w[1].nfvo_count == count + delta]
-                assert [attribute for attribute, _ in kind] == [w[0] for w in want_kind]
-                for (attribute, got), (_, score, want_nfvo_at, want_head_of) in zip(kind,
-                                                                                    want_kind):
-                    if got is None:  # left unscored: it must not be able to beat the best
-                        assert not score < best_score, attribute
-                    else:
-                        assert got == score, attribute
-                    kept[got is None] += 1
-                    kept["floor"] += got is None and scored_without_the_floor(position, attribute,
-                                                                              best_score)
-                    plan = neighbour_plan(position, attribute)
-                    assert (plan.nfvo_at, plan.head_of) == (want_nfvo_at, want_head_of)
-            # The improving list is the reference's lowest-score ties below best_score.
+            # The sampler returns the reference's pick list.
+            picked = reference_pick(want, best_score)
+            assert [attribute for attribute, _ in tied] == [w[0] for w in picked]
+            for (attribute, got), (_, score, want_nfvo_at, want_head_of) in zip(tied, picked):
+                if got is None:  # left unscored: it must not be able to beat the best
+                    assert not score < best_score, attribute
+                else:
+                    assert got == score, attribute
+                kept[got is None] += 1
+                kept["floor"] += got is None and scored_without_the_floor(position, attribute,
+                                                                          best_score)
+                plan = neighbour_plan(position, attribute)
+                assert (plan.nfvo_at, plan.head_of) == (want_nfvo_at, want_head_of)
+            # Improving neighbours are the reference's lowest-score ties below best_score.
             lowest = min((score for _, score, _, _ in want), default=best_score)
-            assert [attribute for attribute, _ in improving] == [
-                attribute for attribute, score, _, _ in want
-                if score == lowest and lowest < best_score]
-            assert all(got is not None and got == lowest for _, got in improving)
-            kept["improving"] += bool(improving)
-            toggles = [attribute for attribute, _ in offs + ons]
+            if lowest < best_score:
+                assert all(got is not None and got == lowest for _, got in tied)
+            kept["improving"] += lowest < best_score
+            toggles = [attribute for attribute, _ in tied if attribute[0] == "toggle"]
             kept["repeated"] += len(toggles) != len(set(toggles))
             assert rng.getstate() == reference_rng.getstate()
 
@@ -552,7 +558,7 @@ def test_neighbourhood_draw_matches_the_plan_by_plan_reference():
     print(f"neighbours scored {kept[False]}, left unscored {kept[True]} "
           f"({kept['floor']} by the floor rule alone); "
           f"draws with an improving neighbour {kept['improving']}, "
-          f"with a toggle kept twice {kept['repeated']}")
+          f"with a toggle returned twice {kept['repeated']}")
     assert (kept[False] and kept[True] and kept["floor"] and kept["improving"]
             and kept["repeated"])
 
@@ -587,21 +593,40 @@ def test_no_neighbour_below_the_orchestrator_floor_is_scored_once_a_plan_is_feas
         monkeypatch):
     """Once the best plan has no penalty, the sampler scores no neighbour with
     fewer orchestrators than the floor: such a neighbour cannot beat it."""
-    seen = Counter()  # calls at best penalty zero, and unscored neighbours below the floor
+    # Calls at best penalty zero, neighbours scored then, and unscored
+    # neighbours returned below the floor.
+    seen = Counter()
+    best = {}
+
     def checked(position, samples, tabu, iteration, best_score, rng):
+        best["score"] = best_score
         proposal = _propose_candidates(position, samples, tabu, iteration, best_score, rng)
         if best_score.penalty == 0:
             floor = nfvo_floor(position.instance)
             seen["feasible"] += 1
-            # Toggle-offs, reassignments and toggle-ons, by orchestrator count.
-            for kind, delta in zip(proposal[1:], (-1, 0, 1)):
-                below = len(position.active) + delta < floor
-                for attribute, score in kind:
-                    assert score is None or not below, (attribute, score, floor)
-                    seen["below"] += below
+            for attribute, score in proposal:
+                kind, pop = attribute[:2]
+                count = len(position.active)
+                if kind == "toggle":
+                    count += -1 if position.nfvo_at[pop] else 1
+                below = count < floor
+                assert score is None or not below, (attribute, score, floor)
+                seen["below"] += below
         return proposal
 
+    def floor_checked(scorer):
+        def checked_score(position, *move):
+            score = scorer(position, *move)
+            if best["score"].penalty == 0:
+                floor = nfvo_floor(position.instance)
+                assert score[1] >= floor, (scorer.__name__, move, score, floor)
+                seen["scored"] += 1
+            return score
+        return checked_score
+
     monkeypatch.setattr("manoplace.tabu._propose_candidates", checked)
+    monkeypatch.setattr(_Position, "toggled", floor_checked(_Position.toggled))
+    monkeypatch.setattr(_Position, "reassigned", floor_checked(_Position.reassigned))
 
     @SMALL
     @given(st.one_of(generated(8), mixed_bounds(8)), st.integers(0, 3))
@@ -611,7 +636,7 @@ def test_no_neighbour_below_the_orchestrator_floor_is_scored_once_a_plan_is_feas
     search_from_the_start()
     search(generate_instance(GeneratorConfig(pop_count=64, vnf_count=240, seed=1)),
            TabuParams(seed=0))
-    assert seen["feasible"] and seen["below"], seen
+    assert seen["feasible"] and seen["scored"] and seen["below"], seen
 
 
 def sweep_instances():
@@ -708,15 +733,10 @@ def eager_search(instance, params):
         iteration += 1
         candidates = reference_neighbourhood(instance, position.nfvo_at, position.head_of,
                                              samples, tabu, iteration, best_score, rng)
-        if not candidates:
+        tied = reference_pick(candidates, best_score)
+        if not tied:
             no_improvement += 1
             continue
-        lowest = min(score for _, score, _, _ in candidates)
-        if lowest < best_score:
-            tied = [c for c in candidates if c[1] == lowest]
-        else:
-            min_nfvo = min(score.nfvo_count for _, score, _, _ in candidates)
-            tied = [c for c in candidates if c[1].nfvo_count == min_nfvo]
         attribute, score, nfvo_at, head_of = tied[rng.randrange(len(tied))]
         position = _Position(instance, nfvo_at, head_of)
         tabu[attribute] = iteration + tenure

@@ -131,16 +131,37 @@ def penalty(instance, plan):
 
 def propose(instance, samples, rng, tabu=None, iteration=0, best_score=None):
     """Neighbourhood of the all-on start, as the search's first iteration
-    sees it: ``(improving, offs, same, ons)``."""
+    sees it: the list of neighbours it picks from."""
     start = _start(instance)
     return _propose_candidates(start, samples, tabu or {}, iteration,
                                best_score or start.score, rng)
 
 
 def attributes(proposal):
-    """Attributes of every kept neighbour of a proposal, of all three kinds."""
-    _, offs, same, ons = proposal
-    return {attribute for kind in (offs, same, ons) for attribute, _ in kind}
+    """Attributes of every neighbour of a proposal."""
+    return {attribute for attribute, _ in proposal}
+
+
+def scored_draws(monkeypatch):
+    """A list that gets the ``(attribute, score)`` of every neighbour the
+    sampler scores, whether or not it returns it. Against a best score that
+    every neighbour beats, such as ``Score(99, 99)``, it scores every draw."""
+    drawn = []
+    toggled, reassigned = _Position.toggled, _Position.reassigned
+
+    def toggle(position, pop):
+        score = toggled(position, pop)
+        drawn.append((("toggle", pop), score))
+        return score
+
+    def reassign(position, pop, target):
+        score = reassigned(position, pop, target)
+        drawn.append((("reassign", pop, target), score))
+        return score
+
+    monkeypatch.setattr(_Position, "toggled", toggle)
+    monkeypatch.setattr(_Position, "reassigned", reassign)
+    return drawn
 
 
 class TestParams:
@@ -293,20 +314,25 @@ class TestMoves:
         # PoP 1, the last orchestrator, stays on, and no PoP has another head to join.
         assert drawn == {("toggle", 0), ("toggle", 2)}
 
-    def test_kind_frequencies_are_balanced(self, two_clusters):
-        _, offs, same, ons = propose(two_clusters, 10_000, random.Random(99))
-        kept = len(offs) + len(same) + len(ons)
+    def test_kind_frequencies_are_balanced(self, two_clusters, monkeypatch):
+        drawn = scored_draws(monkeypatch)
+        propose(two_clusters, 10_000, random.Random(99), best_score=Score(99, 99))
+        kept = len(drawn)
         assert kept == 10_000  # nothing discarded from the all-on plan
-        assert all(a[0] == "toggle" for kind in (offs, ons) for a, _ in kind)
-        assert all(a[0] == "reassign" for a, _ in same)
-        toggles = len(offs) + len(ons)
+        # Toggles change the orchestrator count, reassignments keep it.
+        count = _start(two_clusters).score.nfvo_count
+        assert all(a[0] == "toggle" for a, score in drawn if score[1] != count)
+        assert all(a[0] == "reassign" for a, score in drawn if score[1] == count)
+        toggles = sum(score[1] != count for _, score in drawn)
         assert abs(toggles / kept - 0.5) < 0.02
 
-    def test_reassign_targets_are_active_and_different(self, two_clusters):
+    def test_reassign_targets_are_active_and_different(self, two_clusters, monkeypatch):
         start = _start(two_clusters)
-        _, _, same, _ = propose(two_clusters, 500, random.Random(7))
+        drawn = scored_draws(monkeypatch)
+        propose(two_clusters, 500, random.Random(7), best_score=Score(99, 99))
+        same = [attribute for attribute, _ in drawn if attribute[0] == "reassign"]
         assert same
-        for attribute, _ in same:
+        for attribute in same:
             kind, pop, new_head = attribute
             assert kind == "reassign"
             assert start.head_of[pop] != new_head
